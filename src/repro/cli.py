@@ -14,12 +14,12 @@ Sub-commands
 ``tsajs worker QUEUE_DIR [--drain]``
     Drain task files from a ``run --backend queue --queue-dir`` sweep;
     run any number of workers, on any machine sharing the directory.
-``tsajs solve [--users U --servers S --subbands N --delta --batch ...]``
+``tsajs solve [--users U --servers S --subbands N --batch ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
-    ``--delta`` switches TSAJS to the incremental evaluation path;
-    ``--batch [--batch-size B]`` to the vectorized batch path (both are
-    bit-identical to the scalar path).
+    TSAJS scores moves with the incremental (delta) evaluator;
+    ``--batch [--batch-size B]`` switches it to the vectorized batch
+    path (both are bit-identical to the scalar oracle).
 ``tsajs schemes``
     List the scheme names accepted by ``solve --schemes``.
 ``tsajs episode [--pool P --slots T --outage q ...]``
@@ -278,14 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="moves per vectorized round with --batch (default 64)",
     )
     solve_parser.add_argument(
-        "--delta",
-        action="store_true",
-        help=(
-            "score annealer moves with the incremental (delta) evaluator; "
-            "bit-identical results, lower wall-clock time"
-        ),
-    )
-    solve_parser.add_argument(
         "--shard",
         action="store_true",
         help=(
@@ -338,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "replay the solve under scalar, delta and batch evaluation "
             "with the determinism sanitizer and assert per-stream RNG "
             "ledgers and utilities are identical (overrides "
-            "--delta/--batch; incompatible with --trace)"
+            "--batch; incompatible with --trace)"
         ),
     )
 
@@ -361,11 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="stop the annealer early (T_min = 1e-2)",
-    )
-    trace_record.add_argument(
-        "--delta",
-        action="store_true",
-        help="use the incremental (delta) evaluator",
     )
     trace_record.add_argument(
         "--iterations",
@@ -861,7 +848,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
         n_subbands=args.subbands,
         workload_megacycles=args.workload_mc,
         input_kb=args.input_kb,
-        use_delta=args.delta,
         use_batch=args.batch,
         batch_size=args.batch_size,
         use_sharding=args.shard,
@@ -1019,11 +1005,10 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         n_users=args.users,
         n_servers=args.servers,
         n_subbands=args.subbands,
-        use_delta=args.delta,
     )
     scenario = Scenario.build(config, seed=args.seed)
     names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    schedulers = build_schemes(names, quick=args.quick, use_delta=args.delta)
+    schedulers = build_schemes(names, quick=args.quick)
     recorder = TraceRecorder(args.out, iteration_detail=args.iterations)
     with recorder, use_recorder(recorder):
         for index, scheduler in enumerate(schedulers):

@@ -124,9 +124,17 @@ class BatchEvaluator(DeltaEvaluator):
     def __init__(
         self,
         scenario: "Scenario",
+        external_rx: Optional[np.ndarray] = None,
         *,
         share_constants_from: Optional[DeltaEvaluator] = None,
     ) -> None:
+        if external_rx is not None:
+            # stage() rebuilds candidate buckets from occupant rows alone;
+            # scoring them without the frozen term would be silently wrong.
+            raise ConfigurationError(
+                "BatchEvaluator does not model external_rx; use "
+                "DeltaEvaluator or ObjectiveEvaluator for boundary re-anneals"
+            )
         super().__init__(scenario, share_constants_from=share_constants_from)
         #: Candidates scored through the vectorized path (telemetry;
         #: direct attribute increments for the same reason as
@@ -145,19 +153,7 @@ class BatchEvaluator(DeltaEvaluator):
         ``touched`` follows the delta protocol: a superset of the users
         whose assignment differs from the cached incumbent.
         """
-        server = decision.server
-        channel = decision.channel
-        server_list, channel_list = self._server_list, self._channel_list
-        changed: List[Tuple[int, int, int]] = []
-        seen: List[int] = []
-        for u in touched:
-            if u in seen:
-                continue
-            seen.append(u)
-            new_server = int(server[u])
-            new_channel = int(channel[u])
-            if server_list[u] != new_server or channel_list[u] != new_channel:
-                changed.append((u, new_server, new_channel))
+        changed = self._touched_changes(decision.server, decision.channel, touched)
         if changed:
             self._apply(changed)
         self.batch_commits += 1
@@ -183,18 +179,7 @@ class BatchEvaluator(DeltaEvaluator):
         noise = self._noise
 
         for index, (decision, touched) in enumerate(candidates):
-            server = decision.server
-            channel = decision.channel
-            changed: List[Tuple[int, int, int]] = []
-            seen: List[int] = []
-            for u in touched:
-                if u in seen:
-                    continue
-                seen.append(u)
-                new_server = int(server[u])
-                new_channel = int(channel[u])
-                if server_list[u] != new_server or channel_list[u] != new_channel:
-                    changed.append((u, new_server, new_channel))
+            changed = self._touched_changes(decision.server, decision.channel, touched)
             if not changed:
                 staged.unchanged.append(True)
                 staged.n_offloaded.append(self._n_offloaded)

@@ -273,7 +273,7 @@ def degrade(
     *,
     rng: Optional[np.random.Generator] = None,
     schedule: Optional[AnnealingSchedule] = None,
-    use_delta: bool = False,
+    use_delta: Optional[bool] = None,
 ) -> DegradedPlan:
     """Repair a fault-free plan for the faulted system and score it.
 
@@ -295,7 +295,8 @@ def degrade(
     schedule:
         Annealing schedule for the repair (defaults to Alg. 1 constants).
     use_delta:
-        Score repair moves incrementally (bitwise-equal, faster).
+        Score repair moves incrementally (the default; bitwise-equal to
+        the scalar oracle selected by ``False``, and faster).
 
     The repair never returns a worse utility than the pure fallback
     plan: the annealer's best-tracking starts at its warm-start state.

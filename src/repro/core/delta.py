@@ -19,15 +19,20 @@ and the affected users' objective terms.
 Bitwise contract
 ----------------
 The delta path returns values **bit-for-bit equal** to the full path, so
-``use_delta=True`` reproduces the exact annealing trajectory (the
-accept/reject comparisons and the RNG stream never diverge).  Three
-invariants make this work; keep them in lockstep with
+it reproduces the exact annealing trajectory of the scalar oracle
+(``use_delta=False``): the accept/reject comparisons and the RNG stream
+never diverge.  That is why it is the default evaluator of every TSAJS
+solve.  Three invariants make this work; keep them in lockstep with
 :mod:`repro.core.objective` and :mod:`repro.net.sinr` when editing:
 
 1. every ``total_rx[j][s]`` bucket always equals the *sequential,
    ascending-user-order* sum of its current occupants' ``rx`` rows —
    the accumulation order ``np.add.at`` uses in
-   :func:`~repro.net.sinr.compute_link_stats`;
+   :func:`~repro.net.sinr.compute_link_stats` — plus, when the
+   evaluator carries a frozen ``external_rx`` (the sharded scheduler's
+   boundary re-anneals), that band's external row added elementwise
+   *after* the sum, the order of ``compute_link_stats``'
+   ``total_rx + external_rx``;
 2. per-user terms (signal, SINR, net benefit) are elementwise IEEE
    formulas, so recomputing them with scalar Python floats (which *are*
    IEEE doubles) yields the same bits as the full vectorised
@@ -46,7 +51,9 @@ once per scenario.
 
 Touched-set protocol
 --------------------
-``evaluate_assignment(server, channel, touched=...)`` takes an iterable
+The inherited counted entry point
+``evaluate_assignment(server, channel, touched=...)`` (and
+``evaluate_move(decision, touched)``, which forwards to it) takes an iterable
 of user indices that is a **superset** of the users whose assignment may
 differ from the *previously evaluated* one (not the incumbent: a
 rejected proposal still updates the cache, so the annealer passes the
@@ -63,7 +70,7 @@ from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.decision import LOCAL
 from repro.core.objective import ObjectiveEvaluator
 from repro.errors import ConfigurationError
 
@@ -77,16 +84,25 @@ class DeltaEvaluator(ObjectiveEvaluator):
     Construction costs ``O(U·S·N)`` time and memory (the Python-native
     gain copy); :meth:`rebuild` resets the cache to the all-local
     assignment, after which the evaluator is indistinguishable from a
-    fresh one.
+    fresh one.  ``external_rx`` is the same frozen ``(N, S)`` boundary
+    term :class:`~repro.core.objective.ObjectiveEvaluator` accepts, and
+    is honoured whether or not ``share_constants_from`` is given.
     """
 
     def __init__(
         self,
         scenario: "Scenario",
+        external_rx: Optional[np.ndarray] = None,
         *,
         share_constants_from: Optional["DeltaEvaluator"] = None,
     ) -> None:
-        super().__init__(scenario)
+        super().__init__(scenario, external_rx=external_rx)
+        #: ``_external_rows[j][s]``: the frozen out-of-instance power, one
+        #: Python row per sub-band.  Per-instance state, never aliased
+        #: from ``share_constants_from``.
+        self._external_rows: Optional[List[List[float]]] = (
+            None if self.external_rx is None else self.external_rx.tolist()
+        )
         #: Incremental (touched-set) evaluations vs O(U) vector-diff ones;
         #: plain int telemetry read by the scheduler's observability event
         #: (``fast_evals + full_evals == evaluations`` at all times).
@@ -133,14 +149,14 @@ class DeltaEvaluator(ObjectiveEvaluator):
     def rebuild(self) -> None:
         """Reset the cache to the all-local assignment."""
         sc = self.scenario
-        n_users, n_servers, n_subbands = sc.n_users, sc.n_servers, sc.n_subbands
+        n_users, n_subbands = sc.n_users, sc.n_subbands
         self._server_list: List[int] = [LOCAL] * n_users
         self._channel_list: List[int] = [LOCAL] * n_users
         #: Occupants of each sub-band, kept sorted ascending (invariant 1).
         self._band_users: List[List[int]] = [[] for _ in range(n_subbands)]
         #: Current received-power row of each offloaded user.
         self._rx_rows: List[Optional[List[float]]] = [None] * n_users
-        self._total_rx = [[0.0] * n_servers for _ in range(n_subbands)]
+        self._total_rx = [self._empty_bucket(band) for band in range(n_subbands)]
         self._signal = [0.0] * n_users
         self._se = [0.0] * n_users
         self._net = np.zeros(n_users)
@@ -154,11 +170,11 @@ class DeltaEvaluator(ObjectiveEvaluator):
 
     # --- Evaluation --------------------------------------------------------
 
-    def evaluate_assignment(
+    def _score_assignment(
         self,
         server_of_user: np.ndarray,
         channel_of_user: np.ndarray,
-        touched: Optional[Iterable[int]] = None,
+        touched: Optional[Iterable[int]],
     ) -> float:
         """``J*(X)`` (Eq. 24), recomputing only what changed since the last call.
 
@@ -166,10 +182,9 @@ class DeltaEvaluator(ObjectiveEvaluator):
         from the previously evaluated one (see the module docstring);
         ``None`` diffs the full vectors instead.
         """
-        self.evaluations += 1
-        server_list, channel_list = self._server_list, self._channel_list
         if touched is None:
             self.full_evals += 1
+            server_list, channel_list = self._server_list, self._channel_list
             server = np.asarray(server_of_user)
             channel = np.asarray(channel_of_user)
             diff = np.flatnonzero(
@@ -181,46 +196,27 @@ class DeltaEvaluator(ObjectiveEvaluator):
             ]
         else:
             self.fast_evals += 1
-            server, channel = server_of_user, channel_of_user
-            changed = []
-            seen: List[int] = []
-            for u in touched:
-                if u in seen:  # touched sets are tiny; a set() costs more
-                    continue
-                seen.append(u)
-                new_server = int(server[u])
-                new_channel = int(channel[u])
-                if server_list[u] != new_server or channel_list[u] != new_channel:
-                    changed.append((u, new_server, new_channel))
+            changed = self._touched_changes(server_of_user, channel_of_user, touched)
         if changed:
             self._apply(changed)
         return self._value()
 
-    def evaluate_move(
-        self, decision: OffloadingDecision, touched: Iterable[int] = ()
-    ) -> float:
-        """``J*(X)`` (Eq. 24) for a decision whose changed users lie in ``touched``."""
-        # Inlined copy of evaluate_assignment's touched path — this is the
-        # annealer's per-proposal call, where even argument re-dispatch
-        # shows up in the profile.
-        self.evaluations += 1
-        self.fast_evals += 1
-        server = decision.server
-        channel = decision.channel
+    def _touched_changes(
+        self, server: np.ndarray, channel: np.ndarray, touched: Iterable[int]
+    ) -> List[Tuple[int, int, int]]:
+        """``(user, server, channel)`` for touched users that differ from the cache."""
         server_list, channel_list = self._server_list, self._channel_list
         changed: List[Tuple[int, int, int]] = []
         seen: List[int] = []
         for u in touched:
-            if u in seen:
+            if u in seen:  # touched sets are tiny; a set() costs more
                 continue
             seen.append(u)
             new_server = int(server[u])
             new_channel = int(channel[u])
             if server_list[u] != new_server or channel_list[u] != new_channel:
                 changed.append((u, new_server, new_channel))
-        if changed:
-            self._apply(changed)
-        return self._value()
+        return changed
 
     # --- Internals ---------------------------------------------------------
 
@@ -271,6 +267,7 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # are visited in sorted order: each bucket is rebuilt independently,
         # so the order cannot change values, only make it deterministic.
         total_rx = self._total_rx
+        external = self._external_rows
         affected: List[int] = []
         for band in sorted(bands):
             occupants = self._band_users[band]
@@ -281,12 +278,22 @@ class DeltaEvaluator(ObjectiveEvaluator):
                     row = rx_rows[u]
                     for s, value in enumerate(row):
                         bucket[s] += value
+                if external is not None:
+                    # After the occupant sum, as compute_link_stats adds
+                    # external_rx to the summed buckets (invariant 1).
+                    bucket = [b + e for b, e in zip(bucket, external[band])]
                 total_rx[band] = bucket
                 affected.extend(occupants)
             else:
-                total_rx[band] = [0.0] * len(total_rx[band])
+                total_rx[band] = self._empty_bucket(band)
         if affected:
             self._refresh(affected)
+
+    def _empty_bucket(self, band: int) -> List[float]:
+        """Received power on an unoccupied sub-band (external power only)."""
+        if self._external_rows is None:
+            return [0.0] * self._n_servers
+        return list(self._external_rows[band])
 
     def _refresh(self, affected: List[int]) -> None:
         """Recompute SINR-dependent terms for users on touched bands.

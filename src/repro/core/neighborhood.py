@@ -70,7 +70,7 @@ class NeighborhoodSampler:
         The touched set covers every user whose assignment may differ
         between ``X_old`` and ``X_new`` (the target user and, for moves
         landing on an occupied slot, the displaced occupant) — exactly
-        what :meth:`~repro.core.delta.DeltaEvaluator.evaluate_move`
+        what :meth:`~repro.core.objective.ObjectiveEvaluator.evaluate_move`
         needs to update incrementally.  ``propose`` draws from the same
         RNG stream, so the two entry points produce identical chains.
         """

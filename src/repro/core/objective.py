@@ -21,13 +21,21 @@ Three evaluation paths are provided and kept consistent (property-tested):
   fast path below reduces over *fixed-length* masked arrays (zeros for
   local users) in a fixed order, which the delta path maintains
   incrementally and reduces identically.  Keep the two in lockstep when
-  editing either.
+  editing either.  The delta path is what every TSAJS solve runs by
+  default; this class is its oracle (``use_delta=False``).
+
+Every evaluator shares one counted entry point,
+:meth:`ObjectiveEvaluator.evaluate_assignment`: it increments
+``evaluations`` and delegates to the overridable
+:meth:`~ObjectiveEvaluator._score_assignment`.  Subclasses (the delta
+cache, the downlink-aware objective) override only the scoring method,
+so the Fig. 8 evaluation counts see every call on every path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -103,22 +111,69 @@ class ObjectiveEvaluator:
         self.external_rx = (
             None if external_rx is None else np.asarray(external_rx, dtype=float)
         )
+        expected = (scenario.n_subbands, scenario.n_servers)
+        if self.external_rx is not None and self.external_rx.shape != expected:
+            raise ConfigurationError(
+                f"external_rx must have shape {expected}, got "
+                f"{self.external_rx.shape}"
+            )
         #: Number of fast-path objective evaluations performed, for the
         #: algorithm-complexity experiments (Fig. 8).
         self.evaluations = 0
+        #: Touched set of the move :meth:`evaluate_move` is scoring, read
+        #: by :meth:`evaluate_assignment` when no ``touched`` is passed.
+        self._move_touched: Optional[Iterable[int]] = None
 
     # --- Fast path (Eq. 24) -------------------------------------------------
 
     def evaluate_assignment(
-        self, server_of_user: np.ndarray, channel_of_user: np.ndarray
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        touched: Optional[Iterable[int]] = None,
     ) -> float:
         """``J*(X)`` (Eq. 24) for raw assignment vectors (hot path, no validation).
+
+        The one counted entry point: increments :attr:`evaluations` and
+        delegates to :meth:`_score_assignment`.  ``touched`` optionally
+        lists a superset of the users whose assignment may differ from
+        the previously evaluated one (the delta path's hint, see
+        :mod:`repro.core.delta`); the full path ignores it.  Left out, it
+        is the touched set of the move :meth:`evaluate_move` is scoring,
+        if any.
 
         Returns ``-inf`` when an offloaded user has zero achievable rate
         (the upload would never finish, so the decision has unbounded
         cost) — the annealer then steers away from it.
         """
         self.evaluations += 1
+        if touched is None:
+            touched = self._move_touched
+        return self._score_assignment(server_of_user, channel_of_user, touched)
+
+    def evaluate_move(
+        self, decision: OffloadingDecision, touched: Iterable[int] = ()
+    ) -> float:
+        """``J*(X)`` (Eq. 24) for an annealer proposal whose changed users lie in ``touched``.
+
+        Calls :meth:`evaluate_assignment` with the two assignment vectors
+        only and hands ``touched`` over through the instance, so
+        overrides and wrappers written against the two-argument
+        signature still see, and count, every move.
+        """
+        self._move_touched = touched
+        try:
+            return self.evaluate_assignment(decision.server, decision.channel)
+        finally:
+            self._move_touched = None
+
+    def _score_assignment(
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        touched: Optional[Iterable[int]],
+    ) -> float:
+        """``J*(X)`` (Eq. 24) recomputed from scratch; ``touched`` is unused."""
         sc = self.scenario
         stats = compute_link_stats(
             sc.gains,

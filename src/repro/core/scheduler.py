@@ -69,6 +69,20 @@ class ScheduleResult:
     accepted_moves: int = 0
 
 
+def resolve_use_delta(use_delta: Optional[bool], use_batch: bool) -> bool:
+    """The effective ``use_delta`` setting: ``None`` means "delta unless batch".
+
+    An explicit ``True``/``False`` keeps its meaning; ``True`` together
+    with ``use_batch`` is a :class:`ConfigurationError`.
+    """
+    if use_delta and use_batch:
+        raise ConfigurationError(
+            "use_delta and use_batch are mutually exclusive evaluation "
+            "modes (both are bitwise equal to the scalar path)"
+        )
+    return not use_batch if use_delta is None else use_delta
+
+
 @runtime_checkable
 class Scheduler(Protocol):
     """Common interface implemented by TSAJS and every baseline."""
@@ -99,23 +113,25 @@ class TsajsScheduler:
     use_delta:
         Score candidates with the incremental
         :class:`~repro.core.delta.DeltaEvaluator` instead of re-running
-        the full ``O(U·S·N)`` evaluation per move.  The delta path is
-        bit-for-bit equal to the full path, so with a fixed RNG the two
-        settings produce the exact same decision, allocation and
-        utility — this is purely a wall-clock optimisation.
+        the full ``O(U·S·N)`` evaluation per move.  ``None`` (the
+        default) means "delta unless ``use_batch``"; ``False`` selects the
+        scalar :class:`~repro.core.objective.ObjectiveEvaluator`, the
+        oracle.  The delta path is bit-for-bit equal to the full path, so
+        with a fixed RNG every setting produces the exact same decision,
+        allocation and utility — this is purely a wall-clock choice.
     use_batch, batch_size:
         Score whole speculative neighbourhoods with the vectorized
         :class:`~repro.core.batch.BatchEvaluator` (one NumPy shot per
         up-to-``batch_size`` candidate moves).  Like the delta path this
         is bitwise equal to the scalar path — identical accepted-move
         chain, trajectory and RNG stream — and purely a wall-clock
-        optimisation; mutually exclusive with ``use_delta``.
+        optimisation; mutually exclusive with ``use_delta=True``.
     evaluator_factory:
         Builds the objective evaluator for a scenario; override to plug in
-        extended objectives (e.g. the downlink-aware evaluator).  With
-        ``use_delta=True`` the factory's evaluator must expose the
-        :class:`~repro.core.delta.DeltaEvaluator` ``evaluate_move``
-        interface.
+        extended objectives (e.g. the downlink-aware evaluator).  Outside
+        batch mode the annealer scores moves through the evaluator's
+        ``evaluate_move``, which every
+        :class:`~repro.core.objective.ObjectiveEvaluator` provides.
     """
 
     name = "TSAJS"
@@ -126,7 +142,7 @@ class TsajsScheduler:
         neighborhood: Optional[NeighborhoodSampler] = None,
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
-        use_delta: bool = False,
+        use_delta: Optional[bool] = None,
         use_batch: bool = False,
         batch_size: int = 64,
         evaluator_factory: Optional[
@@ -138,11 +154,7 @@ class TsajsScheduler:
                 "initial_offload_probability must lie in [0, 1], got "
                 f"{initial_offload_probability}"
             )
-        if use_delta and use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive evaluation "
-                "modes (both are bitwise equal to the scalar path)"
-            )
+        use_delta = resolve_use_delta(use_delta, use_batch)
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         self.schedule_params = schedule if schedule is not None else AnnealingSchedule()
@@ -222,7 +234,9 @@ class TsajsScheduler:
             else:
                 initial = initial.copy()
             annealer = ThresholdTriggeredAnnealer(self.schedule_params)
-            delta_kwargs: Dict[str, Any] = {}
+            # Outside batch mode every evaluator scores moves through
+            # ``evaluate_move``; ``use_delta`` only picks the evaluator class.
+            scoring: Dict[str, Any]
             if self.use_batch:
                 if not hasattr(evaluator, "evaluate_batch"):
                     raise ConfigurationError(
@@ -230,23 +244,13 @@ class TsajsScheduler:
                         f"(got {type(evaluator).__name__}); use BatchEvaluator "
                         "or a subclass as the evaluator_factory"
                     )
-                delta_kwargs = dict(
-                    propose_move=self.neighborhood.propose_move,
+                scoring = dict(
                     batch_objective=evaluator.evaluate_batch,
                     batch_commit=evaluator.commit,
                     batch_size=self.batch_size,
                 )
-            elif self.use_delta:
-                if not hasattr(evaluator, "evaluate_move"):
-                    raise ConfigurationError(
-                        "use_delta=True needs an evaluator with evaluate_move "
-                        f"(got {type(evaluator).__name__}); use DeltaEvaluator "
-                        "or a subclass as the evaluator_factory"
-                    )
-                delta_kwargs = dict(
-                    propose_move=self.neighborhood.propose_move,
-                    move_objective=evaluator.evaluate_move,
-                )
+            else:
+                scoring = dict(move_objective=evaluator.evaluate_move)
             outcome = annealer.run(
                 initial_state=initial,
                 objective=evaluator.evaluate,
@@ -255,7 +259,8 @@ class TsajsScheduler:
                 default_initial_temperature=float(scenario.n_subbands),
                 record_trace=self.record_trace,
                 recorder=rec,
-                **delta_kwargs,
+                propose_move=self.neighborhood.propose_move,
+                **scoring,
             )
 
             best = outcome.best_state

@@ -4,8 +4,8 @@
 along the spatial partition of :mod:`repro.core.partition`:
 
 1. every cluster is extracted as an independent sub-scenario and solved
-   by a plain :class:`~repro.core.scheduler.TsajsScheduler` (any of the
-   scalar/delta/batch evaluation paths);
+   by a plain :class:`~repro.core.scheduler.TsajsScheduler` (the delta
+   evaluation path by default, or the scalar oracle / batch path);
 2. the per-cluster decisions are stitched into one global decision —
    feasible by construction, since a cluster's users only occupy slots
    of the cluster's own stations;
@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.allocation import kkt_allocation
 from repro.core.annealing import AnnealingSchedule
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.partition import (
@@ -55,7 +56,11 @@ from repro.core.partition import (
     restrict_decision,
     scatter_decision,
 )
-from repro.core.scheduler import ScheduleResult, TsajsScheduler
+from repro.core.scheduler import (
+    ScheduleResult,
+    TsajsScheduler,
+    resolve_use_delta,
+)
 from repro.errors import ConfigurationError
 from repro.obs.clock import Stopwatch
 from repro.obs.recorder import get_recorder
@@ -90,7 +95,9 @@ class ShardedScheduler:
         Forwarded to the inner per-cluster
         :class:`~repro.core.scheduler.TsajsScheduler` instances.  With
         ``record_trace`` the result's trace is the concatenation of the
-        per-cluster traces in cluster order.
+        per-cluster traces in cluster order.  The boundary re-anneals run
+        on the delta path unless ``use_delta=False`` selects the scalar
+        oracle (the batch path cannot model ``external_rx``).
     """
 
     name = "TSAJS-Shard"
@@ -104,7 +111,7 @@ class ShardedScheduler:
         neighborhood: Optional[NeighborhoodSampler] = None,
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
-        use_delta: bool = False,
+        use_delta: Optional[bool] = None,
         use_batch: bool = False,
         batch_size: int = 64,
     ) -> None:
@@ -131,7 +138,7 @@ class ShardedScheduler:
         )
         self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
-        self.use_delta = use_delta
+        self.use_delta = resolve_use_delta(use_delta, use_batch)
         self.use_batch = use_batch
         self.batch_size = batch_size
 
@@ -152,18 +159,23 @@ class ShardedScheduler:
     def _reconcile_scheduler(self, external_rx: np.ndarray) -> TsajsScheduler:
         """Boundary re-anneal solver with frozen external interference.
 
-        Always scalar: the delta/batch evaluators do not model the
-        ``external_rx`` term, and reconciliation touches only the small
-        boundary clusters, so the scalar path's cost is immaterial.
+        The delta evaluator folds ``external_rx`` into its touched
+        buckets in the full path's operation order, so it re-anneals
+        bitwise equal to the scalar oracle; ``use_delta=False`` keeps the
+        oracle.  The batch evaluator does not model the term, so batch
+        configurations re-anneal on the delta path too.
         """
+        use_delta = self.use_batch or self.use_delta
+        evaluator_cls = DeltaEvaluator if use_delta else ObjectiveEvaluator
 
         def factory(scenario: "Scenario") -> ObjectiveEvaluator:
-            return ObjectiveEvaluator(scenario, external_rx=external_rx)
+            return evaluator_cls(scenario, external_rx=external_rx)
 
         return TsajsScheduler(
             schedule=self.schedule_params,
             neighborhood=self.neighborhood,
             initial_offload_probability=self.initial_offload_probability,
+            use_delta=use_delta,
             evaluator_factory=factory,
         )
 

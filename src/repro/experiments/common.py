@@ -9,7 +9,7 @@ presets so CI does not pay the full 1e-9 cool-down on every point).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines import (
     ExhaustiveScheduler,
@@ -27,12 +27,13 @@ SCHEME_ORDER = ("Exhaustive", "TSAJS", "hJTORA", "LocalSearch", "Greedy")
 def make_tsajs(
     chain_length: int = 30,
     min_temperature: float = 1e-9,
-    use_delta: bool = False,
+    use_delta: Optional[bool] = None,
 ) -> TsajsScheduler:
     """A TSAJS instance with the paper's schedule except ``L``/``T_min``.
 
-    ``use_delta=True`` scores moves with the incremental evaluator; the
-    results are bit-for-bit the same, only faster.
+    Moves are scored with the incremental evaluator unless
+    ``use_delta=False`` selects the scalar oracle; the results are bit
+    for bit the same either way.
     """
     return TsajsScheduler(
         schedule=AnnealingSchedule(
@@ -47,7 +48,7 @@ def standard_schedulers(
     min_temperature: float = 1e-9,
     include_exhaustive: bool = False,
     local_search_iterations: int = 5000,
-    use_delta: bool = False,
+    use_delta: Optional[bool] = None,
 ) -> List[Scheduler]:
     """The paper's comparison set, in :data:`SCHEME_ORDER`."""
     schedulers: List[Scheduler] = []

@@ -3,8 +3,8 @@
 Maps the scheme names used throughout the paper (and this library's
 extensions) to constructor callables, with a ``quick`` knob for the
 annealer-based schemes and ``use_delta`` / ``use_batch`` knobs selecting
-the incremental or vectorized (both bitwise-equal) evaluation paths for
-the TSAJS variants.
+the evaluation path of the TSAJS variants (delta by default; the scalar
+oracle with ``use_delta=False``; all bitwise-equal).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.baselines import (
 )
 from repro.core.annealing import AnnealingSchedule
 from repro.core.batch import ParallelTemperingScheduler
-from repro.core.scheduler import Scheduler, TsajsScheduler
+from repro.core.scheduler import Scheduler, TsajsScheduler, resolve_use_delta
 from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
 from repro.extensions.power_control import TsajsWithPowerControl
@@ -37,9 +37,10 @@ class SchemeOptions:
     """Construction knobs shared by every scheme factory.
 
     ``quick`` shortens the annealing schedule; ``use_delta`` and
-    ``use_batch`` pick the incremental or vectorized evaluation path for
-    the TSAJS variants (both bitwise-equal to the scalar path, and
-    mutually exclusive); ``batch_size`` sizes the speculative batches of
+    ``use_batch`` pick the evaluation path for the TSAJS variants
+    (``use_delta=None`` means delta unless ``use_batch``; ``False`` is the
+    scalar oracle; all bitwise-equal, and ``use_delta=True`` excludes
+    ``use_batch``); ``batch_size`` sizes the speculative batches of
     the vectorized path and the parallel-tempering scheme.  Baselines
     without an annealer inner loop ignore the evaluation knobs.
 
@@ -50,7 +51,7 @@ class SchemeOptions:
     """
 
     quick: bool = False
-    use_delta: bool = False
+    use_delta: Optional[bool] = None
     use_batch: bool = False
     batch_size: int = 64
     use_sharding: bool = False
@@ -59,10 +60,7 @@ class SchemeOptions:
     max_reconcile_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if self.use_delta and self.use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive"
-            )
+        resolve_use_delta(self.use_delta, self.use_batch)
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -125,7 +123,7 @@ def available_schemes() -> List[str]:
 def build_schemes(
     names: List[str],
     quick: bool = False,
-    use_delta: bool = False,
+    use_delta: Optional[bool] = None,
     use_batch: bool = False,
     batch_size: int = 64,
     use_sharding: bool = False,

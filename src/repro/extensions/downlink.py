@@ -22,7 +22,7 @@ This module implements that adaptation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -108,10 +108,15 @@ class DownlinkAwareEvaluator(ObjectiveEvaluator):
         else:
             self._penalty = np.zeros((0, scenario.n_servers))
 
-    def evaluate_assignment(
-        self, server_of_user: np.ndarray, channel_of_user: np.ndarray
+    def _score_assignment(
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        touched: Optional[Iterable[int]],
     ) -> float:
-        base = super().evaluate_assignment(server_of_user, channel_of_user)
+        # A full evaluation is exact for any move, so ``touched`` only
+        # passes through to the base scoring (which ignores it).
+        base = super()._score_assignment(server_of_user, channel_of_user, touched)
         offloaded = np.flatnonzero(np.asarray(server_of_user) >= 0)
         if offloaded.size == 0 or not np.isfinite(base):
             return base

@@ -258,7 +258,7 @@ class TsajsWithPowerControl:
         rounds: int = 2,
         p_min_watts: float = 1e-3,
         p_max_watts: float = 0.1,
-        use_delta: bool = False,
+        use_delta: Optional[bool] = None,
         use_batch: bool = False,
         batch_size: int = 64,
     ) -> None:

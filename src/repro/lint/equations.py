@@ -71,12 +71,13 @@ REQUIRED_CITATIONS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     },
     "repro/core/objective.py": {
         "ObjectiveEvaluator.evaluate_assignment": ("Eq. 24",),
+        "ObjectiveEvaluator.evaluate_move": ("Eq. 24",),
+        "ObjectiveEvaluator._score_assignment": ("Eq. 24",),
         "ObjectiveEvaluator.evaluate": ("Eq. 24",),
         "ObjectiveEvaluator.breakdown": ("Eq. 11",),
     },
     "repro/core/delta.py": {
-        "DeltaEvaluator.evaluate_assignment": ("Eq. 24",),
-        "DeltaEvaluator.evaluate_move": ("Eq. 24",),
+        "DeltaEvaluator._score_assignment": ("Eq. 24",),
     },
     "repro/core/annealing.py": {
         "ThresholdTriggeredAnnealer.run": ("Alg. 1",),

@@ -20,6 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.scheduler import resolve_use_delta
 from repro.errors import ConfigurationError
 from repro.units import dbm_to_watts, ghz_to_hz, kb_to_bits, megacycles_to_cycles, mhz_to_hz
 
@@ -61,10 +62,12 @@ class SimulationConfig:
     # Execution knobs (wall-clock only: none changes any result bit).
     #: Score annealer moves with the incremental
     #: :class:`~repro.core.delta.DeltaEvaluator` (bitwise-equal fast path).
-    use_delta: bool = False
+    #: ``None`` means delta unless ``use_batch``; ``False`` selects the
+    #: scalar :class:`~repro.core.objective.ObjectiveEvaluator` oracle.
+    use_delta: Optional[bool] = None
     #: Score speculative move batches with the vectorized
     #: :class:`~repro.core.batch.BatchEvaluator` (bitwise-equal fast path;
-    #: mutually exclusive with ``use_delta``).
+    #: mutually exclusive with ``use_delta=True``).
     use_batch: bool = False
     #: Moves speculatively proposed per vectorized round when
     #: ``use_batch`` is set.
@@ -127,10 +130,7 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"operator_weight must lie in (0, 1], got {self.operator_weight}"
             )
-        if self.use_delta and self.use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive"
-            )
+        resolve_use_delta(self.use_delta, self.use_batch)
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"

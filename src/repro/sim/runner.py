@@ -527,8 +527,13 @@ def run_schemes(
         by_position: Dict[int, List[SolutionMetrics]] = {}
         pending: List[Cell] = []
         for position, seed in enumerate(seeds):
+            # ``is not None``, not truthiness: a ResultCache's __len__
+            # walks its whole directory, which made every warm read cost
+            # O(cells cached).
             cached = (
-                journal.lookup_seed(config, schedulers, seed) if journal else None
+                journal.lookup_seed(config, schedulers, seed)
+                if journal is not None
+                else None
             )
             if cached is not None:
                 by_position[position] = cached

@@ -1,9 +1,10 @@
 """Equivalence-test harness: replay one RNG stream through every
 evaluation path and compare whole trajectories, not just endpoints.
 
-The library claims that ``use_delta`` and ``use_batch`` are pure
-wall-clock optimisations: with a fixed RNG, the scalar, delta and batch
-paths walk **bitwise-identical** accepted-move chains.  This module turns
+The library claims that the evaluation path is a pure wall-clock
+choice: with a fixed RNG, the scalar oracle (``use_delta=False``), the
+default delta path and the batch path walk **bitwise-identical**
+accepted-move chains.  This module turns
 that claim into a reusable assertion:
 
 * :func:`run_trajectory` runs TSAJS on a scenario in one of the three
@@ -59,7 +60,7 @@ def make_scheduler(
 ) -> TsajsScheduler:
     """A TSAJS scheduler on the requested evaluation path."""
     if mode == "scalar":
-        return TsajsScheduler(schedule=schedule, record_trace=True)
+        return TsajsScheduler(schedule=schedule, record_trace=True, use_delta=False)
     if mode == "delta":
         return TsajsScheduler(schedule=schedule, record_trace=True, use_delta=True)
     if mode == "batch":

@@ -38,8 +38,10 @@ def _scenario(seed: int = 2025) -> Scenario:
 def _traced_run(use_batch: bool, seed: int = 2025, *, iteration_detail=False,
                 schedule: AnnealingSchedule = SCHEDULE, batch_size: int = 64):
     scenario = _scenario(seed)
+    # ``use_delta=False``: the non-batch side is the scalar oracle.
     scheduler = TsajsScheduler(
-        schedule=schedule, use_batch=use_batch, batch_size=batch_size
+        schedule=schedule, use_delta=False, use_batch=use_batch,
+        batch_size=batch_size,
     )
     recorder = TraceRecorder(clock=TickClock(), iteration_detail=iteration_detail)
     with use_recorder(recorder):

@@ -16,11 +16,14 @@ import numpy as np
 import pytest
 
 from repro.core.annealing import AnnealingSchedule
+from repro.core.batch import BatchEvaluator
 from repro.core.decision import LOCAL, OffloadingDecision
 from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
+from repro.errors import ConfigurationError
+from repro.net.sinr import total_received_power
 from repro.sim.config import SimulationConfig, small_network_config
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
@@ -228,6 +231,84 @@ class TestEdgeCases:
         )
         # ... and breakdown did not corrupt the cache.
         assert delta.evaluate(a) == full.evaluate(a)
+
+
+def random_external_rx(scenario, rng):
+    """Frozen out-of-instance power on the scale of in-instance rows."""
+    scale = float(np.median(scenario.gains)) * float(np.max(scenario.tx_power_watts))
+    return rng.uniform(0.0, 3.0 * scale, size=(scenario.n_subbands, scenario.n_servers))
+
+
+class TestExternalInterference:
+    """``external_rx`` (the sharded re-anneal's frozen boundary power)."""
+
+    @pytest.mark.parametrize("n_users,n_servers,n_subbands,seed", SCENARIO_GRID)
+    def test_move_sequence_matches_full_path(self, n_users, n_servers, n_subbands, seed):
+        scenario = random_scenario(n_users, n_servers, n_subbands, seed)
+        rng = np.random.default_rng(3000 + seed)
+        external_rx = random_external_rx(scenario, rng)
+        sampler = NeighborhoodSampler()
+        full = ObjectiveEvaluator(scenario, external_rx=external_rx)
+        delta = DeltaEvaluator(scenario, external_rx=external_rx)
+        shared = DeltaEvaluator(
+            scenario, external_rx=external_rx, share_constants_from=DeltaEvaluator(scenario)
+        )
+        current = OffloadingDecision.random_feasible(n_users, n_servers, n_subbands, rng)
+        assert delta.evaluate(current) == full.evaluate(current)
+        assert shared.evaluate(current) == full.evaluate(current)
+        carry = ()
+        for step in range(MOVES_PER_SCENARIO):
+            candidate, touched = sampler.propose_move(current, rng)
+            expected = full.evaluate(candidate)
+            if step % 7 == 3:
+                got = delta.evaluate_assignment(candidate.server, candidate.channel)
+            else:
+                got = delta.evaluate_move(candidate, touched + carry)
+            assert got == expected, f"step {step}"
+            assert shared.evaluate_move(candidate, touched + carry) == expected
+            # Buckets hold the occupant sum plus the external row, in
+            # compute_link_stats' order (SINR values alone hide the
+            # order: thermal noise swamps last-bit differences).
+            cached = np.asarray(delta._total_rx)
+            assert np.array_equal(cached, total_received_power(
+                scenario.gains, scenario.tx_power_watts, candidate.server, candidate.channel
+            ) + external_rx)
+            if rng.random() < 0.5:
+                current = candidate
+                carry = ()
+            else:
+                carry = touched
+            if step % REBUILD_EVERY == REBUILD_EVERY - 1:
+                delta.rebuild()
+                assert delta.evaluate(current) == full.evaluate(current)
+        # Every call is counted once, on both paths.
+        assert shared.evaluations == 1 + MOVES_PER_SCENARIO
+        assert delta.evaluations == shared.evaluations + MOVES_PER_SCENARIO // REBUILD_EVERY
+
+    def test_external_power_changes_the_value(self):
+        """The term is really applied (not silently dropped)."""
+        scenario = random_scenario(10, 3, 2, 5)
+        rng = np.random.default_rng(5)
+        decision = OffloadingDecision.random_feasible(10, 3, 2, rng, offload_probability=1.0)
+        external_rx = random_external_rx(scenario, rng)
+        plain = DeltaEvaluator(scenario).evaluate(decision)
+        coupled = DeltaEvaluator(scenario, external_rx=external_rx).evaluate(decision)
+        assert coupled < plain
+        assert coupled == ObjectiveEvaluator(scenario, external_rx=external_rx).evaluate(
+            decision
+        )
+
+    def test_wrong_shape_rejected(self):
+        scenario = random_scenario(4, 2, 3, 1)
+        with pytest.raises(ConfigurationError):
+            DeltaEvaluator(scenario, external_rx=np.zeros((2, 3)))
+        with pytest.raises(ConfigurationError):
+            ObjectiveEvaluator(scenario, external_rx=np.zeros((2, 3)))
+
+    def test_batch_evaluator_rejects_external_rx(self):
+        scenario = random_scenario(4, 2, 3, 1)
+        with pytest.raises(ConfigurationError):
+            BatchEvaluator(scenario, external_rx=np.zeros((3, 2)))
 
 
 class TestSchedulerTrajectoryEquality:

@@ -36,8 +36,7 @@ class TestTraceRecordShow:
     def test_record_then_show_round_trip(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
         code = main(
-            ["trace", "record", "--out", str(out), "--seed", "1", "--delta"]
-            + SMALL
+            ["trace", "record", "--out", str(out), "--seed", "1"] + SMALL
         )
         assert code == 0
         recorded = capsys.readouterr().out

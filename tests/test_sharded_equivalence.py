@@ -125,8 +125,8 @@ def test_multi_cluster_evaluation_paths_agree():
     """Scalar/delta/batch inner solvers give the same sharded outcome.
 
     The per-cluster solves inherit the bitwise-identity contract of the
-    evaluation paths, and the reconciliation pass is always scalar, so
-    the whole sharded trajectory — including the final RNG state of the
+    evaluation paths, and the reconciliation re-anneals are bitwise
+    equal on the delta and scalar evaluators, so the whole sharded trajectory — including the final RNG state of the
     caller's stream — is mode-independent.
     """
     seed = 2026
