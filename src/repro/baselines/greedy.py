@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
-from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.decision import OffloadingDecision
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
 from typing import TYPE_CHECKING
@@ -59,20 +59,15 @@ class GreedyScheduler:
 
         current_value = evaluator.evaluate(decision)
         for u in order:
-            # Pick the strongest free slot for this user.
-            best_slot = None
-            best_value = -np.inf
-            for s in range(scenario.n_servers):
-                for j in range(scenario.n_subbands):
-                    if decision.occupant_of(s, j) != LOCAL:
-                        continue
-                    gain = scenario.gains[u, s, j]
-                    if gain > best_value:
-                        best_value = gain
-                        best_slot = (s, j)
-            if best_slot is None:
+            # Pick the strongest free slot for this user.  argmax returns
+            # the first maximum in (server, sub-band) order, so ties go to
+            # the lowest server, then the lowest sub-band.
+            masked = np.where(decision.free_slot_mask(), scenario.gains[u], -np.inf)
+            flat = int(np.argmax(masked))
+            if not masked.flat[flat] > -np.inf:
                 break  # every slot taken; remaining users stay local
-            decision.assign(int(u), best_slot[0], best_slot[1])
+            server, channel = divmod(flat, scenario.n_subbands)
+            decision.assign(int(u), server, channel)
             # "Permissible" offloads only (Sec. III-A-4): an offload that
             # lowers the system utility is not beneficial — revert it and
             # keep this user local.

@@ -156,7 +156,12 @@ class OffloadingDecision:
 
     def free_channels(self, server: int) -> List[int]:
         """Sub-bands of ``server`` with no occupant."""
-        return [j for j in range(self.n_channels) if self._slots[server, j] == LOCAL]
+        row = self._slots[server].tolist()
+        return [j for j, occupant in enumerate(row) if occupant == LOCAL]
+
+    def free_slot_mask(self) -> np.ndarray:
+        """``(S, N)`` boolean array, true where the slot has no occupant."""
+        return self._slots == LOCAL
 
     def n_offloaded(self) -> int:
         return int(np.count_nonzero(self.server >= 0))

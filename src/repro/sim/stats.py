@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError
 
@@ -67,9 +66,15 @@ def summarize(samples: Sequence[float], confidence: float = 0.95) -> SummaryStat
     mean = float(data.mean())
     if data.size == 1:
         return SummaryStats(mean=mean, std=0.0, ci_halfwidth=0.0, n=1, confidence=confidence)
+    # Imported here so that only a process computing a CI pays for scipy,
+    # and from scipy.special because scipy.stats costs more to import than
+    # a paper-scale solve.  ``stdtrit(df, q)`` is what
+    # ``scipy.stats.t.ppf(q, df)`` evaluates, bit for bit.
+    from scipy.special import stdtrit
+
     std = float(data.std(ddof=1))
     sem = std / np.sqrt(data.size)
-    t_crit = float(scipy_stats.t.ppf((1.0 + confidence) / 2.0, df=data.size - 1))
+    t_crit = float(stdtrit(data.size - 1, (1.0 + confidence) / 2.0))
     return SummaryStats(
         mean=mean,
         std=std,
