@@ -59,11 +59,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import __version__
+from repro.experiments.cache import ResultCache
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
 from repro.lint import cli as lint
 from repro.sim.config import SimulationConfig
+from repro.sim.executors import make_executor
 from repro.sim.rng import child_rng
+from repro.sim.runner import RetryPolicy, Sweep
 from repro.sim.scenario import Scenario
 
 
@@ -98,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "fan multi-seed runs out over N worker processes "
-            "(results are identical to --workers 1, just faster)"
+            "fan multi-seed runs out over N worker processes (the pool "
+            "backend unless --backend says otherwise; results are "
+            "identical to --workers 1, just faster)"
         ),
     )
     run_parser.add_argument(
@@ -124,14 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--journal",
-        metavar="FILE",
-        help=(
-            "checkpoint every completed (scheme, seed) cell to this "
-            "JSON-lines file as it is computed (crash-safe)"
-        ),
-    )
-    run_parser.add_argument(
         "--cache",
         metavar="DIR",
         help=(
@@ -140,25 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "scheme, seed and code fingerprint, written atomically with "
             "a checksum; later runs (any experiment, any machine "
             "sharing DIR) reuse matching cells and corrupt entries are "
-            "quarantined and recomputed"
-        ),
-    )
-    run_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "load the --journal file and re-run only the missing cells; "
-            "results are byte-identical to an uninterrupted run "
-            "(--cache resumes by default)"
+            "quarantined and recomputed; an interrupted run resumes by "
+            "re-running with the same DIR"
         ),
     )
     run_parser.add_argument(
         "--no-resume",
         action="store_true",
         help=(
-            "ignore previously persisted cells: truncate the --journal "
-            "file / recompute despite --cache hits (use this after a "
-            "stale-code-fingerprint error)"
+            "recompute every cell despite --cache hits (the fresh "
+            "results still overwrite the entries)"
         ),
     )
     run_parser.add_argument(
@@ -168,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "retry crashed or hung seeds up to N times (exponential "
-            "backoff; failed seeds are recorded, not fatal)"
+            "backoff; failed seeds are recorded, not fatal); without it "
+            "the first failed seed aborts the run"
         ),
     )
     run_parser.add_argument(
@@ -204,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run the experiment twice serially under the determinism "
             "sanitizer and assert per-stream RNG ledgers and outputs "
-            "are identical (incompatible with --journal/--workers)"
+            "are identical (incompatible with --cache, --backend, "
+            "--workers and --telemetry)"
         ),
     )
 
@@ -541,8 +530,6 @@ def _cmd_run(
     out: Optional[str],
     json_out: Optional[str],
     workers: int = 1,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
     retries: Optional[int] = None,
     seed_timeout: Optional[float] = None,
     telemetry: Optional[str] = None,
@@ -553,27 +540,8 @@ def _cmd_run(
     cache: Optional[str] = None,
     no_resume: bool = False,
 ) -> int:
-    if resume and journal_path is None:
-        print("error: --resume requires --journal FILE", file=sys.stderr)
-        return 2
-    if resume and no_resume:
-        print(
-            "error: --resume and --no-resume are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if no_resume and journal_path is None and cache is None:
-        print(
-            "error: --no-resume requires --journal FILE or --cache DIR",
-            file=sys.stderr,
-        )
-        return 2
-    if journal_path is not None and cache is not None:
-        print(
-            "error: --journal and --cache both install the seed "
-            "checkpoint store; pick one",
-            file=sys.stderr,
-        )
+    if no_resume and cache is None:
+        print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
     if backend == "queue" and queue_dir is None:
         print(
@@ -589,15 +557,14 @@ def _cmd_run(
         return 2
     if sanitize:
         if (
-            journal_path is not None
-            or telemetry is not None
+            telemetry is not None
             or workers != 1
             or backend is not None
             or cache is not None
         ):
             print(
                 "error: --sanitize replays the experiment serially and "
-                "cannot be combined with --journal, --cache, --backend, "
+                "cannot be combined with --cache, --backend, "
                 "--telemetry or --workers",
                 file=sys.stderr,
             )
@@ -606,6 +573,9 @@ def _cmd_run(
     if profile and telemetry is None:
         print("error: --profile requires --telemetry DIR", file=sys.stderr)
         return 2
+    sweep = _build_sweep(
+        workers, retries, seed_timeout, backend, queue_dir, cache, no_resume
+    )
     if telemetry is not None:
         from pathlib import Path
 
@@ -626,11 +596,7 @@ def _cmd_run(
         if profile:
             set_profiling(telemetry_dir)
         try:
-            status = _cmd_run_body(
-                experiment_id, quick, out, json_out, workers,
-                journal_path, resume, retries, seed_timeout,
-                backend, queue_dir, cache, no_resume,
-            )
+            status = _cmd_run_body(experiment_id, quick, out, json_out, sweep)
         finally:
             set_recorder(None)
             if profile:
@@ -655,10 +621,37 @@ def _cmd_run(
             f"snapshot written to {telemetry_dir}{shard_note}]"
         )
         return status
-    return _cmd_run_body(
-        experiment_id, quick, out, json_out, workers,
-        journal_path, resume, retries, seed_timeout,
-        backend, queue_dir, cache, no_resume,
+    return _cmd_run_body(experiment_id, quick, out, json_out, sweep)
+
+
+def _build_sweep(
+    workers: int,
+    retries: Optional[int],
+    seed_timeout: Optional[float],
+    backend: Optional[str],
+    queue_dir: Optional[str],
+    cache: Optional[str],
+    no_resume: bool,
+) -> Sweep:
+    """The :class:`~repro.sim.runner.Sweep` the ``run`` flags describe."""
+    retry = (
+        RetryPolicy(
+            max_attempts=retries if retries is not None else 3,
+            seed_timeout_s=seed_timeout,
+        )
+        if retries is not None or seed_timeout is not None
+        else None
+    )
+    return Sweep(
+        executor=(
+            make_executor(backend or "pool", n_jobs=workers, queue_dir=queue_dir)
+            if backend is not None or workers != 1
+            else None
+        ),
+        retry=retry,
+        journal=(
+            ResultCache(cache, resume=not no_resume) if cache is not None else None
+        ),
     )
 
 
@@ -726,48 +719,10 @@ def _cmd_run_body(
     quick: bool,
     out: Optional[str],
     json_out: Optional[str],
-    workers: int = 1,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    retries: Optional[int] = None,
-    seed_timeout: Optional[float] = None,
-    backend: Optional[str] = None,
-    queue_dir: Optional[str] = None,
-    cache: Optional[str] = None,
-    no_resume: bool = False,
+    sweep: Sweep,
 ) -> int:
-    if workers != 1:
-        from repro.sim.runner import set_default_n_workers
-
-        set_default_n_workers(workers)
-    if journal_path is not None:
-        from repro.experiments.persistence import SweepJournal
-        from repro.sim.runner import set_default_journal
-
-        set_default_journal(SweepJournal(journal_path, resume=resume))
-    if cache is not None:
-        from repro.experiments.cache import ResultCache
-        from repro.sim.runner import set_default_journal
-
-        set_default_journal(ResultCache(cache, resume=not no_resume))
-    if backend is not None:
-        from repro.sim.executors import make_executor
-        from repro.sim.runner import set_default_executor
-
-        set_default_executor(
-            make_executor(backend, n_jobs=workers, queue_dir=queue_dir)
-        )
-    if retries is not None or seed_timeout is not None:
-        from repro.sim.runner import RetryPolicy, set_default_retry
-
-        set_default_retry(
-            RetryPolicy(
-                max_attempts=retries if retries is not None else 3,
-                seed_timeout_s=seed_timeout,
-            )
-        )
     spec = get_experiment(experiment_id)
-    output = spec.run_quick() if quick else spec.run_full()
+    output = spec.run_quick(sweep) if quick else spec.run_full(sweep)
     text = render_text(output)
     print(text)
     if out:
@@ -1290,8 +1245,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.out,
             args.json,
             args.workers,
-            journal_path=args.journal,
-            resume=args.resume,
             retries=args.retries,
             seed_timeout=args.seed_timeout,
             telemetry=args.telemetry,

@@ -18,7 +18,7 @@ from repro.core.scheduler import TsajsScheduler
 from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 
@@ -46,7 +46,7 @@ class AblationBudgetSettings:
 
 
 def run(
-    settings: AblationBudgetSettings = AblationBudgetSettings(),
+    settings: AblationBudgetSettings = AblationBudgetSettings(), sweep: Sweep = Sweep()
 ) -> ExperimentOutput:
     """Sweep the stopping temperature; report utility and search cost."""
     schedulers = [
@@ -62,7 +62,7 @@ def run(
         n_users=settings.n_users,
         workload_megacycles=settings.workload_megacycles,
     )
-    result = run_schemes(config, schedulers, default_seeds(settings.n_seeds))
+    result = sweep.run(config, schedulers, default_seeds(settings.n_seeds))
 
     headers = ["T_min", "utility", "evaluations"]
     rows: List[List[str]] = []

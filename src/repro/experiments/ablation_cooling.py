@@ -15,7 +15,7 @@ from repro.core.scheduler import TsajsScheduler
 from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 
@@ -55,6 +55,7 @@ class AblationCoolingSettings:
 
 def run(
     settings: AblationCoolingSettings = AblationCoolingSettings(),
+    sweep: Sweep = Sweep(),
 ) -> ExperimentOutput:
     """Sweep (alpha_slow, alpha_fast) pairs for TSAJS."""
     schedulers = [
@@ -73,7 +74,7 @@ def run(
         n_users=settings.n_users,
         workload_megacycles=settings.workload_megacycles,
     )
-    result = run_schemes(config, schedulers, default_seeds(settings.n_seeds))
+    result = sweep.run(config, schedulers, default_seeds(settings.n_seeds))
 
     headers = ["alphas", "utility", "evaluations"]
     rows: List[List[str]] = []

@@ -24,7 +24,7 @@ from repro.core.scheduler import TsajsScheduler
 from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 class _NamedTsajs(TsajsScheduler):
@@ -68,6 +68,7 @@ class AblationNeighborhoodSettings:
 
 def run(
     settings: AblationNeighborhoodSettings = AblationNeighborhoodSettings(),
+    sweep: Sweep = Sweep(),
 ) -> ExperimentOutput:
     """Compare TSAJS under different neighbourhood move mixes."""
     schedule = AnnealingSchedule(
@@ -82,7 +83,7 @@ def run(
         n_users=settings.n_users,
         workload_megacycles=settings.workload_megacycles,
     )
-    result = run_schemes(config, schedulers, default_seeds(settings.n_seeds))
+    result = sweep.run(config, schedulers, default_seeds(settings.n_seeds))
 
     headers = ["variant", "utility"]
     rows: List[List[str]] = []

@@ -25,7 +25,7 @@ from repro.core.scheduler import TsajsScheduler
 from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 #: A threshold factor so large the fast rate never engages.
@@ -57,6 +57,7 @@ class AblationThresholdSettings:
 
 def run(
     settings: AblationThresholdSettings = AblationThresholdSettings(),
+    sweep: Sweep = Sweep(),
 ) -> ExperimentOutput:
     """Compare TTSA against single-rate annealing schedules."""
     base = dict(
@@ -78,7 +79,7 @@ def run(
         n_users=settings.n_users,
         workload_megacycles=settings.workload_megacycles,
     )
-    result = run_schemes(config, schedulers, default_seeds(settings.n_seeds))
+    result = sweep.run(config, schedulers, default_seeds(settings.n_seeds))
 
     headers = ["variant", "utility", "evaluations"]
     rows: List[List[str]] = []

@@ -1,7 +1,6 @@
 """Content-addressed, crash-safe cache of per-seed sweep results.
 
-Where :class:`~repro.experiments.persistence.SweepJournal` is an
-append-only log bound to one file, the :class:`ResultCache` is a
+The :class:`ResultCache` is the one checkpoint store for sweeps: a
 *directory* of independent entries, one per computed cell, addressed by
 what was computed rather than when:
 
@@ -25,7 +24,10 @@ cold and warm runs, which ``tests/test_result_cache.py`` pins.
 
 The cache satisfies the runner's
 :class:`~repro.sim.runner.SeedJournal` protocol, so it plugs into
-:func:`~repro.sim.runner.run_schemes` anywhere a journal does.
+:func:`~repro.sim.runner.run_schemes` as its ``journal``.  Drivers whose
+cells are not plain (config, scheduler) pairs address entries with
+:func:`digest_key` and read and write them with :meth:`ResultCache.get`
+and :meth:`ResultCache.put`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.obs.recorder import get_recorder
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics
 
-__all__ = ["ResultCache", "cell_key", "code_fingerprint"]
+__all__ = ["ResultCache", "cell_key", "code_fingerprint", "digest_key"]
 
 #: Version stamped into every cache entry.
 CACHE_FORMAT_VERSION = 1
@@ -76,6 +78,29 @@ def cell_key(
         "seed": seed,
         "code": code if code is not None else code_fingerprint(),
     }
+    return _address(payload)
+
+
+def digest_key(digest: str, scheme: str, seed: int) -> str:
+    """Content address of one (sweep digest, scheme, seed, build) cell.
+
+    For drivers whose cells are not a plain (config, scheduler) pair
+    (fault-injected repairs, sharded-vs-global solves): ``digest`` is a
+    :func:`~repro.experiments.persistence.sweep_digest` folding in the
+    driver's extra knobs.  The build is the current
+    :func:`~repro.experiments.persistence.code_fingerprint`.
+    """
+    payload = {
+        "digest": digest,
+        "scheme": scheme,
+        "seed": seed,
+        "code": code_fingerprint(),
+    }
+    return _address(payload)
+
+
+def _address(payload: Dict[str, Any]) -> str:
+    """Full SHA-256 hex of a payload's canonical JSON."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return sha256_hex(canonical.encode("utf-8"))
 
@@ -93,8 +118,8 @@ class ResultCache:
     def __init__(self, root: Union[str, Path], resume: bool = True) -> None:
         """``resume=False`` makes every lookup a miss (``--no-resume``):
         the sweep recomputes everything and overwrites the entries, which
-        is non-destructive — unlike truncating a journal file — because
-        entries are content-addressed and immutable."""
+        is non-destructive because entries are content-addressed and
+        immutable."""
         self.root = Path(root)
         self.resume = resume
         self.root.mkdir(parents=True, exist_ok=True)
@@ -121,11 +146,14 @@ class ResultCache:
     def get(self, key: str) -> Optional[SolutionMetrics]:
         """The cached metrics under ``key``, or ``None``.
 
+        Always ``None`` when the cache was opened with ``resume=False``.
         A present-but-unreadable entry (torn write, bit rot, checksum
         mismatch) is quarantined to ``corrupt/`` and reported as a miss,
         so the caller recomputes it — corruption costs wall time, never
         correctness.
         """
+        if not self.resume:
+            return None
         path = self._entry_path(key)
         if not path.exists():
             return None
@@ -223,12 +251,8 @@ class ResultCache:
     ) -> Optional[List[SolutionMetrics]]:
         """Per-scheme metrics for a completed seed, or ``None`` if any
         scheme's cell is missing (partial hits stay misses so the seed's
-        work unit recomputes as a whole, exactly like a journal miss)."""
+        work unit recomputes as a whole)."""
         rec = get_recorder()
-        if not self.resume:
-            if rec.enabled:
-                rec.count("cache.misses")
-            return None
         out: List[SolutionMetrics] = []
         for scheduler in schedulers:
             metrics = self.get(cell_key(config, scheduler, seed))

@@ -19,6 +19,7 @@ from repro.experiments.report import ExperimentOutput, format_stat
 from repro.extensions.downlink import DownlinkAwareEvaluator, DownlinkModel
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -45,8 +46,13 @@ class ExtDownlinkSettings:
         )
 
 
-def run(settings: ExtDownlinkSettings = ExtDownlinkSettings()) -> ExperimentOutput:
-    """Utility and offload count vs the output-to-input size ratio."""
+def run(
+    settings: ExtDownlinkSettings = ExtDownlinkSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
+    """Utility and offload count vs the output-to-input size ratio.
+
+    ``sweep`` is unused: this driver runs no multi-seed sweep.
+    """
     schedule = AnnealingSchedule(
         chain_length=settings.chain_length,
         min_temperature=settings.min_temperature,

@@ -22,6 +22,7 @@ from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
 from repro.sim.episodes import EpisodeConfig, run_episode
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 
@@ -63,8 +64,13 @@ def _schedulers(settings: ExtEpisodesSettings) -> List[Scheduler]:
     ]
 
 
-def run(settings: ExtEpisodesSettings = ExtEpisodesSettings()) -> ExperimentOutput:
-    """Mean per-slot utility per scheme across outage probabilities."""
+def run(
+    settings: ExtEpisodesSettings = ExtEpisodesSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
+    """Mean per-slot utility per scheme across outage probabilities.
+
+    ``sweep`` is unused: this driver runs no multi-seed sweep.
+    """
     seeds = default_seeds(settings.n_seeds)
     scheduler_names = [s.name for s in _schedulers(settings)]
 

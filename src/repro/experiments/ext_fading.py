@@ -24,6 +24,7 @@ from repro.experiments.report import ExperimentOutput, format_stat
 from repro.net.fading import RayleighFading, RicianFading, faded_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -52,8 +53,13 @@ class ExtFadingSettings:
         )
 
 
-def run(settings: ExtFadingSettings = ExtFadingSettings()) -> ExperimentOutput:
-    """Planned vs realised utility under fading of decreasing hardness."""
+def run(
+    settings: ExtFadingSettings = ExtFadingSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
+    """Planned vs realised utility under fading of decreasing hardness.
+
+    ``sweep`` is unused: this driver runs no multi-seed sweep.
+    """
     scheduler = TsajsScheduler(
         schedule=AnnealingSchedule(
             chain_length=settings.chain_length,

@@ -15,11 +15,12 @@ over seeds, plus the mean number of users forced local.  Rescheduling
 can only help (the repair anneal starts from the fallback plan), so the
 gap between the two rows prices the value of re-optimisation.
 
-The driver is journal-aware: with a :class:`SweepJournal` installed (via
-``tsajs run --journal``), every completed (scheme, seed) cell is
-checkpointed, and a resumed run recomputes only the missing cells.  The
-output contains no wall-clock-derived values, so a resumed run's
-persisted output is byte-identical to an uninterrupted one.
+The driver is cache-aware: with a result cache in its :class:`Sweep`
+(``tsajs run --cache DIR``), every completed (scheme, seed) cell is
+checkpointed under a :func:`~repro.experiments.cache.digest_key`, and a
+resumed run recomputes only the missing cells.  The output contains no
+wall-clock-derived values, so a resumed run's persisted output is
+byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Dict, List, Sequence
 from repro.core.annealing import AnnealingSchedule
 from repro.core.degradation import DEGRADATION_POLICIES, degrade
 from repro.core.scheduler import TsajsScheduler
+from repro.experiments.cache import digest_key
 from repro.experiments.common import default_seeds
 from repro.experiments.persistence import sweep_digest
 from repro.experiments.report import ExperimentOutput, format_stat
@@ -38,7 +40,7 @@ from repro.faults.models import FaultConfig, draw_faults_for_seed
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics
 from repro.sim.rng import child_rng
-from repro.sim.runner import get_default_journal
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -90,10 +92,12 @@ def _fault_config(settings: ExtFaultsSettings, outage: float) -> FaultConfig:
     )
 
 
-def run(settings: ExtFaultsSettings = ExtFaultsSettings()) -> ExperimentOutput:
+def run(
+    settings: ExtFaultsSettings = ExtFaultsSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Utility retention per degradation policy across outage rates."""
     seeds = default_seeds(settings.n_seeds)
-    journal = get_default_journal()
+    journal = sweep.journal
     planner = TsajsScheduler(
         schedule=AnnealingSchedule(
             chain_length=settings.chain_length,
@@ -144,7 +148,7 @@ def run(settings: ExtFaultsSettings = ExtFaultsSettings()) -> ExperimentOutput:
             if journal is not None:
                 for policy in policies:
                     name = SCHEME_NAMES[policy]
-                    hit = journal.get(digest, name, seed)
+                    hit = journal.get(digest_key(digest, name, seed))
                     if hit is not None:
                         cached[name] = hit
             missing = [
@@ -185,7 +189,7 @@ def run(settings: ExtFaultsSettings = ExtFaultsSettings()) -> ExperimentOutput:
                     )
                     cached[name] = metrics
                     if journal is not None:
-                        journal.record(digest, name, seed, metrics)
+                        journal.put(digest_key(digest, name, seed), metrics)
             for name in scheme_names:
                 samples[name].append(cached[name])
 

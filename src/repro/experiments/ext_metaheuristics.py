@@ -20,7 +20,7 @@ from repro.core.scheduler import TsajsScheduler
 from repro.experiments.common import default_seeds
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 
@@ -48,6 +48,7 @@ class ExtMetaheuristicsSettings:
 
 def run(
     settings: ExtMetaheuristicsSettings = ExtMetaheuristicsSettings(),
+    sweep: Sweep = Sweep(),
 ) -> ExperimentOutput:
     """Mean utility and search cost of TSAJS vs GA per user count."""
     schedulers = [
@@ -72,7 +73,7 @@ def run(
             n_users=n_users,
             workload_megacycles=settings.workload_megacycles,
         )
-        result = run_schemes(config, schedulers, seeds)
+        result = sweep.run(config, schedulers, seeds)
         tsajs_utility = result.utility_summary("TSAJS")
         ga_utility = result.utility_summary("GA")
         tsajs_evals = summarize(

@@ -20,6 +20,7 @@ from repro.experiments.report import ExperimentOutput, format_stat
 from repro.extensions.partial import optimal_fractions
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -44,8 +45,13 @@ class ExtPartialSettings:
         )
 
 
-def run(settings: ExtPartialSettings = ExtPartialSettings()) -> ExperimentOutput:
-    """Atomic vs partial utility (and mean rho*) per workload."""
+def run(
+    settings: ExtPartialSettings = ExtPartialSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
+    """Atomic vs partial utility (and mean rho*) per workload.
+
+    ``sweep`` is unused: this driver runs no multi-seed sweep.
+    """
     scheduler = TsajsScheduler(
         schedule=AnnealingSchedule(
             chain_length=settings.chain_length,

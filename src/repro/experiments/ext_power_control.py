@@ -19,6 +19,7 @@ from repro.experiments.report import ExperimentOutput, format_stat
 from repro.extensions.power_control import TsajsWithPowerControl, optimize_powers
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -42,8 +43,12 @@ class ExtPowerControlSettings:
 
 def run(
     settings: ExtPowerControlSettings = ExtPowerControlSettings(),
+    sweep: Sweep = Sweep(),
 ) -> ExperimentOutput:
-    """Mean utility of TSAJS, TSAJS+power pass, and full alternation."""
+    """Mean utility of TSAJS, TSAJS+power pass, and full alternation.
+
+    ``sweep`` is unused: this driver runs no multi-seed sweep.
+    """
     schedule = AnnealingSchedule(
         chain_length=settings.chain_length,
         min_temperature=settings.min_temperature,

@@ -11,11 +11,12 @@ the sweep collapses the partition to a single cluster, where the sharded
 solve is bitwise identical to the global one and the gap is exactly
 zero, anchoring the table.
 
-The driver is journal-aware: with a :class:`SweepJournal` installed
-(via ``tsajs run --journal``) every completed (scheme, seed) cell is
-checkpointed and a resumed run recomputes only the missing cells.  The
-global solve is radius-independent, so it is journaled once under its
-own digest and reused by every radius row.
+The driver is cache-aware: with a result cache in its :class:`Sweep`
+(``tsajs run --cache DIR``) every completed (scheme, seed) cell is
+checkpointed under a :func:`~repro.experiments.cache.digest_key` and a
+resumed run recomputes only the missing cells.  The global solve is
+radius-independent, so it is cached once under its own digest and
+reused by every radius row.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from repro.core.annealing import AnnealingSchedule
 from repro.core.partition import partition_scenario
 from repro.core.scheduler import TsajsScheduler
 from repro.core.sharding import ShardedScheduler
+from repro.experiments.cache import digest_key
 from repro.experiments.common import default_seeds
 from repro.experiments.persistence import sweep_digest
 from repro.experiments.report import ExperimentOutput
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics, solution_metrics
 from repro.sim.rng import child_rng
-from repro.sim.runner import get_default_journal
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 from repro.sim.stats import summarize
 
@@ -64,10 +66,12 @@ class ExtShardingSettings:
         )
 
 
-def run(settings: ExtShardingSettings = ExtShardingSettings()) -> ExperimentOutput:
+def run(
+    settings: ExtShardingSettings = ExtShardingSettings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Relative utility gap and cluster count per cluster radius."""
     seeds = default_seeds(settings.n_seeds)
-    journal = get_default_journal()
+    journal = sweep.journal
     schedule = AnnealingSchedule(
         chain_length=settings.chain_length,
         min_temperature=settings.min_temperature,
@@ -81,19 +85,20 @@ def run(settings: ExtShardingSettings = ExtShardingSettings()) -> ExperimentOutp
     )
     planner = TsajsScheduler(schedule=schedule)
 
-    # The global reference is radius-independent: journal it once.
+    # The global reference is radius-independent: cache it once.
     global_digest = sweep_digest(
         config, [planner], extra={"experiment": "ext_sharding", "role": "global"}
     )
     global_metrics: Dict[int, SolutionMetrics] = {}
     for seed in seeds:
-        hit = journal.get(global_digest, "TSAJS", seed) if journal else None
+        key = digest_key(global_digest, "TSAJS", seed)
+        hit = journal.get(key) if journal is not None else None
         if hit is None:
             scenario = Scenario.build(config, seed=seed)
             result = planner.schedule(scenario, child_rng(seed, 100))
             hit = solution_metrics(scenario, result)
             if journal is not None:
-                journal.record(global_digest, "TSAJS", seed, hit)
+                journal.put(key, hit)
         global_metrics[seed] = hit
 
     headers = [
@@ -137,12 +142,13 @@ def run(settings: ExtShardingSettings = ExtShardingSettings()) -> ExperimentOutp
                     ).n_clusters
                 )
             )
-            hit = journal.get(digest, "TSAJS-Shard", seed) if journal else None
+            key = digest_key(digest, "TSAJS-Shard", seed)
+            hit = journal.get(key) if journal is not None else None
             if hit is None:
                 result = sharder.schedule(scenario, child_rng(seed, 100))
                 hit = solution_metrics(scenario, result)
                 if journal is not None:
-                    journal.record(digest, "TSAJS-Shard", seed, hit)
+                    journal.put(key, hit)
             samples.append(hit)
             reference = global_metrics[seed].system_utility
             gaps.append(

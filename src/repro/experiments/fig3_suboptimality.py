@@ -20,7 +20,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import small_network_config
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class Fig3Settings:
         )
 
 
-def run(settings: Fig3Settings = Fig3Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig3Settings = Fig3Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average system utility per scheme over the workload sweep."""
     schedulers = standard_schedulers(
         chain_length=settings.chain_length,
@@ -58,7 +60,7 @@ def run(settings: Fig3Settings = Fig3Settings()) -> ExperimentOutput:
     raw = {"workloads": list(settings.workloads_megacycles), "series": {n: [] for n in names}}
     for workload in settings.workloads_megacycles:
         config = small_network_config(workload_megacycles=workload)
-        result = run_schemes(config, schedulers, seeds)
+        result = sweep.run(config, schedulers, seeds)
         row = [f"{workload:.0f}"]
         for name in names:
             stat = result.utility_summary(name)

@@ -19,7 +19,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class Fig4Settings:
         )
 
 
-def run(settings: Fig4Settings = Fig4Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig4Settings = Fig4Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average system utility per scheme over user-count sweeps."""
     seeds = default_seeds(settings.n_seeds)
     headers = ["w [Mc]", "L", "users"]
@@ -70,7 +72,7 @@ def run(settings: Fig4Settings = Fig4Settings()) -> ExperimentOutput:
                 config = SimulationConfig(
                     n_users=n_users, workload_megacycles=workload
                 )
-                result = run_schemes(config, schedulers, seeds)
+                result = sweep.run(config, schedulers, seeds)
                 row = [f"{workload:.0f}", str(chain_length), str(n_users)]
                 for name in names:
                     stat = result.utility_summary(name)

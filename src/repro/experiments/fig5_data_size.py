@@ -17,7 +17,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ class Fig5Settings:
         )
 
 
-def run(settings: Fig5Settings = Fig5Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig5Settings = Fig5Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average system utility per scheme over the data-size sweep."""
     schedulers = standard_schedulers(
         chain_length=settings.chain_length,
@@ -59,7 +61,7 @@ def run(settings: Fig5Settings = Fig5Settings()) -> ExperimentOutput:
             workload_megacycles=settings.workload_megacycles,
             input_kb=size_kb,
         )
-        result = run_schemes(config, schedulers, seeds)
+        result = sweep.run(config, schedulers, seeds)
         row = [f"{size_kb:.0f}"]
         for name in names:
             stat = result.utility_summary(name)

@@ -17,7 +17,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class Fig6Settings:
         )
 
 
-def run(settings: Fig6Settings = Fig6Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig6Settings = Fig6Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average system utility per scheme over workload sweeps."""
     schedulers = standard_schedulers(
         chain_length=settings.chain_length,
@@ -62,7 +64,7 @@ def run(settings: Fig6Settings = Fig6Settings()) -> ExperimentOutput:
             config = SimulationConfig(
                 n_users=n_users, workload_megacycles=workload
             )
-            result = run_schemes(config, schedulers, seeds)
+            result = sweep.run(config, schedulers, seeds)
             row = [str(n_users), f"{workload:.0f}"]
             for name in names:
                 stat = result.utility_summary(name)

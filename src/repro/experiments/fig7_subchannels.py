@@ -19,7 +19,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class Fig7Settings:
         )
 
 
-def run(settings: Fig7Settings = Fig7Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig7Settings = Fig7Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average system utility per scheme over the sub-channel sweep."""
     seeds = default_seeds(settings.n_seeds)
     headers: List[str] = ["L", "N"]
@@ -71,7 +73,7 @@ def run(settings: Fig7Settings = Fig7Settings()) -> ExperimentOutput:
                 n_subbands=n_subbands,
                 workload_megacycles=settings.workload_megacycles,
             )
-            result = run_schemes(config, schedulers, seeds)
+            result = sweep.run(config, schedulers, seeds)
             row = [str(chain_length), str(n_subbands)]
             for name in names:
                 stat = result.utility_summary(name)

@@ -28,7 +28,7 @@ from repro.experiments.common import default_seeds, standard_schedulers
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.obs.recorder import get_recorder
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,9 @@ class Fig8Settings:
         )
 
 
-def run(settings: Fig8Settings = Fig8Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig8Settings = Fig8Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average scheduling wall time per scheme over the sub-channel sweep."""
     seeds = default_seeds(settings.n_seeds)
     rec = get_recorder()
@@ -87,7 +89,7 @@ def run(settings: Fig8Settings = Fig8Settings()) -> ExperimentOutput:
                 chain_length=chain_length,
                 n_subbands=n_subbands,
             ):
-                result = run_schemes(config, schedulers, seeds)
+                result = sweep.run(config, schedulers, seeds)
             row = [str(chain_length), str(n_subbands)]
             for name in names:
                 stat = result.wall_time_summary(name)

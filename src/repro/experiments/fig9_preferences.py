@@ -19,7 +19,7 @@ from typing import List, Sequence
 from repro.experiments.common import default_seeds, make_tsajs
 from repro.experiments.report import ExperimentOutput, format_stat
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes
+from repro.sim.runner import Sweep
 from repro.sim.stats import summarize
 
 
@@ -44,7 +44,9 @@ class Fig9Settings:
         )
 
 
-def run(settings: Fig9Settings = Fig9Settings()) -> ExperimentOutput:
+def run(
+    settings: Fig9Settings = Fig9Settings(), sweep: Sweep = Sweep()
+) -> ExperimentOutput:
     """Average user energy and delay under TSAJS over the beta sweep."""
     scheduler = make_tsajs(settings.chain_length, settings.min_temperature)
     seeds = default_seeds(settings.n_seeds)
@@ -65,7 +67,7 @@ def run(settings: Fig9Settings = Fig9Settings()) -> ExperimentOutput:
                 workload_megacycles=settings.workload_megacycles,
                 beta_time=beta_time,
             )
-            result = run_schemes(config, [scheduler], seeds)
+            result = sweep.run(config, [scheduler], seeds)
             energy_stat = summarize(result.mean_energies(scheduler.name))
             delay_stat = summarize(result.mean_times(scheduler.name))
             panel["energy"].append(energy_stat)

@@ -1,4 +1,4 @@
-"""JSON persistence for experiment outputs and crash-safe sweep journals.
+"""JSON persistence for experiment outputs and sweep fingerprints.
 
 Experiment results carry :class:`~repro.sim.stats.SummaryStats` (and,
 since format version 2, :class:`~repro.sim.metrics.SolutionMetrics`)
@@ -7,12 +7,9 @@ whole :class:`~repro.experiments.report.ExperimentOutput` through JSON so
 runs can be archived, diffed across commits, and re-rendered without
 re-running the (potentially hours-long) sweeps.
 
-The :class:`SweepJournal` adds the crash-safety half: every completed
-(scheme, seed) cell is appended to a JSON-lines file and fsynced the
-moment it is computed, so a sweep killed at any point — a worker SIGKILL,
-a driver crash, a power cut — resumes by re-running only the missing
-cells.  JSON round-trips floats exactly (``repr``-based), so a resumed
-sweep's persisted output is byte-identical to an uninterrupted run's.
+It also owns the structural fingerprints (:func:`sweep_digest`,
+:func:`code_fingerprint`) that :mod:`repro.experiments.cache` builds its
+content addresses from.
 """
 
 from __future__ import annotations
@@ -20,9 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.atomicio import atomic_write_text
 from repro.core.scheduler import Scheduler
@@ -40,10 +36,9 @@ _METRICS_TAG = "__solution_metrics__"
 
 #: Schema version written into every file (bump on format changes).
 #: v1: SummaryStats tagging only.
-#: v2: adds SolutionMetrics tagging and the sweep-journal line format.
-#: v3: every sweep-journal line carries the writing build's code
-#:     fingerprint, so stale checkpoints are rejected instead of being
-#:     silently mixed into a resumed sweep.
+#: v2: adds SolutionMetrics tagging.
+#: v3: unchanged output format (the bump versioned a since-removed
+#:     checkpoint file); kept so existing outputs stay loadable.
 FORMAT_VERSION = 3
 
 
@@ -114,21 +109,6 @@ def output_to_dict(output: ExperimentOutput) -> dict:
     }
 
 
-def _check_version(payload: dict, what: str) -> None:
-    if "format_version" not in payload:
-        raise ConfigurationError(
-            f"{what} has no 'format_version' field; not a file written by "
-            "repro.experiments.persistence (or it predates versioning)"
-        )
-    version = payload["format_version"]
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported {what} format version: {version!r} "
-            f"(this build reads version {FORMAT_VERSION}; re-run the sweep "
-            "or load the file with a matching checkout)"
-        )
-
-
 def output_from_dict(payload: dict) -> ExperimentOutput:
     """Rebuild an :class:`ExperimentOutput` from :func:`output_to_dict`.
 
@@ -137,7 +117,19 @@ def output_from_dict(payload: dict) -> ExperimentOutput:
     :class:`~repro.errors.ConfigurationError` — silently reading a stale
     or foreign file would corrupt cross-commit comparisons.
     """
-    _check_version(payload, "experiment-output")
+    if "format_version" not in payload:
+        raise ConfigurationError(
+            "experiment-output has no 'format_version' field; not a file "
+            "written by repro.experiments.persistence (or it predates "
+            "versioning)"
+        )
+    version = payload["format_version"]
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"unsupported experiment-output format version: {version!r} "
+            f"(this build reads version {FORMAT_VERSION}; re-run the sweep "
+            "or load the file with a matching checkout)"
+        )
     return ExperimentOutput(
         experiment_id=payload["experiment_id"],
         title=payload["title"],
@@ -179,7 +171,7 @@ def _fingerprint(value: Any) -> Any:
     Dataclasses flatten to ``{type, fields...}``; arbitrary objects (the
     scheduler instances) flatten to their type plus instance ``__dict__``;
     callables and classes reduce to their qualified name.  Two sweeps
-    share a journal digest only when their configs *and* scheme
+    share a digest only when their configs *and* scheme
     construction parameters match, so e.g. two ``fig4`` points differing
     only in chain length never collide.
     """
@@ -220,8 +212,8 @@ def sweep_digest(
     """Stable hex digest identifying one (config, schemes) sweep cell set.
 
     ``extra`` folds driver-specific knobs (fault rates, policies, sweep
-    settings) into the digest so one journal file can safely back many
-    experiment points.
+    settings) into the digest so one cache can safely back many
+    experiment points (see :func:`repro.experiments.cache.digest_key`).
     """
     payload = {
         "config": _fingerprint(config),
@@ -243,9 +235,9 @@ def code_fingerprint() -> str:
     rule set (ids + titles + required-citation map) — the project's
     machine-readable statement of which formulas the code implements and
     which invariants it enforces.  When any of those change, previously
-    persisted per-seed metrics may no longer be reproducible, so cache
-    entries and journal checkpoints stamp this fingerprint and refuse to
-    serve results written under a different one.
+    persisted per-seed metrics may no longer be reproducible, so every
+    cache address includes this fingerprint and results written under a
+    different one are never served.
 
     The registries are imported lazily (the lint package is otherwise
     never needed at sweep time) and the digest memoized: registries are
@@ -278,141 +270,3 @@ def code_fingerprint() -> str:
             canonical.encode("utf-8")
         ).hexdigest()[:16]
     return _CODE_FINGERPRINT
-
-
-# --- Crash-safe sweep journal -----------------------------------------------
-
-
-class SweepJournal:
-    """Append-per-seed JSON-lines checkpoint store for sweeps.
-
-    Every record is one completed (sweep digest, scheme, seed) cell with
-    its full :class:`~repro.sim.metrics.SolutionMetrics`, flushed and
-    fsynced before the runner moves on — a killed run loses at most the
-    seeds in flight.  Opening with ``resume=True`` loads every intact
-    record (a torn final line from a mid-write crash is skipped; any
-    *intact* line that is not a valid record is rejected) and the runner
-    then re-runs only the missing cells.  Every line is stamped with the
-    writing build's :func:`code_fingerprint`; resuming over a journal
-    written under a different fingerprint is rejected with an error
-    pointing at ``--no-resume``, because metrics persisted by different
-    equations/rules cannot be trusted to reproduce.  Opening with
-    ``resume=False`` truncates the file and starts fresh.
-
-    Satisfies the :class:`repro.sim.runner.SeedJournal` protocol, and
-    exposes the digest-level :meth:`get` / :meth:`record` for drivers
-    (e.g. ``ext_faults``) whose cells are not plain (config, scheduler)
-    pairs.
-    """
-
-    def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
-        self.path = Path(path)
-        self._cache: Dict[Tuple[str, str, int], SolutionMetrics] = {}
-        if resume and self.path.exists():
-            self._load()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # Torn final line: the writer died mid-append.  The
-                    # cell was never acknowledged, so dropping it is safe.
-                    continue
-                raise ConfigurationError(
-                    f"{self.path}:{index + 1}: corrupt journal line "
-                    "(not valid JSON and not the final line)"
-                ) from None
-            _check_version(payload, "sweep-journal")
-            code = payload.get("code")
-            if code != code_fingerprint():
-                raise ConfigurationError(
-                    f"{self.path}:{index + 1}: journal entry was written "
-                    f"under code fingerprint {code!r} but this build is "
-                    f"{code_fingerprint()!r} — the equation/rule registries "
-                    "changed since the checkpoint, so its metrics may not "
-                    "reproduce.  Re-run with --no-resume to discard the "
-                    "stale journal and recompute."
-                )
-            try:
-                key = (
-                    str(payload["digest"]),
-                    str(payload["scheme"]),
-                    int(payload["seed"]),
-                )
-                metrics = _metrics_from_dict(payload["metrics"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"{self.path}:{index + 1}: malformed journal record "
-                    f"({exc})"
-                ) from None
-            self._cache[key] = metrics
-
-    # --- digest-level API ---------------------------------------------------
-
-    def get(self, digest: str, scheme: str, seed: int) -> Optional[SolutionMetrics]:
-        """The cached metrics for one cell, or ``None``."""
-        return self._cache.get((digest, scheme, seed))
-
-    def record(
-        self, digest: str, scheme: str, seed: int, metrics: SolutionMetrics
-    ) -> None:
-        """Durably append one completed cell (flush + fsync)."""
-        line = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "code": code_fingerprint(),
-                "digest": digest,
-                "scheme": scheme,
-                "seed": seed,
-                "metrics": dataclasses.asdict(metrics),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._cache[(digest, scheme, seed)] = metrics
-
-    # --- SeedJournal protocol (used by repro.sim.runner) --------------------
-
-    def lookup_seed(
-        self,
-        config: SimulationConfig,
-        schedulers: Sequence[Scheduler],
-        seed: int,
-    ) -> Optional[List[SolutionMetrics]]:
-        """Per-scheme metrics for a completed seed, or ``None`` if any
-        scheme's cell is missing."""
-        digest = sweep_digest(config, schedulers)
-        out: List[SolutionMetrics] = []
-        for scheduler in schedulers:
-            metrics = self.get(digest, scheduler.name, seed)
-            if metrics is None:
-                return None
-            out.append(metrics)
-        return out
-
-    def record_seed(
-        self,
-        config: SimulationConfig,
-        schedulers: Sequence[Scheduler],
-        seed: int,
-        metrics: Sequence[SolutionMetrics],
-    ) -> None:
-        """Record every scheme's metrics for one completed seed."""
-        digest = sweep_digest(config, schedulers)
-        for scheduler, entry in zip(schedulers, metrics):
-            self.record(digest, scheduler.name, seed, entry)

@@ -2,7 +2,9 @@
 
 Each entry couples the full (paper-scale) settings with a quick preset so
 both the CLI (``tsajs run fig3``) and the benchmark suite can launch any
-experiment by id.
+experiment by id.  Both entry points take the :class:`~repro.sim.runner.Sweep`
+the driver runs its experiment points through (serial, fail-fast and
+uncached by default).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.experiments import (
     fig9_preferences,
 )
 from repro.experiments.report import ExperimentOutput
+from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class ExperimentSpec:
 
     experiment_id: str
     description: str
-    run_full: Callable[[], ExperimentOutput]
-    run_quick: Callable[[], ExperimentOutput]
+    run_full: Callable[..., ExperimentOutput]
+    run_quick: Callable[..., ExperimentOutput]
 
 
 def _spec(experiment_id: str, description: str, module) -> ExperimentSpec:
@@ -57,8 +60,8 @@ def _spec(experiment_id: str, description: str, module) -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id=experiment_id,
         description=description,
-        run_full=lambda: module.run(settings_cls()),
-        run_quick=lambda: module.run(settings_cls.quick()),
+        run_full=lambda sweep=Sweep(): module.run(settings_cls(), sweep),
+        run_quick=lambda sweep=Sweep(): module.run(settings_cls.quick(), sweep),
     )
 
 

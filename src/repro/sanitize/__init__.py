@@ -10,7 +10,7 @@ bitwise identical:
 
 * scalar vs delta vs batch evaluation (``tsajs solve --sanitize``);
 * repeated serial runs of one experiment (``tsajs run --sanitize``);
-* a journal-resumed sweep vs a fresh one (exercised in the test suite).
+* a cache-resumed sweep vs a fresh one (exercised in the test suite).
 
 Draw *counts* are compared only where the contract pins them (scalar vs
 delta, replay vs replay): the batch evaluator deliberately draws

@@ -5,15 +5,11 @@ from repro.sim.episodes import EpisodeConfig, EpisodeResult, EpisodeRunner, run_
 from repro.sim.metrics import SolutionMetrics, solution_metrics
 from repro.sim.runner import (
     ExperimentResult,
-    ExperimentRunner,
     RetryPolicy,
     SeedFailure,
     SeedJournal,
-    get_default_journal,
+    Sweep,
     run_schemes,
-    set_default_journal,
-    set_default_n_workers,
-    set_default_retry,
 )
 from repro.sim.scenario import Scenario
 from repro.sim.stats import SummaryStats, mean_confidence_interval, summarize
@@ -23,7 +19,6 @@ __all__ = [
     "EpisodeResult",
     "EpisodeRunner",
     "ExperimentResult",
-    "ExperimentRunner",
     "RetryPolicy",
     "Scenario",
     "SeedFailure",
@@ -31,13 +26,10 @@ __all__ = [
     "SimulationConfig",
     "SolutionMetrics",
     "SummaryStats",
-    "get_default_journal",
+    "Sweep",
     "mean_confidence_interval",
     "run_episode",
     "run_schemes",
-    "set_default_journal",
-    "set_default_n_workers",
-    "set_default_retry",
     "solution_metrics",
     "summarize",
 ]

@@ -72,8 +72,6 @@ class SimulationConfig:
     #: Moves speculatively proposed per vectorized round when
     #: ``use_batch`` is set.
     batch_size: int = 64
-    #: Default process count for multi-seed runs (1 = run in-process).
-    n_workers: int = 1
 
     # Spatial sharding (metro-scale decomposition; see docs/sharding.md).
     #: Solve via :class:`~repro.core.sharding.ShardedScheduler`: partition
@@ -134,10 +132,6 @@ class SimulationConfig:
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
             )
         if self.cluster_radius_km <= 0:
             raise ConfigurationError(

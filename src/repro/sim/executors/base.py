@@ -58,12 +58,19 @@ class CellFailure:
     an expired queue lease — as opposed to an ordinary exception raised
     *by* the cell's work.  The runner counts fatal failures per cell to
     quarantine poison cells that repeatedly take workers down.
+
+    ``exception`` is the original exception where the backend still has
+    it (serial and pool), so the runner's fail-fast policy can re-raise
+    it; the queue backend only ships ``error`` across processes.
     """
 
     position: int
     seed: int
     error: str
     fatal: bool = False
+    exception: Optional[BaseException] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -133,7 +140,7 @@ def run_one_seed(
 
     With the default :class:`~repro.obs.recorder.NullRecorder` and
     profiling off, this is exactly :func:`seed_work` — no spans, no
-    metric touches, no profiler, so untraced runs stay on the legacy hot
+    metric touches, no profiler, so untraced runs stay on the bare hot
     path.  A forked pool or queue worker inherits the null recorder
     (recorders are process-level state, never pickled with schedulers):
     worker-side telemetry requires the coordinator to ship a

@@ -92,7 +92,7 @@ class ProcessPoolSweepExecutor:
                                 fatal=True,
                             )
                         )
-                    except BrokenProcessPool:
+                    except BrokenProcessPool as exc:
                         outcome.broken = True
                         outcome.failed.append(
                             CellFailure(
@@ -102,6 +102,7 @@ class ProcessPoolSweepExecutor:
                                     f"worker process died while running seed {seed}"
                                 ),
                                 fatal=True,
+                                exception=exc,
                             )
                         )
                     except Exception as exc:
@@ -110,6 +111,7 @@ class ProcessPoolSweepExecutor:
                                 position=position,
                                 seed=seed,
                                 error=f"{type(exc).__name__}: {exc}",
+                                exception=exc,
                             )
                         )
                     else:

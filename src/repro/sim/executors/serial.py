@@ -56,6 +56,7 @@ class SerialExecutor:
                         position=position,
                         seed=seed,
                         error=f"{type(exc).__name__}: {exc}",
+                        exception=exc,
                     )
                 )
             else:

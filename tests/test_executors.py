@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import GreedyScheduler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import (
     ProcessPoolSweepExecutor,
@@ -27,27 +27,13 @@ from repro.sim.executors import (
 from repro.sim.executors.base import metrics_from_payload, metrics_to_payload
 from repro.sim.executors.files import load_result_payload, task_name
 from repro.sim.executors.worker import QueueWorker
-from repro.sim.runner import (
-    RetryPolicy,
-    run_schemes,
-    set_default_executor,
-    set_default_journal,
-    set_default_retry,
-)
+from repro.sim.runner import RetryPolicy, run_schemes
 from tests.test_resilience import assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
 
 #: Queue knobs tuned for test speed: tight polling, short idle budget.
 FAST_QUEUE = dict(poll_s=0.02, idle_timeout_s=15.0, lease_timeout_s=10.0)
-
-
-@pytest.fixture(autouse=True)
-def _clear_module_defaults():
-    yield
-    set_default_retry(None)
-    set_default_journal(None)
-    set_default_executor(None)
 
 
 @dataclass(frozen=True)
@@ -112,6 +98,7 @@ class TestSerialExecutor:
         [failure] = outcome.failed
         assert not failure.fatal
         assert "scheduler bug" in failure.error
+        assert isinstance(failure.exception, RuntimeError)
         assert not outcome.broken
 
 
@@ -325,12 +312,29 @@ class TestExecutorViaRunSchemes:
         )
         assert_identical_metrics(baseline, result)
 
-    def test_default_executor_is_used(self):
-        set_default_executor(SerialExecutor())
+    def test_default_executor_is_used(self, monkeypatch):
+        """Without an executor every sweep runs on a SerialExecutor
+        (fail-fast hands it one cell per wave)."""
+        waves = []
+        run_wave = SerialExecutor.run_wave
+
+        def counting_wave(self, *args):
+            waves.append(args[2])
+            return run_wave(self, *args)
+
+        monkeypatch.setattr(SerialExecutor, "run_wave", counting_wave)
         result = run_schemes(CONFIG, [GreedyScheduler()], [1, 2])
-        set_default_executor(None)
-        legacy = run_schemes(CONFIG, [GreedyScheduler()], [1, 2])
-        assert_identical_metrics(legacy, result)
+        assert waves == [[(0, 1)], [(1, 2)]]
+        assert result.completed_seeds == [1, 2]
+
+    def test_queue_failure_fails_fast_with_its_message(self, tmp_path):
+        """The queue only ships the error text, so the fail-fast policy
+        raises it as a SolverError."""
+        executor = WorkQueueExecutor(
+            tmp_path / "q", n_local_workers=1, **FAST_QUEUE
+        )
+        with pytest.raises(SolverError, match="scheduler bug"):
+            run_schemes(CONFIG, [RaisingScheduler()], [1], executor=executor)
 
     def test_pool_backend_matches_serial(self):
         baseline = run_schemes(CONFIG, [GreedyScheduler()], [1, 2, 3])

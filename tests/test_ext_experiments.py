@@ -166,21 +166,18 @@ class TestExtFaults:
         import json as json_module
 
         from repro.experiments import ext_faults
-        from repro.experiments.persistence import SweepJournal, output_to_dict
-        from repro.sim.runner import set_default_journal
+        from repro.experiments.cache import ResultCache
+        from repro.experiments.persistence import output_to_dict
+        from repro.sim.runner import Sweep
 
         settings = ext_faults.ExtFaultsSettings.quick()
-        path = tmp_path / "journal.jsonl"
-        try:
-            set_default_journal(SweepJournal(path))
-            full = ext_faults.run(settings)
-            # Simulate a crash partway through: keep only half the cells.
-            lines = path.read_text().splitlines()
-            path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-            set_default_journal(SweepJournal(path, resume=True))
-            resumed = ext_faults.run(settings)
-        finally:
-            set_default_journal(None)
+        root = tmp_path / "cache"
+        full = ext_faults.run(settings, Sweep(journal=ResultCache(root)))
+        # Simulate a crash partway through: only half the cells landed.
+        entries = sorted(root.glob("??/*.json"), key=lambda p: p.name)
+        for path in entries[: len(entries) // 2]:
+            path.unlink()
+        resumed = ext_faults.run(settings, Sweep(journal=ResultCache(root)))
         assert json_module.dumps(output_to_dict(full)) == json_module.dumps(
             output_to_dict(resumed)
         )

@@ -11,6 +11,7 @@ from repro.core.allocation import kkt_allocation
 from repro.core.scheduler import ScheduleResult
 from repro.errors import ConfigurationError
 from repro.sim.config import SimulationConfig
+from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.metrics import solution_metrics
 from repro.sim.runner import run_schemes
 from tests.conftest import make_scenario
@@ -126,17 +127,24 @@ class TestParallelRunner:
         schedulers = [QUICK_TSAJS, GreedyScheduler()]
         sequential = run_schemes(self.config(), schedulers, seeds=[1, 2, 3])
         parallel = run_schemes(
-            self.config(), schedulers, seeds=[1, 2, 3], n_jobs=3
+            self.config(),
+            schedulers,
+            seeds=[1, 2, 3],
+            executor=ProcessPoolSweepExecutor(n_jobs=3),
         )
         assert sequential.utilities("TSAJS") == parallel.utilities("TSAJS")
         assert sequential.utilities("Greedy") == parallel.utilities("Greedy")
 
     def test_single_seed_stays_sequential(self):
+        """A one-seed wave uses one pool worker, whatever n_jobs says."""
         result = run_schemes(
-            self.config(), [GreedyScheduler()], seeds=[7], n_jobs=8
+            self.config(),
+            [GreedyScheduler()],
+            seeds=[7],
+            executor=ProcessPoolSweepExecutor(n_jobs=8),
         )
         assert len(result.utilities("Greedy")) == 1
 
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ConfigurationError):
-            run_schemes(self.config(), [GreedyScheduler()], seeds=[1], n_jobs=0)
+            ProcessPoolSweepExecutor(n_jobs=0)

@@ -23,10 +23,6 @@ def _clean_obs_state():
     yield
     set_recorder(None)
     set_profiling(None)
-    from repro.sim.runner import set_default_journal, set_default_retry
-
-    set_default_retry(None)
-    set_default_journal(None)
 
 
 SMALL = ["--users", "6", "--servers", "2", "--subbands", "2", "--quick"]

@@ -13,8 +13,8 @@ The load-bearing guarantees:
   report rebuilt from a trace equals the one computed from the in-memory
   series.
 * **Runner telemetry.**  ``run_schemes`` snapshots per-(scheme, seed)
-  metrics into ``ExperimentResult.telemetry``, and the resilient path
-  emits retry/failure events.
+  metrics into ``ExperimentResult.telemetry``, and a retry policy makes
+  the runner emit retry/failure events.
 """
 
 from __future__ import annotations
@@ -275,12 +275,13 @@ class TestResilientPathEvents:
         assert backoffs[0]["attrs"]["attempt"] == 2
 
     def test_journal_hits_are_emitted(self, tmp_path):
-        from repro.experiments.persistence import SweepJournal
+        from repro.experiments.cache import ResultCache
 
-        journal = SweepJournal(tmp_path / "journal.jsonl")
         schedulers = [_scheduler()]
-        run_schemes(CONFIG, schedulers, [2025], journal=journal)
-        resumed = SweepJournal(tmp_path / "journal.jsonl", resume=True)
+        run_schemes(
+            CONFIG, schedulers, [2025], journal=ResultCache(tmp_path / "c")
+        )
+        resumed = ResultCache(tmp_path / "c")
         recorder = TraceRecorder(clock=TickClock())
         with use_recorder(recorder):
             run_schemes(CONFIG, schedulers, [2025], journal=resumed)

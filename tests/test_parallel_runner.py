@@ -1,4 +1,4 @@
-"""Determinism of the process-parallel multi-seed runner.
+"""Determinism of the process-pool sweep backend.
 
 Each seed is a fully self-seeding work unit (the scenario draw and every
 scheduler RNG derive from the seed alone) and the merge preserves seed
@@ -18,7 +18,8 @@ from repro.core.annealing import AnnealingSchedule
 from repro.core.scheduler import TsajsScheduler
 from repro.errors import ConfigurationError
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import ExperimentRunner, run_schemes
+from repro.sim.executors import ProcessPoolSweepExecutor
+from repro.sim.runner import Sweep, run_schemes
 
 #: Every SolutionMetrics field that must match bitwise (wall_time_s is
 #: the one field parallelism is allowed to change).
@@ -58,31 +59,20 @@ def assert_identical_metrics(serial, parallel):
 
 @pytest.mark.slow
 def test_parallel_bitwise_identical_to_serial():
-    """ExperimentRunner(n_workers=4) == serial on the Fig. 4 config."""
+    """A 4-worker pool sweep == serial on the Fig. 4 config."""
     config = SimulationConfig()  # the paper's Fig. 4 point: U=30, S=9, N=3
     seeds = [2025, 2026, 2027, 2028]
     schedulers = fig4_schedulers()
-    serial = run_schemes(config, schedulers, seeds, n_jobs=1)
-    parallel = ExperimentRunner(config, schedulers, n_workers=4).run(seeds)
+    serial = run_schemes(config, schedulers, seeds)
+    parallel = Sweep(executor=ProcessPoolSweepExecutor(n_jobs=4)).run(
+        config, schedulers, seeds
+    )
     assert_identical_metrics(serial, parallel)
 
 
 @pytest.mark.slow
-def test_n_workers_resolved_from_config():
-    """run_schemes(n_jobs=None) honours config.n_workers."""
-    config = SimulationConfig(
-        n_users=8, n_servers=3, n_subbands=2, n_workers=2, use_delta=True
-    )
-    seeds = [1, 2]
-    schedulers = fig4_schedulers()
-    serial = run_schemes(config, schedulers, seeds, n_jobs=1)
-    via_config = run_schemes(config, schedulers, seeds)
-    assert_identical_metrics(serial, via_config)
-
-
-@pytest.mark.slow
 def test_oversubscribed_workers_bitwise_identical_to_serial():
-    """n_jobs > os.cpu_count(): oversubscription must not break determinism.
+    """More pool workers than cores must not break determinism.
 
     More workers than cores (and than seeds) changes only how the seed
     work units are spread over processes — every unit self-seeds, so the
@@ -93,16 +83,16 @@ def test_oversubscribed_workers_bitwise_identical_to_serial():
     )
     seeds = [1, 2, 3]
     schedulers = fig4_schedulers()
-    serial = run_schemes(config, schedulers, seeds, n_jobs=1)
+    serial = run_schemes(config, schedulers, seeds)
     oversubscribed = run_schemes(
-        config, schedulers, seeds, n_jobs=(os.cpu_count() or 1) + 2
+        config,
+        schedulers,
+        seeds,
+        executor=ProcessPoolSweepExecutor(n_jobs=(os.cpu_count() or 1) + 2),
     )
     assert_identical_metrics(serial, oversubscribed)
 
 
 def test_runner_rejects_bad_worker_counts():
-    config = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
-    with pytest.raises(ConfigurationError):
-        run_schemes(config, fig4_schedulers(), [1], n_jobs=0)
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(n_workers=0)
+    with pytest.raises(ConfigurationError, match="n_jobs"):
+        ProcessPoolSweepExecutor(n_jobs=0)

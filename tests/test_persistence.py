@@ -1,4 +1,4 @@
-"""Tests for JSON persistence of experiment outputs and sweep journals."""
+"""Tests for JSON persistence of experiment outputs and sweep checkpoints."""
 
 import dataclasses
 import json
@@ -9,9 +9,11 @@ from repro.baselines import GreedyScheduler
 from repro.core.annealing import AnnealingSchedule
 from repro.core.scheduler import TsajsScheduler
 from repro.errors import ConfigurationError
+import repro.experiments.cache as cache_module
+from repro.experiments.cache import ResultCache, digest_key
 from repro.experiments.persistence import (
     FORMAT_VERSION,
-    SweepJournal,
+    code_fingerprint,
     load_output,
     output_from_dict,
     output_to_dict,
@@ -224,94 +226,101 @@ class TestSweepDigest:
 
 
 class TestSweepJournal:
+    """Digest-keyed sweep checkpoints: the cells ``ext_faults`` and
+    ``ext_sharding`` store in :class:`ResultCache` under
+    :func:`digest_key`.  The cache replaced a JSON-lines journal file;
+    these tests carry over that file's contract."""
+
+    def _path(self, cache, digest="d", scheme="s", seed=0):
+        return cache._entry_path(digest_key(digest, scheme, seed))
+
     def test_record_get_roundtrip(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
+        cache = ResultCache(tmp_path / "c")
         metrics = sample_metrics()
-        journal.record("digest", "TSAJS", 7, metrics)
-        assert journal.get("digest", "TSAJS", 7) == metrics
-        assert journal.get("digest", "TSAJS", 8) is None
-        assert journal.get("other", "TSAJS", 7) is None
-        assert len(journal) == 1
+        cache.put(digest_key("digest", "TSAJS", 7), metrics)
+        assert cache.get(digest_key("digest", "TSAJS", 7)) == metrics
+        assert cache.get(digest_key("digest", "TSAJS", 8)) is None
+        assert cache.get(digest_key("other", "TSAJS", 7)) is None
+        assert cache.get(digest_key("digest", "Greedy", 7)) is None
+        assert len(cache) == 1
 
     def test_resume_reloads_records_exactly(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
         metrics = sample_metrics()
-        journal.record("digest", "TSAJS", 7, metrics)
-        reloaded = SweepJournal(path, resume=True)
-        assert reloaded.get("digest", "TSAJS", 7) == metrics
+        ResultCache(tmp_path / "c").put(digest_key("digest", "TSAJS", 7), metrics)
+        reloaded = ResultCache(tmp_path / "c")
+        assert reloaded.get(digest_key("digest", "TSAJS", 7)) == metrics
 
     def test_fresh_open_truncates(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        SweepJournal(path).record("d", "s", 0, sample_metrics())
-        fresh = SweepJournal(path, resume=False)
-        assert len(fresh) == 0
-        assert path.read_text() == ""
+        """``resume=False`` (``--no-resume``) serves nothing, digest-keyed
+        cells included, while keeping the entries on disk."""
+        ResultCache(tmp_path / "c").put(digest_key("d", "s", 0), sample_metrics())
+        fresh = ResultCache(tmp_path / "c", resume=False)
+        assert fresh.get(digest_key("d", "s", 0)) is None
+        assert len(fresh) == 1
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.record("d", "s", 0, sample_metrics())
-        journal.record("d", "s", 1, sample_metrics())
-        with open(path, "a") as handle:
-            handle.write('{"format_version": 2, "dig')  # crash mid-append
-        reloaded = SweepJournal(path, resume=True)
-        assert len(reloaded) == 2
+        cache = ResultCache(tmp_path / "c")
+        cache.put(digest_key("d", "s", 0), sample_metrics(0))
+        cache.put(digest_key("d", "s", 1), sample_metrics(1))
+        torn = self._path(cache, seed=1)
+        torn.write_text(torn.read_text()[: torn.stat().st_size // 2])
+        reloaded = ResultCache(tmp_path / "c")
+        assert reloaded.get(digest_key("d", "s", 0)) == sample_metrics(0)
+        assert reloaded.get(digest_key("d", "s", 1)) is None
+        assert len(reloaded.corrupt_entries()) == 1
 
     def test_corrupt_middle_line_is_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.record("d", "s", 0, sample_metrics())
-        lines = path.read_text()
-        path.write_text("not json at all\n" + lines)
-        with pytest.raises(ConfigurationError, match="corrupt journal line"):
-            SweepJournal(path, resume=True)
+        cache = ResultCache(tmp_path / "c")
+        cache.put(digest_key("d", "s", 0), sample_metrics())
+        self._path(cache).write_text("not json at all\n")
+        assert cache.get(digest_key("d", "s", 0)) is None
+        assert [p.name for p in cache.corrupt_entries()] == [
+            self._path(cache).name
+        ]
 
     def test_wrong_version_line_is_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.record("d", "s", 0, sample_metrics())
+        cache = ResultCache(tmp_path / "c")
+        cache.put(digest_key("d", "s", 0), sample_metrics())
+        path = self._path(cache)
         record = json.loads(path.read_text())
-        record["format_version"] = 1
-        path.write_text(json.dumps(record) + "\n\n")
-        with pytest.raises(ConfigurationError, match="sweep-journal"):
-            SweepJournal(path, resume=True)
+        record["format_version"] = 999
+        path.write_text(json.dumps(record))
+        assert cache.get(digest_key("d", "s", 0)) is None
+        assert len(cache.corrupt_entries()) == 1
 
     def test_malformed_record_is_rejected(self, tmp_path):
-        from repro.experiments.persistence import FORMAT_VERSION, code_fingerprint
-
-        path = tmp_path / "j.jsonl"
-        record = {
-            "format_version": FORMAT_VERSION,
-            "code": code_fingerprint(),
-            "digest": "d",
-        }
-        path.write_text(json.dumps(record) + "\n\n")
-        with pytest.raises(ConfigurationError, match="malformed journal"):
-            SweepJournal(path, resume=True)
-
-    def test_stale_code_fingerprint_is_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.record("d", "s", 0, sample_metrics())
+        cache = ResultCache(tmp_path / "c")
+        cache.put(digest_key("d", "s", 0), sample_metrics())
+        path = self._path(cache)
         record = json.loads(path.read_text())
-        record["code"] = "0000000000000000"
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ConfigurationError, match="--no-resume"):
-            SweepJournal(path, resume=True)
+        del record["metrics"]
+        path.write_text(json.dumps(record))
+        assert cache.get(digest_key("d", "s", 0)) is None
+        assert len(cache.corrupt_entries()) == 1
 
-    def test_records_carry_current_code_fingerprint(self, tmp_path):
-        from repro.experiments.persistence import code_fingerprint
+    def test_stale_code_fingerprint_is_rejected(self, tmp_path, monkeypatch):
+        """A cell written under other equations/rules is never served."""
+        cache = ResultCache(tmp_path / "c")
+        with monkeypatch.context() as m:
+            m.setattr(cache_module, "code_fingerprint", lambda: "0" * 16)
+            stale = digest_key("d", "s", 0)
+            cache.put(stale, sample_metrics())
+        assert stale != digest_key("d", "s", 0)
+        assert cache.get(digest_key("d", "s", 0)) is None
+        assert cache.get(stale) == sample_metrics()
 
-        path = tmp_path / "j.jsonl"
-        SweepJournal(path).record("d", "s", 0, sample_metrics())
-        record = json.loads(path.read_text())
-        assert record["code"] == code_fingerprint()
+    def test_records_carry_current_code_fingerprint(self, monkeypatch):
+        """The key follows the build's fingerprint, whatever it is now."""
+        current = digest_key("d", "s", 0)
+        monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "0" * 16)
+        assert digest_key("d", "s", 0) != current
+        monkeypatch.setattr(cache_module, "code_fingerprint", code_fingerprint)
+        assert digest_key("d", "s", 0) == current
 
     def test_creates_parent_directories(self, tmp_path):
-        journal = SweepJournal(tmp_path / "deep" / "nested" / "j.jsonl")
-        journal.record("d", "s", 0, sample_metrics())
-        assert (tmp_path / "deep" / "nested" / "j.jsonl").exists()
+        cache = ResultCache(tmp_path / "deep" / "nested" / "c")
+        cache.put(digest_key("d", "s", 0), sample_metrics())
+        assert self._path(cache).exists()
 
 
 class TestCliIntegration:

@@ -1,11 +1,11 @@
 """Tests for the crash-tolerant experiment harness.
 
-Exercises the resilient path of :func:`repro.sim.runner.run_schemes`:
+Exercises the failure handling of :func:`repro.sim.runner.run_schemes`:
 retry with backoff, per-seed timeouts, pool-to-serial graceful
 degradation after a worker death, structured :class:`SeedFailure`
-records, the crash-safe seed journal, and the acceptance property that
-an interrupted-then-resumed sweep reproduces an uninterrupted run's
-metrics exactly.
+records, the fail-fast default, checkpointing into the result cache, and
+the acceptance property that an interrupted-then-resumed sweep
+reproduces an uninterrupted run's metrics exactly.
 
 The fault-injecting schedulers below coordinate across processes through
 marker files (the only channel that survives a worker being killed), so
@@ -27,30 +27,18 @@ import pytest
 
 from repro.baselines import GreedyScheduler
 from repro.errors import ConfigurationError, SolverError
-from repro.experiments.persistence import SweepJournal
+from repro.experiments.cache import ResultCache
 from repro.sim.config import SimulationConfig
+from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.runner import (
     ExperimentResult,
-    ExperimentRunner,
     RetryPolicy,
     SeedFailure,
-    get_default_journal,
+    Sweep,
     run_schemes,
-    set_default_executor,
-    set_default_journal,
-    set_default_retry,
 )
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
-
-
-@pytest.fixture(autouse=True)
-def _clear_module_defaults():
-    """Never leak process-level retry/journal/executor defaults across tests."""
-    yield
-    set_default_retry(None)
-    set_default_journal(None)
-    set_default_executor(None)
 
 
 def _touch_unique(directory: str, prefix: str) -> None:
@@ -256,9 +244,39 @@ class TestResilientSerial:
                 retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
             )
 
-    def test_legacy_path_still_fails_fast(self):
+    def test_default_policy_fails_fast(self):
         with pytest.raises(RuntimeError, match="never works"):
             run_schemes(CONFIG, [AlwaysFailScheduler()], [0, 1])
+
+    def test_fail_fast_still_checkpoints_completed_seeds(self, tmp_path):
+        """No policy: the failed seed's own error propagates, and the
+        seeds that completed before it are still cached."""
+        poison = PoisonScheduler(poison=_poison_value(1))
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(RuntimeError, match="poisoned seed"):
+            run_schemes(CONFIG, [poison], [0, 1, 2], journal=cache)
+        assert cache.lookup_seed(CONFIG, [poison], 0) is not None
+        assert len(cache) == 1
+
+    def test_fail_fast_serial_stops_at_the_first_failure(self, tmp_path):
+        """On the serial backend no seed after the failed one runs, so a
+        long sweep reports its first error without finishing first."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        counting = CountingScheduler(marker_dir=str(markers))
+        poison = PoisonScheduler(poison=_poison_value(1))
+        with pytest.raises(RuntimeError, match="poisoned seed"):
+            run_schemes(CONFIG, [counting, poison], [0, 1, 2, 3])
+        assert _calls(str(markers)) == 2
+
+    def test_fail_fast_on_the_pool_backend(self):
+        with pytest.raises(RuntimeError, match="never works"):
+            run_schemes(
+                CONFIG,
+                [AlwaysFailScheduler()],
+                [0, 1],
+                executor=ProcessPoolSweepExecutor(n_jobs=2),
+            )
 
 
 @pytest.mark.slow
@@ -278,7 +296,7 @@ class TestResilientPool:
             CONFIG,
             [CrashOnceScheduler(marker_dir=str(crash_dir))],
             seeds,
-            n_jobs=2,
+            executor=ProcessPoolSweepExecutor(n_jobs=2),
             retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
         )
         clean = run_schemes(
@@ -294,7 +312,7 @@ class TestResilientPool:
             CONFIG,
             [HangOnceScheduler(marker_dir=str(tmp_path))],
             seeds,
-            n_jobs=2,
+            executor=ProcessPoolSweepExecutor(n_jobs=2),
             retry=RetryPolicy(
                 max_attempts=3, seed_timeout_s=0.5, backoff_s=0.0
             ),
@@ -307,7 +325,7 @@ class TestResilientPool:
             CONFIG,
             [CrashOnceScheduler(marker_dir=str(tmp_path))],
             [0, 1],
-            n_jobs=2,
+            executor=ProcessPoolSweepExecutor(n_jobs=2),
             retry=RetryPolicy(
                 max_attempts=3, backoff_s=0.0, serial_fallback=False
             ),
@@ -317,19 +335,15 @@ class TestResilientPool:
 
 
 class TestJournalIntegration:
+    """Seed checkpoints in the content-addressed :class:`ResultCache`."""
+
     def test_journal_records_every_seed(self, tmp_path):
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
-        run_schemes(
-            CONFIG,
-            [GreedyScheduler()],
-            [0, 1, 2],
-            retry=RetryPolicy(backoff_s=0.0),
-            journal=journal,
-        )
-        assert len(journal) == 3
+        cache = ResultCache(tmp_path / "cache")
+        run_schemes(CONFIG, [GreedyScheduler()], [0, 1, 2], journal=cache)
+        assert len(cache) == 3
 
     def test_resume_skips_completed_seeds(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
+        root = tmp_path / "cache"
         marker_first = tmp_path / "first"
         marker_second = tmp_path / "second"
         marker_first.mkdir()
@@ -340,18 +354,18 @@ class TestJournalIntegration:
             CONFIG,
             [CountingScheduler(marker_dir=str(marker_first))],
             seeds,
-            journal=SweepJournal(path),
+            journal=ResultCache(root),
         )
         assert _calls(str(marker_first)) == 3
 
-        # The resumed run must not call the scheduler at all: the digest
+        # The resumed run must not call the scheduler at all: the key
         # depends on the scheduler's state, so it must match the first
         # run's (same marker dir).
         resumed = run_schemes(
             CONFIG,
             [CountingScheduler(marker_dir=str(marker_first))],
             seeds,
-            journal=SweepJournal(path, resume=True),
+            journal=ResultCache(root),
         )
         assert _calls(str(marker_first)) == 3
         assert_identical_metrics(first, resumed)
@@ -361,65 +375,67 @@ class TestJournalIntegration:
             CONFIG,
             [CountingScheduler(marker_dir=str(marker_second))],
             seeds,
-            journal=SweepJournal(path, resume=True),
+            journal=ResultCache(root),
         )
         assert _calls(str(marker_second)) == 3
 
     def test_interrupted_sweep_resumes_exactly(self, tmp_path):
         """Acceptance: kill mid-sweep, resume, get identical metrics."""
-        path = tmp_path / "sweep.jsonl"
+        root = tmp_path / "cache"
         markers = tmp_path / "markers"
         markers.mkdir()
         seeds = [0, 1, 2, 3]
         scheduler = CountingScheduler(marker_dir=str(markers))
 
         uninterrupted = run_schemes(
-            CONFIG, [scheduler], seeds, journal=SweepJournal(path)
+            CONFIG, [scheduler], seeds, journal=ResultCache(root)
         )
-        # Simulate a crash after two seeds: drop the tail of the journal
-        # plus tear the final surviving line mid-write.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2])
+        # Simulate a crash after two seeds: the last two entries were
+        # never written, and the second one was torn mid-write.
+        entries = sorted(
+            (p for p in root.glob("??/*.json")), key=lambda p: p.name
+        )
+        assert len(entries) == 4
+        for path in entries[2:]:
+            path.unlink()
+        torn = entries[1]
+        torn.write_text(torn.read_text()[: torn.stat().st_size // 2])
 
         before = _calls(str(markers))
         resumed = run_schemes(
-            CONFIG, [scheduler], seeds, journal=SweepJournal(path, resume=True)
+            CONFIG, [scheduler], seeds, journal=ResultCache(root)
         )
-        # Exactly the two journaled seeds are skipped (the torn third
-        # record was never acknowledged, so it is recomputed).
-        assert _calls(str(markers)) - before == 2
+        # Exactly the one intact entry is served; the torn entry is
+        # quarantined and its seed recomputed with the two missing ones.
+        assert _calls(str(markers)) - before == 3
+        assert len(ResultCache(root).corrupt_entries()) == 1
         assert_identical_metrics(uninterrupted, resumed)
 
     def test_runner_object_passthrough(self, tmp_path):
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
-        runner = ExperimentRunner(
-            CONFIG,
-            [GreedyScheduler()],
-            retry=RetryPolicy(backoff_s=0.0),
-            journal=journal,
-        )
-        result = runner.run([0, 1])
+        cache = ResultCache(tmp_path / "cache")
+        sweep = Sweep(retry=RetryPolicy(backoff_s=0.0), journal=cache)
+        result = sweep.run(CONFIG, [GreedyScheduler()], [0, 1])
         assert result.failures == []
-        assert len(journal) == 2
+        assert len(cache) == 2
 
     def test_module_default_journal_installed_and_cleared(self, tmp_path):
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
-        set_default_journal(journal)
-        assert get_default_journal() is journal
-        run_schemes(CONFIG, [GreedyScheduler()], [0])
-        assert len(journal) == 1
-        set_default_journal(None)
-        assert get_default_journal() is None
+        """A journal is scoped to the call that was given it: the next
+        plain run neither reads nor writes it."""
+        cache = ResultCache(tmp_path / "cache")
+        Sweep(journal=cache).run(CONFIG, [GreedyScheduler()], [0])
+        assert len(cache) == 1
+        run_schemes(CONFIG, [GreedyScheduler()], [1])
+        assert len(cache) == 1
 
     def test_failed_seed_never_journaled(self, tmp_path):
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        cache = ResultCache(tmp_path / "cache")
         poison = PoisonScheduler(poison=_poison_value(1))
         result = run_schemes(
             CONFIG,
             [poison],
             [0, 1],
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
-            journal=journal,
+            journal=cache,
         )
         assert [f.seed for f in result.failures] == [1]
-        assert len(journal) == 1
+        assert len(cache) == 1

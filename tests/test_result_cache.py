@@ -20,17 +20,10 @@ from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.persistence import code_fingerprint
 from repro.sanitize import sanitized
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_schemes, set_default_journal, set_default_retry
-from tests.test_resilience import assert_identical_metrics
+from repro.sim.runner import run_schemes
+from tests.test_resilience import AlwaysFailScheduler, assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
-
-
-@pytest.fixture(autouse=True)
-def _clear_module_defaults():
-    yield
-    set_default_retry(None)
-    set_default_journal(None)
 
 
 def _touch_unique(directory: str, prefix: str) -> None:
@@ -241,22 +234,48 @@ class TestCliCache:
         assert cold_text == warm_text  # byte-identical rendered output
         assert any(cache_dir.iterdir())
 
-    def test_cache_and_journal_are_mutually_exclusive(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", ["ext_faults", "ext_sharding"])
+    def test_digest_keyed_drivers_resume_from_cache(
+        self, experiment, tmp_path, capsys, monkeypatch
+    ):
+        """The drivers that cache cells by sweep digest run under --cache,
+        and a second run serves every cell without computing any."""
+        from repro.cli import main
+        from repro.core.scheduler import TsajsScheduler
+        from repro.core.sharding import ShardedScheduler
+
+        cache_dir = tmp_path / "cache"
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["run", experiment, "--quick", "--cache", str(cache_dir)]
+        assert main([*argv, "--json", str(first)]) == 0
+        n_entries = len(ResultCache(cache_dir))
+        assert n_entries > 0
+
+        def no_solves(*args, **kwargs):
+            raise AssertionError("a warm run must not solve anything")
+
+        monkeypatch.setattr(TsajsScheduler, "schedule", no_solves)
+        monkeypatch.setattr(ShardedScheduler, "schedule", no_solves)
+        assert main([*argv, "--json", str(second)]) == 0
+        capsys.readouterr()
+        assert first.read_bytes() == second.read_bytes()
+        assert len(ResultCache(cache_dir)) == n_entries
+
+    def test_cli_flags_do_not_leak_into_later_runs(self, tmp_path, capsys):
+        """--cache/--retries apply to that run only: a later plain
+        run_schemes call in the same process fails fast on its first
+        attempt and writes nothing to the cache."""
         from repro.cli import main
 
-        status = main(
-            [
-                "run",
-                "fig9",
-                "--quick",
-                "--cache",
-                str(tmp_path / "c"),
-                "--journal",
-                str(tmp_path / "j.jsonl"),
-            ]
-        )
-        assert status == 2
-        assert "pick one" in capsys.readouterr().err
+        cache_dir = tmp_path / "cache"
+        argv = ["run", "fig9", "--quick", "--cache", str(cache_dir)]
+        assert main([*argv, "--retries", "2"]) == 0
+        capsys.readouterr()
+        n_entries = len(ResultCache(cache_dir))
+        with pytest.raises(RuntimeError, match="never works") as raised:
+            run_schemes(CONFIG, [AlwaysFailScheduler()], [0, 1])
+        assert type(raised.value) is RuntimeError  # not a retry summary
+        assert len(ResultCache(cache_dir)) == n_entries
 
     def test_no_resume_requires_a_store(self, capsys):
         from repro.cli import main

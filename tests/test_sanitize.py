@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeterminismViolation
-from repro.experiments.persistence import SweepJournal
+from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.schemes import build_schemes
 from repro.sanitize import (
     DeterminismSanitizer,
@@ -214,29 +214,23 @@ class TestJournalResume:
     def test_resumed_sweep_matches_fresh(self, tmp_path):
         config = self._config()
         with sanitized() as fresh:
-            fresh_result = run_schemes(
-                config, self._schedulers(), self.SEEDS, n_jobs=1
-            )
+            fresh_result = run_schemes(config, self._schedulers(), self.SEEDS)
 
-        # Interrupted run: the first two seeds land in the journal...
-        path = tmp_path / "sweep.jsonl"
-        first_half = SweepJournal(path)
-        run_schemes(
-            config,
-            self._schedulers(),
-            self.SEEDS[:2],
-            n_jobs=1,
-            journal=first_half,
-        )
-        # ...then the resumed process loads the journal and only
+        # Interrupted run: only the first two seeds reached the cache
+        # (the entries of seeds 3 and 4 were never written)...
+        cache = ResultCache(tmp_path / "cache")
+        run_schemes(config, self._schedulers(), self.SEEDS, journal=cache)
+        for seed in (3, 4):
+            for scheduler in self._schedulers():
+                cache._entry_path(cell_key(config, scheduler, seed)).unlink()
+        # ...then the resumed process reads the cache and only
         # computes (and draws for) the remaining seeds.
         with sanitized() as resumed:
             resumed_result = run_schemes(
                 config,
                 self._schedulers(),
                 self.SEEDS,
-                n_jobs=1,
-                journal=SweepJournal(path, resume=True),
+                journal=ResultCache(tmp_path / "cache"),
             )
 
         fresh_snapshot = fresh.snapshot()
@@ -252,7 +246,7 @@ class TestJournalResume:
         for label, account in resumed_snapshot.items():
             assert account["state"] == fresh_snapshot[label]["state"]
             assert account["draws"] == fresh_snapshot[label]["draws"]
-        # And the journal-backed metrics are bitwise the fresh ones.
+        # And the cache-backed metrics are bitwise the fresh ones.
         assert (
             resumed_result.utilities("Greedy")
             == fresh_result.utilities("Greedy")

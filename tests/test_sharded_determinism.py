@@ -7,8 +7,8 @@ work queue.  Locked down here:
 
 * identical metrics for every (scheme, seed) cell across all three
   backends;
-* journals written under each backend are byte-identical once the two
-  wall-clock fields — explicitly outside the determinism contract —
+* result caches written under each backend are byte-identical once the
+  two wall-clock fields — explicitly outside the determinism contract —
   are normalised away;
 * two serial replays under the determinism sanitizer produce matching
   per-stream RNG ledgers (draw-for-draw);
@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.annealing import AnnealingSchedule
 from repro.core.sharding import ShardedScheduler
-from repro.experiments.persistence import SweepJournal
+from repro.experiments.cache import ResultCache, cell_key
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import WorkQueueExecutor, make_executor
 from repro.sim.runner import RetryPolicy, run_schemes
@@ -63,22 +63,20 @@ def _run(executor=None, journal=None):
     return run_schemes(CONFIG, [_scheduler()], SEEDS, **kwargs)
 
 
-def _normalized_journal(path) -> str:
-    """Journal contents in canonical cell order, wall-clock zeroed.
+def _normalized_cache(root) -> str:
+    """Cache entries in key order, wall-clock zeroed.
 
-    Records are appended in completion order, which the pool/queue
-    backends do not guarantee, so they are re-sorted by (scheme, seed);
     ``wall_time_s`` / ``reschedule_wall_time_s`` measure the host, not
-    the algorithm.  Every other byte of every record must be identical
-    across backends.
+    the algorithm (and the checksum covers them, so it goes too).  Every
+    other byte of every entry must be identical across backends.
     """
     records = []
-    for line in path.read_text().splitlines():
-        payload = json.loads(line)
+    for path in sorted(root.glob("??/*.json"), key=lambda p: p.name):
+        payload = json.loads(path.read_text())
         payload["metrics"]["wall_time_s"] = 0.0
         payload["metrics"]["reschedule_wall_time_s"] = 0.0
+        del payload["checksum"]
         records.append(payload)
-    records.sort(key=lambda r: (r["scheme"], r["seed"]))
     return "\n".join(
         json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
     )
@@ -101,9 +99,9 @@ def test_all_backends_compute_identical_metrics(tmp_path):
 def test_journals_byte_identical_across_backends(tmp_path):
     paths = {}
     for backend in ("serial", "pool", "queue"):
-        path = tmp_path / f"{backend}.jsonl"
+        path = tmp_path / backend
         paths[backend] = path
-        journal = SweepJournal(path)
+        journal = ResultCache(path)
         if backend == "serial":
             _run(journal=journal)
         elif backend == "pool":
@@ -115,10 +113,10 @@ def test_journals_byte_identical_across_backends(tmp_path):
                 ),
                 journal=journal,
             )
-    reference = _normalized_journal(paths["serial"])
-    assert reference  # the journal actually recorded the cells
-    assert _normalized_journal(paths["pool"]) == reference
-    assert _normalized_journal(paths["queue"]) == reference
+    reference = _normalized_cache(paths["serial"])
+    assert reference  # the cache actually recorded the cells
+    assert _normalized_cache(paths["pool"]) == reference
+    assert _normalized_cache(paths["queue"]) == reference
 
 
 def test_sanitizer_ledgers_match_across_serial_replays():
@@ -169,9 +167,8 @@ def test_cli_sanitized_sharded_solve_passes(capsys):
 
 
 def test_sharded_scheme_name_in_journal(tmp_path):
-    path = tmp_path / "j.jsonl"
-    _run(journal=SweepJournal(path))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert records
-    assert {r["scheme"] for r in records} == {"TSAJS-Shard"}
-    assert sorted(r["seed"] for r in records) == sorted(SEEDS)
+    cache = ResultCache(tmp_path / "c")
+    result = _run(journal=cache)
+    assert result.schemes == ["TSAJS-Shard"]
+    stored = {path.stem for path in (tmp_path / "c").glob("??/*.json")}
+    assert stored == {cell_key(CONFIG, _scheduler(), seed) for seed in SEEDS}
