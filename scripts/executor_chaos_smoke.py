@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """CI smoke test: executor backends and the result cache under chaos.
 
-Runs one small sweep on every executor backend (serial, process pool,
-file-based work queue) while injecting real failures — a scheduler that
-kills its own worker process, plus torn and bit-flipped cache entries —
-and gates on the robustness contract:
+Runs small sweeps on both executor backends (serial, process pool)
+while injecting real failures — a scheduler that kills its own worker
+process once, a poison cell that kills every worker it touches, plus
+torn and bit-flipped cache entries — and gates on the robustness
+contract:
 
 * every backend's metrics are byte-identical to the serial run's
   (modulo the measured ``wall_time_s``),
+* a poison cell is quarantined after ``quarantine_after`` isolated
+  deaths while the coordinator survives and every other seed completes,
 * corruption is quarantined (evidence kept) and recomputed, never
   trusted,
 * RNG ledgers stay clean: a fresh replay draws identical streams and a
@@ -21,7 +24,6 @@ with ``python scripts/executor_chaos_smoke.py``.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -29,24 +31,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
-# Queue workers are separate processes: they must be able to import both
-# the library and the chaos schedulers (which live in tests/) to unpickle
-# the wave spec.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    [str(ROOT / "src"), str(ROOT)]
-    + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-)
 
 from repro.baselines import GreedyScheduler  # noqa: E402
 from repro.experiments.cache import ResultCache, cell_key  # noqa: E402
 from repro.sanitize import assert_ledgers_match, sanitized  # noqa: E402
 from repro.sim.config import SimulationConfig  # noqa: E402
-from repro.sim.executors import (  # noqa: E402
-    ProcessPoolSweepExecutor,
-    WorkQueueExecutor,
-)
+from repro.sim.executors import ProcessPoolSweepExecutor  # noqa: E402
 from repro.sim.runner import RetryPolicy, run_schemes  # noqa: E402
-from tests.test_executors import CrashOnceScheduler  # noqa: E402
+from repro.sim.scenario import Scenario  # noqa: E402
+from tests.test_executors import (  # noqa: E402
+    CrashOnceScheduler,
+    CrashOnSeedScheduler,
+)
 
 CONFIG = SimulationConfig(n_users=6, n_servers=2, n_subbands=2)
 SEEDS = [1, 2, 3]
@@ -98,24 +94,33 @@ def main() -> int:
         pool_text = canonical(result).replace("CrashOnce", "Greedy")
         check(pool_text == reference, "pool: byte-identical to serial")
 
-    # --- queue backend survives a worker killed mid-lease ---------------
-    with tempfile.TemporaryDirectory() as tmp:
-        marker = Path(tmp) / "markers"
-        marker.mkdir()
-        result = run_schemes(
-            CONFIG,
-            [CrashOnceScheduler(str(marker))],
-            SEEDS,
-            retry=RetryPolicy(backoff_s=0.0, quarantine_after=3),
-            executor=WorkQueueExecutor(
-                Path(tmp) / "q", n_local_workers=2, poll_s=0.02
-            ),
-        )
-        check(not result.failures, "queue: chaos sweep completed")
-        expired = list((Path(tmp) / "q" / "expired").iterdir())
-        check(bool(expired), "queue: the dead worker's lease was reclaimed")
-        queue_text = canonical(result).replace("CrashOnce", "Greedy")
-        check(queue_text == reference, "queue: byte-identical to serial")
+    # --- pool pins a poison cell and quarantines it (default policy) ----
+    # A coordinator that ran the poison cell itself would die here with
+    # the scheduler's exit status instead of reaching the checks.
+    poison_seed = SEEDS[0]
+    poison = float(Scenario.build(CONFIG, seed=poison_seed).gains[0, 0, 0])
+    policy = RetryPolicy()
+    result = run_schemes(
+        CONFIG,
+        [CrashOnSeedScheduler(poison)],
+        SEEDS,
+        retry=policy,
+        executor=ProcessPoolSweepExecutor(n_jobs=2),
+    )
+    check(
+        [failure.seed for failure in result.failures] == [poison_seed],
+        "poison: only the poison seed failed",
+    )
+    check(
+        result.failures[0].attempts == policy.quarantine_after,
+        "poison: quarantined after quarantine_after isolated deaths",
+    )
+    healthy = run_schemes(CONFIG, [GreedyScheduler()], SEEDS[1:])
+    poison_text = canonical(result).replace("CrashOnSeed", "Greedy")
+    check(
+        poison_text == canonical(healthy),
+        "poison: healthy seeds byte-identical to serial",
+    )
 
     # --- cache chaos: torn entry + bit flip → quarantine + recompute ----
     with tempfile.TemporaryDirectory() as tmp:

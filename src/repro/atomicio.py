@@ -1,6 +1,6 @@
-"""Crash-safe filesystem primitives shared by caches, queues and reports.
+"""Crash-safe filesystem primitives shared by caches, traces and reports.
 
-Every artifact this project persists — cache entries, queue task files,
+Every artifact this project persists — cache entries, trace shards,
 experiment tables, JSON outputs — goes through the helpers here instead
 of plain ``write_text`` / ``open(..., "w")``.  The write protocol is the
 classic atomic-replace sequence:

@@ -7,13 +7,10 @@ Sub-commands
     List all registered experiments (paper figures + ablations).
 ``tsajs run <experiment-id> [--quick] [--workers N] [--out FILE]``
     Run one experiment and print (and optionally save) its table.
-    ``--workers`` fans the seeds over worker processes (same results).
-    ``--backend serial|pool|queue`` picks the sweep executor;
+    ``--workers N`` (N > 1) or ``--seed-timeout`` runs the seeds on a
+    process pool (same results); otherwise they run serially.
     ``--cache DIR`` reuses previously computed (scheme, seed) cells
     from a crash-safe content-addressed store (see ``docs/caching.md``).
-``tsajs worker QUEUE_DIR [--drain]``
-    Drain task files from a ``run --backend queue --queue-dir`` sweep;
-    run any number of workers, on any machine sharing the directory.
 ``tsajs solve [--users U --servers S --subbands N --batch ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
@@ -64,7 +61,7 @@ from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
 from repro.lint import cli as lint
 from repro.sim.config import SimulationConfig
-from repro.sim.executors import make_executor
+from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.rng import child_rng
 from repro.sim.runner import RetryPolicy, Sweep
 from repro.sim.scenario import Scenario
@@ -101,30 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "fan multi-seed runs out over N worker processes (the pool "
-            "backend unless --backend says otherwise; results are "
-            "identical to --workers 1, just faster)"
-        ),
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=["serial", "pool", "queue"],
-        default=None,
-        metavar="NAME",
-        help=(
-            "sweep execution backend: serial (in-process), pool "
-            "(process pool, uses --workers), or queue (file-based work "
-            "queue in --queue-dir drained by 'tsajs worker' processes); "
-            "results are byte-identical on every backend"
-        ),
-    )
-    run_parser.add_argument(
-        "--queue-dir",
-        metavar="DIR",
-        help=(
-            "work-queue directory for --backend queue; point any number "
-            "of 'tsajs worker DIR' processes (on any machine sharing "
-            "the directory) at it to help drain the sweep"
+            "fan multi-seed runs out over a pool of N worker processes "
+            "(results are identical to --workers 1, just faster)"
         ),
     )
     run_parser.add_argument(
@@ -166,7 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "treat a seed exceeding this wall-clock budget as hung and "
-            "retry it (parallel runs only)"
+            "retry it; only a separate process can be pre-empted, so "
+            "this runs the seeds on a pool of --workers processes, even "
+            "with --workers 1"
         ),
     )
     run_parser.add_argument(
@@ -174,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "record a schema-v2 span/event trace (trace.jsonl, plus "
-            "per-worker trace-*.jsonl shards on parallel backends) and a "
+            "per-worker trace-*.jsonl shards on the pool) and a "
             "metrics snapshot (metrics.json) into DIR"
         ),
     )
@@ -192,43 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run the experiment twice serially under the determinism "
             "sanitizer and assert per-stream RNG ledgers and outputs "
-            "are identical (incompatible with --cache, --backend, "
-            "--workers and --telemetry)"
+            "are identical (incompatible with --cache, --workers, "
+            "--seed-timeout and --telemetry)"
         ),
-    )
-
-    worker_parser = sub.add_parser(
-        "worker",
-        help="drain a work-queue directory (see tsajs run --backend queue)",
-    )
-    worker_parser.add_argument(
-        "queue_dir", help="queue directory created by tsajs run --queue-dir"
-    )
-    worker_parser.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit once the task directory is empty instead of polling",
-    )
-    worker_parser.add_argument(
-        "--poll",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="idle poll period",
-    )
-    worker_parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="lease heartbeat period (coordinators expire silent leases)",
-    )
-    worker_parser.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after processing N tasks",
     )
 
     solve_parser = sub.add_parser("solve", help="solve one random instance")
@@ -535,36 +478,22 @@ def _cmd_run(
     telemetry: Optional[str] = None,
     profile: bool = False,
     sanitize: bool = False,
-    backend: Optional[str] = None,
-    queue_dir: Optional[str] = None,
     cache: Optional[str] = None,
     no_resume: bool = False,
 ) -> int:
     if no_resume and cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
-    if backend == "queue" and queue_dir is None:
-        print(
-            "error: --backend queue requires --queue-dir DIR",
-            file=sys.stderr,
-        )
-        return 2
-    if queue_dir is not None and backend != "queue":
-        print(
-            "error: --queue-dir only applies to --backend queue",
-            file=sys.stderr,
-        )
-        return 2
     if sanitize:
         if (
             telemetry is not None
             or workers != 1
-            or backend is not None
+            or seed_timeout is not None
             or cache is not None
         ):
             print(
                 "error: --sanitize replays the experiment serially and "
-                "cannot be combined with --cache, --backend, "
+                "cannot be combined with --cache, --seed-timeout, "
                 "--telemetry or --workers",
                 file=sys.stderr,
             )
@@ -573,9 +502,7 @@ def _cmd_run(
     if profile and telemetry is None:
         print("error: --profile requires --telemetry DIR", file=sys.stderr)
         return 2
-    sweep = _build_sweep(
-        workers, retries, seed_timeout, backend, queue_dir, cache, no_resume
-    )
+    sweep = _build_sweep(workers, retries, seed_timeout, cache, no_resume)
     if telemetry is not None:
         from pathlib import Path
 
@@ -585,7 +512,7 @@ def _cmd_run(
 
         telemetry_dir = Path(telemetry)
         # trace_id + shard_dir opt this run into distributed tracing:
-        # pool/queue workers receive a TraceContext and publish their
+        # pool workers receive a TraceContext and publish their
         # own trace-*.jsonl shards next to the coordinator's trace.
         recorder = TraceRecorder(
             telemetry_dir / "trace.jsonl",
@@ -628,12 +555,15 @@ def _build_sweep(
     workers: int,
     retries: Optional[int],
     seed_timeout: Optional[float],
-    backend: Optional[str],
-    queue_dir: Optional[str],
     cache: Optional[str],
     no_resume: bool,
 ) -> Sweep:
-    """The :class:`~repro.sim.runner.Sweep` the ``run`` flags describe."""
+    """The :class:`~repro.sim.runner.Sweep` the ``run`` flags describe.
+
+    More than one worker means the pool, and so does a seed timeout:
+    in-process work cannot be pre-empted.  Otherwise the sweep runs
+    serially.
+    """
     retry = (
         RetryPolicy(
             max_attempts=retries if retries is not None else 3,
@@ -644,8 +574,8 @@ def _build_sweep(
     )
     return Sweep(
         executor=(
-            make_executor(backend or "pool", n_jobs=workers, queue_dir=queue_dir)
-            if backend is not None or workers != 1
+            ProcessPoolSweepExecutor(n_jobs=workers)
+            if workers != 1 or seed_timeout is not None
             else None
         ),
         retry=retry,
@@ -735,27 +665,6 @@ def _cmd_run_body(
 
         save_output(output, json_out)
         print(f"[structured result written to {json_out}]")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Drain a work-queue directory (the ``tsajs worker`` subcommand)."""
-    from pathlib import Path
-
-    from repro.sim.executors.worker import QueueWorker
-
-    worker = QueueWorker(
-        Path(args.queue_dir), poll_s=args.poll, heartbeat_s=args.heartbeat
-    )
-    try:
-        if args.drain:
-            processed = worker.drain(max_tasks=args.max_tasks)
-        else:
-            processed = worker.run_forever(max_tasks=args.max_tasks)
-    except KeyboardInterrupt:
-        print("[worker: interrupted]", file=sys.stderr)
-        return 130
-    print(f"[worker: processed {processed} task(s) from {args.queue_dir}]")
     return 0
 
 
@@ -1250,13 +1159,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             telemetry=args.telemetry,
             profile=args.profile,
             sanitize=args.sanitize,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
             cache=args.cache,
             no_resume=args.no_resume,
         )
-    if args.command == "worker":
-        return _cmd_worker(args)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "schemes":

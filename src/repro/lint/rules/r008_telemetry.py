@@ -22,10 +22,10 @@ itself is out of scope for the timing checks — it is the one place
 allowed to touch :mod:`time`.
 
 A third check covers **telemetry file writes**: inside ``repro/obs``
-and ``repro/sim/executors`` — the packages that publish trace shards,
-merged traces, and queue protocol files other processes read
-concurrently — a direct ``open(..., "w")`` (or ``.write_text()`` /
-``.write_bytes()``) produces files that can be observed half-written.
+and ``repro/sim/executors`` — the packages that publish trace shards
+and merged traces other processes read concurrently — a direct
+``open(..., "w")`` (or ``.write_text()`` / ``.write_bytes()``)
+produces files that can be observed half-written.
 Everything these packages write must go through :mod:`repro.atomicio`
 (``atomic_write_text`` / ``atomic_write_json`` /
 :class:`~repro.atomicio.AtomicLineWriter`), which publishes via

@@ -1,16 +1,15 @@
 """Distributed tracing: context propagation and trace-shard merging.
 
 Single-process runs record everything into one
-:class:`~repro.obs.trace.TraceRecorder`; the pool and queue executors,
-however, do most of their work in child processes whose inherited
-recorder drops every record (fork safety).  This module closes that gap
-with three pieces:
+:class:`~repro.obs.trace.TraceRecorder`; the pool executor, however,
+does most of its work in child processes whose inherited recorder drops
+every record (fork safety).  This module closes that gap with three
+pieces:
 
-* :class:`TraceContext` — a small, JSON-serializable capsule (trace id,
-  parent span id, shard directory, detail gates, optional deterministic
-  clock step) the coordinator derives from its own recorder
-  (:func:`propagated_context`) and ships inside pool task payloads and
-  queue task-spec files;
+* :class:`TraceContext` — a small, picklable capsule (trace id, parent
+  span id, shard directory, detail gates, optional deterministic clock
+  step) the coordinator derives from its own recorder
+  (:func:`propagated_context`) and pickles into every pool task;
 * :func:`worker_trace` — opened by a worker around one task: a private
   :class:`~repro.obs.trace.TraceRecorder` whose records nest under the
   propagated parent span and land in an atomically-written JSONL shard
@@ -47,7 +46,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_text
-from repro.errors import ConfigurationError
 from repro.obs.clock import TickClock
 from repro.obs.recorder import get_recorder
 from repro.obs.schema import SCHEMA_VERSION, TraceSchemaError, validate_record
@@ -62,7 +60,7 @@ MERGED_TRACE_NAME = "trace_merged.jsonl"
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Serializable capsule linking worker telemetry to a parent trace.
+    """Picklable capsule linking worker telemetry to a parent trace.
 
     Attributes
     ----------
@@ -88,62 +86,6 @@ class TraceContext:
     shard_dir: str
     iteration_detail: bool = False
     tick: Optional[float] = None
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible form carried in task payloads/spec files."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "shard_dir": self.shard_dir,
-            "iteration_detail": self.iteration_detail,
-            "tick": self.tick,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> "TraceContext":
-        """Validate and rebuild a context from :meth:`to_payload` output."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"trace context payload must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        trace_id = payload.get("trace_id")
-        if not isinstance(trace_id, str) or not trace_id:
-            raise ConfigurationError(
-                f"trace context trace_id must be a non-empty string, "
-                f"got {trace_id!r}"
-            )
-        parent = payload.get("parent_span_id")
-        if parent is not None and (
-            isinstance(parent, bool) or not isinstance(parent, int) or parent < 0
-        ):
-            raise ConfigurationError(
-                f"trace context parent_span_id must be an integer >= 0 "
-                f"or null, got {parent!r}"
-            )
-        shard_dir = payload.get("shard_dir")
-        if not isinstance(shard_dir, str) or not shard_dir:
-            raise ConfigurationError(
-                f"trace context shard_dir must be a non-empty string, "
-                f"got {shard_dir!r}"
-            )
-        tick = payload.get("tick")
-        if tick is not None and (
-            isinstance(tick, bool)
-            or not isinstance(tick, (int, float))
-            or tick < 0
-        ):
-            raise ConfigurationError(
-                f"trace context tick must be a number >= 0 or null, "
-                f"got {tick!r}"
-            )
-        return cls(
-            trace_id=trace_id,
-            parent_span_id=parent,
-            shard_dir=shard_dir,
-            iteration_detail=bool(payload.get("iteration_detail", False)),
-            tick=float(tick) if tick is not None else None,
-        )
 
 
 def propagated_context() -> Optional[TraceContext]:

@@ -298,10 +298,10 @@ class TraceRecorder(Recorder):
 def emit_worker_detached(backend: str, n_cells: int) -> None:
     """Record, parent-side, that a parallel wave ran without propagation.
 
-    Called by the pool and queue executors when telemetry is enabled but
-    the installed recorder has no ``shard_dir`` to build a
+    Called by the pool executor when telemetry is enabled but the
+    installed recorder has no ``shard_dir`` to build a
     :class:`~repro.obs.dist.TraceContext` from: every worker in the wave
-    inherits (or starts with) a recorder that drops its records, so the
+    inherits a recorder that drops its records, so the
     per-seed telemetry for these cells is lost.  The schema-v2
     ``worker_detached`` event makes that loss visible in the parent
     trace instead of silent (the schema-v1 legacy behavior).

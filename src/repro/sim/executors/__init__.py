@@ -1,4 +1,4 @@
-"""Pluggable sweep-execution backends for :mod:`repro.sim.runner`.
+"""Sweep-execution backends for :mod:`repro.sim.runner`.
 
 See :mod:`repro.sim.executors.base` for the :class:`SweepExecutor`
 protocol and the cell/wave value types, and ``docs/robustness.md`` for
@@ -7,10 +7,6 @@ the failure model each backend hardens against.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
-
-from repro.errors import ConfigurationError
 from repro.sim.executors.base import (
     Cell,
     CellFailure,
@@ -21,12 +17,7 @@ from repro.sim.executors.base import (
     seed_work,
 )
 from repro.sim.executors.pool import ProcessPoolSweepExecutor
-from repro.sim.executors.queue import WorkQueueExecutor
 from repro.sim.executors.serial import SerialExecutor
-
-# NOTE: repro.sim.executors.worker is deliberately NOT imported here —
-# it doubles as the ``python -m`` worker entry point, and importing it
-# from the package __init__ would make runpy re-execute a live module.
 
 __all__ = [
     "Cell",
@@ -38,36 +29,4 @@ __all__ = [
     "seed_work",
     "SerialExecutor",
     "ProcessPoolSweepExecutor",
-    "WorkQueueExecutor",
-    "make_executor",
 ]
-
-#: Backends :func:`make_executor` knows how to build.
-BACKENDS = ("serial", "pool", "queue")
-
-
-def make_executor(
-    backend: str,
-    n_jobs: int = 1,
-    queue_dir: Optional[Union[str, Path]] = None,
-) -> SweepExecutor:
-    """Build a backend by name (the CLI's ``--backend`` factory).
-
-    ``n_jobs`` maps to pool workers for ``pool`` and local queue workers
-    for ``queue``; the serial backend ignores it.  ``queue_dir`` is
-    required by (and only meaningful to) the ``queue`` backend.
-    """
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "pool":
-        return ProcessPoolSweepExecutor(n_jobs=n_jobs)
-    if backend == "queue":
-        if queue_dir is None:
-            raise ConfigurationError(
-                "the queue backend needs a queue directory (--queue-dir)"
-            )
-        return WorkQueueExecutor(queue_dir, n_local_workers=n_jobs)
-    raise ConfigurationError(
-        f"unknown executor backend {backend!r}; expected one of "
-        f"{', '.join(BACKENDS)}"
-    )

@@ -1,17 +1,14 @@
 """Executor protocol and shared cell/wave types for the sweep runner.
 
-The multi-seed runner (:mod:`repro.sim.runner`) no longer hard-wires a
-process pool: it drives *waves* of pending cells through any object
-satisfying :class:`SweepExecutor`.  Three hardened backends ship with the
-library:
+The multi-seed runner (:mod:`repro.sim.runner`) drives *waves* of
+pending cells through any object satisfying :class:`SweepExecutor`.
+Two backends ship with the library:
 
 * :class:`~repro.sim.executors.serial.SerialExecutor` — in-process, the
   reference implementation and the graceful-degradation target;
-* :class:`~repro.sim.executors.pool.ProcessPoolSweepExecutor` — the
-  original ``ProcessPoolExecutor`` fan-out, rehomed behind the protocol;
-* :class:`~repro.sim.executors.queue.WorkQueueExecutor` — a file-based
-  work queue (directory of leased task files) that any number of
-  ``tsajs worker`` processes, on one or many machines, can drain.
+* :class:`~repro.sim.executors.pool.ProcessPoolSweepExecutor` — a
+  ``ProcessPoolExecutor`` fan-out, the one parallel backend, which can
+  also pre-empt a hung seed and survive a dead worker.
 
 The unit of work is one *cell*: ``(position in the seed list, seed)``.
 Each cell is fully self-seeding (scenario streams 0-1, scheduler streams
@@ -23,14 +20,13 @@ byte-identical results on every backend, which the chaos tests in
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.scheduler import Scheduler
-from repro.errors import ConfigurationError
+from repro.obs.dist import TraceContext, worker_trace
 from repro.obs.profile import maybe_profile, profiling_enabled
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import get_recorder, use_recorder
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics, solution_metrics
 from repro.sim.rng import child_rng
@@ -54,23 +50,22 @@ class CellFailure:
     """One failed cell attempt.
 
     ``fatal`` marks failures that killed or lost the worker itself —
-    a dead process (``BrokenProcessPool``), a tripped seed timeout, or
-    an expired queue lease — as opposed to an ordinary exception raised
-    *by* the cell's work.  The runner counts fatal failures per cell to
-    quarantine poison cells that repeatedly take workers down.
+    a dead process (``BrokenProcessPool``) or a tripped seed timeout —
+    as opposed to an ordinary exception raised *by* the cell's work.
+    The runner re-runs fatally failed cells in isolation and counts the
+    isolated fatal failures per cell to quarantine poison cells that
+    repeatedly take workers down.
 
-    ``exception`` is the original exception where the backend still has
-    it (serial and pool), so the runner's fail-fast policy can re-raise
-    it; the queue backend only ships ``error`` across processes.
+    ``exception`` is the original exception (for a timeout, the
+    ``TimeoutError`` the wait raised), which the runner's fail-fast
+    policy re-raises.
     """
 
     position: int
     seed: int
     error: str
+    exception: BaseException = field(compare=False, repr=False)
     fatal: bool = False
-    exception: Optional[BaseException] = field(
-        default=None, compare=False, repr=False
-    )
 
 
 @dataclass
@@ -78,7 +73,7 @@ class WaveOutcome:
     """What one executor wave over a set of cells produced.
 
     ``broken`` means the executor's machinery itself failed (worker
-    death, hung pool, unusable queue directory) — the caller should
+    death, hung pool) — the caller should
     degrade (e.g. to :class:`~repro.sim.executors.serial.SerialExecutor`)
     or rebuild before the next wave.  Failed cells are still reported
     individually so the retry loop can re-run exactly the missing work.
@@ -98,7 +93,7 @@ class SweepExecutor(Protocol):
     invalid arguments.
     """
 
-    #: Stable backend name (``"serial"`` / ``"pool"`` / ``"queue"``).
+    #: Stable backend name (``"serial"`` / ``"pool"``).
     name: str
 
     def run_wave(
@@ -141,7 +136,7 @@ def run_one_seed(
     With the default :class:`~repro.obs.recorder.NullRecorder` and
     profiling off, this is exactly :func:`seed_work` — no spans, no
     metric touches, no profiler, so untraced runs stay on the bare hot
-    path.  A forked pool or queue worker inherits the null recorder
+    path.  A forked pool worker inherits the null recorder
     (recorders are process-level state, never pickled with schedulers):
     worker-side telemetry requires the coordinator to ship a
     :class:`~repro.obs.dist.TraceContext` (see :func:`run_one_seed_remote`),
@@ -172,7 +167,7 @@ def run_one_seed(
 
 
 def run_one_seed_remote(
-    trace_payload: Optional[Dict[str, Any]],
+    ctx: Optional[TraceContext],
     config: SimulationConfig,
     schedulers: Sequence[Scheduler],
     seed: int,
@@ -180,51 +175,16 @@ def run_one_seed_remote(
     """:func:`run_one_seed` inside a propagated trace context, if any.
 
     The pool executor submits this wrapper instead of :func:`run_one_seed`
-    directly; ``trace_payload`` is the serialized
+    directly; ``ctx`` is the coordinator's pickled
     :class:`~repro.obs.dist.TraceContext` (or ``None`` for the untraced
     fast path, which adds nothing but one ``is None`` check).  With a
     context, the worker opens its own shard recorder for the duration of
     the seed so annealer spans land in ``trace-<pid>-s<seed>.jsonl``
     under the coordinator's wave span.  Telemetry must never perturb
-    results: the seed's work is identical either way, and a malformed
-    payload degrades to the untraced path instead of failing the cell.
+    results: the seed's work is identical either way.
     """
-    if trace_payload is None:
-        return run_one_seed(config, schedulers, seed)
-    from repro.obs.dist import TraceContext, worker_trace
-    from repro.obs.recorder import use_recorder
-
-    try:
-        ctx = TraceContext.from_payload(trace_payload)
-    except ConfigurationError:
+    if ctx is None:
         return run_one_seed(config, schedulers, seed)
     with worker_trace(ctx, task=f"s{seed}") as recorder:
         with use_recorder(recorder):
             return run_one_seed(config, schedulers, seed)
-
-
-def metrics_to_payload(metrics: Sequence[SolutionMetrics]) -> List[Dict[str, Any]]:
-    """JSON-ready per-scheme metrics list (exact float round-trip)."""
-    return [dataclasses.asdict(entry) for entry in metrics]
-
-
-def metrics_from_payload(payload: Any) -> List[SolutionMetrics]:
-    """Inverse of :func:`metrics_to_payload`, validating field names."""
-    if not isinstance(payload, list):
-        raise ConfigurationError(
-            f"metrics payload must be a list, got {type(payload).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(SolutionMetrics)}
-    out: List[SolutionMetrics] = []
-    for entry in payload:
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"metrics entry must be an object, got {type(entry).__name__}"
-            )
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SolutionMetrics fields in payload: {', '.join(unknown)}"
-            )
-        out.append(SolutionMetrics(**entry))
-    return out

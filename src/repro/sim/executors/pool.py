@@ -1,17 +1,20 @@
-"""Process-pool executor — the original parallel backend behind the protocol.
+"""Process-pool executor — the one parallel (and pre-emptible) backend.
 
 One wave = one fresh ``ProcessPoolExecutor``.  A worker crash surfaces as
 ``BrokenProcessPool`` on its future (and on every sibling still pending);
 a hung worker trips the per-seed timeout.  Either way the wave reports
 ``broken=True``: a broken pool's workers cannot be recovered, so it is
-abandoned (``shutdown(wait=False)``) and the runner retries the failed
-cells in a fresh pool or serially.  Both failure shapes are ``fatal`` —
-they killed or lost the worker rather than raising from the cell's own
-work — so the runner's poison-cell quarantine counts them.
+abandoned (``shutdown(wait=False)``).  Both failure shapes are ``fatal``
+— they killed or lost the worker rather than raising from the cell's own
+work.  In a pool running several cells a fatal failure cannot be pinned
+on one cell (every pending sibling shares the ``BrokenProcessPool``), so
+the runner re-runs each fatally failed cell alone in a single-worker
+pool, where a death or timeout can only be that cell's, and counts only
+those toward poison-cell quarantine.
 
-When telemetry is on, each wave opens a ``pool.wave`` span and ships the
-coordinator's :class:`~repro.obs.dist.TraceContext` inside the task
-payload, so every worker records its seed's spans into its own shard
+When telemetry is on, each wave opens a ``pool.wave`` span and pickles
+the coordinator's :class:`~repro.obs.dist.TraceContext` into every task,
+so every worker records its seed's spans into its own shard
 (``trace-<pid>-s<seed>.jsonl``) under the wave span; without a
 propagable context the wave emits ``worker_detached`` instead of
 silently losing worker telemetry.
@@ -64,7 +67,6 @@ class ProcessPoolSweepExecutor:
             ctx = propagated_context()
             if rec.enabled and ctx is None:
                 emit_worker_detached("pool", len(cells))
-            payload = ctx.to_payload() if ctx is not None else None
             pool = ProcessPoolExecutor(max_workers=min(self.n_jobs, len(cells)))
             try:
                 futures = [
@@ -72,7 +74,7 @@ class ProcessPoolSweepExecutor:
                         position,
                         seed,
                         pool.submit(
-                            run_one_seed_remote, payload, config, schedulers, seed
+                            run_one_seed_remote, ctx, config, schedulers, seed
                         ),
                     )
                     for position, seed in cells
@@ -80,7 +82,7 @@ class ProcessPoolSweepExecutor:
                 for position, seed, future in futures:
                     try:
                         metrics = future.result(timeout=timeout_s)
-                    except FuturesTimeoutError:
+                    except FuturesTimeoutError as exc:
                         outcome.broken = True
                         outcome.failed.append(
                             CellFailure(
@@ -89,6 +91,7 @@ class ProcessPoolSweepExecutor:
                                 error=(
                                     f"seed {seed} exceeded the {timeout_s}s budget"
                                 ),
+                                exception=exc,
                                 fatal=True,
                             )
                         )
@@ -101,8 +104,8 @@ class ProcessPoolSweepExecutor:
                                 error=(
                                     f"worker process died while running seed {seed}"
                                 ),
-                                fatal=True,
                                 exception=exc,
+                                fatal=True,
                             )
                         )
                     except Exception as exc:

@@ -1,13 +1,13 @@
 """In-process serial executor — the reference backend.
 
-Every other backend's results are defined to be byte-identical to this
-one's: each cell is fully self-seeding, so executing it here, in a pool
-worker or on another machine draws exactly the same RNG streams.  Serial
-execution is also the graceful-degradation target: when a pool or queue
-reports itself broken, the runner swaps in a :class:`SerialExecutor`,
-which has no machinery left to break (a cell that kills its *host*
-process is precisely what the quarantine mechanism exists to stop before
-this point — see ``docs/robustness.md``).
+The pool's results are defined to be byte-identical to this backend's:
+each cell is fully self-seeding, so executing it here or in a pool
+worker draws exactly the same RNG streams.  Serial execution is also
+the graceful-degradation target: when a pool reports itself broken, the
+runner can swap in a :class:`SerialExecutor`, which has no machinery
+left to break.  A cell that has killed a worker never runs here: it
+could kill the coordinator itself, so the runner retries it only in a
+single-worker pool (see ``docs/robustness.md``).
 
 Serial waves need no trace propagation (:mod:`repro.obs.dist`): cells
 run in the coordinator's own process, so seed spans land directly in
@@ -34,7 +34,8 @@ class SerialExecutor:
 
     ``timeout_s`` is accepted for protocol compatibility and ignored:
     in-process work cannot be pre-empted, so a serial wave has no hang
-    protection (the trade it makes for being unbreakable).
+    protection (the trade it makes for being unbreakable).  A sweep that
+    needs a seed timeout runs on the pool, even with one worker.
     """
 
     name = "serial"

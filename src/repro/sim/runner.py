@@ -8,9 +8,8 @@ decorrelated from the instance draw), and collects
 :class:`~repro.sim.metrics.SolutionMetrics` per (scheme, seed).
 
 Every sweep runs through one :class:`~repro.sim.executors.base.SweepExecutor`
-backend — in-process serial (the default), process pool, or a file-based
-work queue drained by external ``tsajs worker`` processes.  Every backend
-computes the same fully self-seeding work unit and the runner merges
+backend — in-process serial (the default) or a process pool.  Both
+compute the same fully self-seeding work unit and the runner merges
 results in seed order, so *which* backend ran a sweep never changes its
 bytes.
 
@@ -18,11 +17,12 @@ Two opt-in layers harden long sweeps (see ``docs/robustness.md``):
 
 * a :class:`RetryPolicy` adds per-seed timeouts, bounded retry with
   exponential backoff, graceful degradation to serial execution when a
-  backend breaks, poison-cell quarantine after repeated worker-killing
-  failures, and structured :class:`SeedFailure` records instead of a
-  crash on the first bad seed.  Without one the runner fails fast: one
-  attempt, and the first failed seed (in seed order) re-raises its
-  original exception;
+  pool breaks, isolated single-worker retries that pin a worker death
+  on the exact cell, poison-cell quarantine after repeated
+  worker-killing failures, and structured :class:`SeedFailure` records
+  instead of a crash on the first bad seed.  Without one the runner
+  fails fast: one attempt, and the first failed seed (in seed order)
+  re-raises its original exception;
 * a **journal** (any :class:`SeedJournal` — in practice the
   content-addressed :class:`repro.experiments.cache.ResultCache`)
   checkpoints every completed seed to disk so an interrupted sweep
@@ -35,14 +35,15 @@ explicit value the CLI hands to experiment drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Set
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.clock import sleep
 from repro.obs.recorder import get_recorder
 from repro.sim.config import SimulationConfig
-from repro.sim.executors.base import Cell, SweepExecutor
+from repro.sim.executors.base import Cell, CellFailure, SweepExecutor, WaveOutcome
+from repro.sim.executors.pool import ProcessPoolSweepExecutor
 from repro.sim.executors.serial import SerialExecutor
 from repro.sim.metrics import SolutionMetrics
 from repro.sim.stats import SummaryStats, summarize
@@ -76,25 +77,31 @@ class RetryPolicy:
         Waves a failing seed is attempted before it is recorded as a
         :class:`SeedFailure` (>= 1).
     seed_timeout_s:
-        Wall-clock budget for one seed's work unit on a preemptible
-        backend (pool, queue); a seed exceeding it is treated as hung
-        and retried in the next wave.  ``None`` disables the timeout.
-        Serial execution cannot be timed out and ignores this knob.
+        Wall-clock budget for one seed's work unit on the pool; a seed
+        exceeding it is treated as hung (a fatal failure).  ``None``
+        disables the timeout.  Serial execution cannot be timed out and
+        ignores this knob, which is why ``tsajs run --seed-timeout``
+        always runs on the pool.
     backoff_s / backoff_factor:
         Sleep between retry waves: ``backoff_s * backoff_factor**k``
         after wave ``k`` (exponential backoff; gives a transiently
         sick machine room to recover).
     serial_fallback:
-        Once the backend broke (worker crash or hang), run later waves
+        Once the pool broke (worker crash or hang), run later waves
         serially in-process instead of rebuilding it — slower but
-        immune to executor-level failures.
+        immune to executor-level failures.  A cell that has itself
+        failed fatally is still retried only in a single-worker pool,
+        never in-process.
     quarantine_after:
         A cell whose failures are *fatal* — they killed or lost the
-        worker (dead process, tripped timeout, expired queue lease) —
-        this many times is quarantined: recorded as a
-        :class:`SeedFailure` immediately and never scheduled again, so
-        one poison cell cannot keep taking workers down for the rest of
-        the retry budget (>= 1).
+        worker (dead process, tripped timeout) — this many times while
+        it ran alone in a single-worker pool is quarantined: recorded
+        as a :class:`SeedFailure` immediately and never scheduled
+        again, so one poison cell cannot keep taking workers down for
+        the rest of the retry budget (>= 1).  Fatal failures in a pool
+        shared with other cells do not count: they cannot be pinned on
+        one cell, so each such cell is re-run alone in the same
+        attempt.
     """
 
     max_attempts: int = 3
@@ -233,8 +240,8 @@ def _run_fail_fast(
 
     The serial backend is handed one cell per wave, so its first failure
     stops the sweep instead of the rest of the seeds running first; the
-    other backends run all cells in one wave.  Cells completed before
-    the failure are journaled before the raise.
+    pool runs all cells in one wave.  Cells completed before the
+    failure are journaled before the raise.
     """
     if executor.name == "serial":
         waves = [[cell] for cell in cells]
@@ -249,10 +256,7 @@ def _run_fail_fast(
                 journal.record_seed(config, schedulers, done.seed, done.metrics)
         if outcome.failed:
             first = min(outcome.failed, key=lambda f: f.position)
-            if first.exception is not None:
-                raise first.exception
-            # The queue backend ships only the message across processes.
-            raise SolverError(f"seed {first.seed} failed: {first.error}")
+            raise first.exception
     return results
 
 
@@ -264,14 +268,49 @@ def _run_resilient(
     journal: Optional[SeedJournal],
     executor: SweepExecutor,
 ) -> "tuple[Dict[int, List[SolutionMetrics]], List[SeedFailure]]":
-    """Retry loop driving waves of pending cells through an executor."""
+    """Retry loop driving waves of pending cells through an executor.
+
+    A fatal failure (dead worker, tripped timeout) in a wave of several
+    cells cannot be pinned on one of them: a worker death breaks the
+    whole pool, so every pending sibling fails with it.  Each such cell
+    is therefore re-run at once, in the same attempt, alone in a
+    single-worker pool, and only these *isolated* fatal failures count
+    toward ``policy.quarantine_after``.  A cell that has failed fatally
+    never runs in-process again, since it could take the coordinator
+    down with it: every later attempt on it is isolated as well.
+    """
     rec = get_recorder()
     results: Dict[int, List[SolutionMetrics]] = {}
     pending: List[Cell] = list(cells)
     last_error: Dict[int, str] = {}
     fatal_counts: Dict[int, int] = {}
+    suspects: Set[int] = set()
     failures: List[SeedFailure] = []
     delay = policy.backoff_s
+
+    def run_wave(
+        wave_executor: SweepExecutor, wave: List[Cell]
+    ) -> WaveOutcome:
+        outcome = wave_executor.run_wave(
+            config, schedulers, wave, policy.seed_timeout_s
+        )
+        for done in outcome.done:
+            results[done.position] = done.metrics
+            if journal is not None:
+                journal.record_seed(config, schedulers, done.seed, done.metrics)
+        return outcome
+
+    def note_error(failure: CellFailure, attempt: int, pinned: bool) -> None:
+        if rec.enabled:
+            rec.event(
+                "runner.seed_error",
+                seed=failure.seed,
+                attempt=attempt,
+                error=failure.error,
+                fatal=failure.fatal,
+                pinned=pinned,
+            )
+            rec.count("runner.seed_errors")
 
     for attempt in range(1, policy.max_attempts + 1):
         if not pending:
@@ -287,45 +326,47 @@ def _run_resilient(
                 rec.count("runner.retry_waves")
             sleep(delay)
             delay *= policy.backoff_factor
-        outcome = executor.run_wave(
-            config, schedulers, pending, policy.seed_timeout_s
-        )
-        for done in outcome.done:
-            results[done.position] = done.metrics
-            if journal is not None:
-                journal.record_seed(config, schedulers, done.seed, done.metrics)
-        if outcome.broken:
-            if rec.enabled:
-                rec.event(
-                    "runner.pool_broken",
-                    attempt=attempt,
-                    backend=executor.name,
-                    n_failed=len(outcome.failed),
-                    serial_fallback=policy.serial_fallback,
-                )
-                rec.count("runner.pool_breaks")
-            if policy.serial_fallback and executor.name != "serial":
+        shared = [cell for cell in pending if cell[0] not in suspects]
+        isolate = [cell for cell in pending if cell[0] in suspects]
+        failed: List[CellFailure] = []
+        if shared:
+            outcome = run_wave(executor, shared)
+            if outcome.broken:
                 if rec.enabled:
                     rec.event(
-                        "runner.serial_fallback",
+                        "runner.pool_broken",
                         attempt=attempt,
                         backend=executor.name,
+                        n_failed=len(outcome.failed),
+                        serial_fallback=policy.serial_fallback,
                     )
-                executor.close()
-                executor = SerialExecutor()
+                    rec.count("runner.pool_breaks")
+                if policy.serial_fallback and executor.name != "serial":
+                    if rec.enabled:
+                        rec.event(
+                            "runner.serial_fallback",
+                            attempt=attempt,
+                            backend=executor.name,
+                        )
+                    executor.close()
+                    executor = SerialExecutor()
+            for failure in outcome.failed:
+                if failure.fatal and len(shared) > 1:
+                    # Not pinned on this cell: re-run it alone below.
+                    note_error(failure, attempt, pinned=False)
+                    suspects.add(failure.position)
+                    isolate.append((failure.position, failure.seed))
+                else:
+                    failed.append(failure)
+        for cell in sorted(isolate):
+            alone = ProcessPoolSweepExecutor(n_jobs=1)
+            failed.extend(run_wave(alone, [cell]).failed)
         next_pending: List[Cell] = []
-        for failure in outcome.failed:
+        for failure in failed:
+            note_error(failure, attempt, pinned=True)
             last_error[failure.position] = failure.error
-            if rec.enabled:
-                rec.event(
-                    "runner.seed_error",
-                    seed=failure.seed,
-                    attempt=attempt,
-                    error=failure.error,
-                    fatal=failure.fatal,
-                )
-                rec.count("runner.seed_errors")
             if failure.fatal:
+                suspects.add(failure.position)
                 count = fatal_counts.get(failure.position, 0) + 1
                 fatal_counts[failure.position] = count
                 if count >= policy.quarantine_after:
@@ -350,7 +391,7 @@ def _run_resilient(
                         rec.count("runner.cells_quarantined")
                     continue
             next_pending.append((failure.position, failure.seed))
-        pending = next_pending
+        pending = sorted(next_pending)
 
     failures.extend(
         SeedFailure(
@@ -388,19 +429,19 @@ def run_schemes(
 
     The seeds run on ``executor`` (a fresh
     :class:`~repro.sim.executors.serial.SerialExecutor` when ``None``).
-    Every backend gives bit-identical results (each seed is an
+    Both backends give bit-identical results (each seed is an
     independent, fully-seeded work unit and the merge preserves seed
     order), so the backend is purely a wall-clock choice.  Schedulers
-    must be picklable for the pool and queue backends (all built-in ones
-    are).
+    must be picklable for the pool backend (all built-in ones are).
 
     ``journal`` seeds that are already checkpointed are not re-run, and
     every newly completed seed is recorded.  With ``retry=None`` the run
     fails fast: the first failed seed (in seed order) re-raises its
     original exception, and on the serial backend no later seed runs.
     With a :class:`RetryPolicy`, crashed or hung
-    seeds are retried per the policy, poison cells that repeatedly kill
-    workers are quarantined, and seeds that exhaust the budget land in
+    seeds are retried per the policy, a worker death in a shared pool is
+    pinned on its cell by re-running each lost cell alone, poison cells
+    that repeatedly kill workers are quarantined, and seeds that exhaust the budget land in
     ``result.failures`` instead of raising — unless *no* seed completed
     at all, which raises :class:`~repro.errors.SolverError`.  Retries,
     resumes and backend choice never change a completed seed's metrics.
@@ -475,8 +516,8 @@ def run_schemes(
 class Sweep:
     """How an experiment's sweeps run: one explicit, immutable value.
 
-    The CLI builds it from ``tsajs run --backend/--workers/--retries/
-    --seed-timeout/--cache`` and hands it to the driver, which passes
+    The CLI builds it from ``tsajs run --workers/--retries/
+    --seed-timeout/--cache/--no-resume`` and hands it to the driver, which passes
     every experiment point through :meth:`run`.  The default value is a
     serial, fail-fast, uncached sweep.  ``journal`` is also the store
     drivers with non-runner cells read and write directly.

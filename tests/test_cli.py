@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_sweep, main
+from repro.errors import ConfigurationError
+from repro.sim.executors import ProcessPoolSweepExecutor
 
 
 class TestList:
@@ -52,6 +54,39 @@ class TestRun:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
+
+
+class TestBuildSweep:
+    def test_one_worker_runs_serially(self):
+        sweep = _build_sweep(1, None, None, None, False)
+        assert sweep.executor is None and sweep.retry is None
+
+    def test_several_workers_mean_the_pool(self):
+        sweep = _build_sweep(3, None, None, None, False)
+        assert isinstance(sweep.executor, ProcessPoolSweepExecutor)
+        assert sweep.executor.n_jobs == 3
+
+    def test_seed_timeout_selects_the_pool_even_with_one_worker(self):
+        """Only a separate process can be pre-empted: a serial sweep
+        would silently ignore the budget."""
+        sweep = _build_sweep(1, 1, 0.001, None, False)
+        assert isinstance(sweep.executor, ProcessPoolSweepExecutor)
+        assert sweep.executor.n_jobs == 1
+        assert sweep.retry.seed_timeout_s == 0.001
+        assert sweep.retry.max_attempts == 1
+
+    def test_bad_worker_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            _build_sweep(0, None, None, None, False)
+
+    def test_queue_flags_are_gone(self):
+        for argv in (
+            ["run", "fig7", "--backend", "pool"],
+            ["run", "fig7", "--queue-dir", "q"],
+            ["worker", "q"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
 
 
 class TestVersion:

@@ -1,12 +1,12 @@
 """Cold-start contract: importing the package loads no scipy module.
 
-Every ``tsajs`` call, every queue worker and every fresh interpreter pays
-for what the package imports.  ``scipy.stats`` alone used to cost more
-than a paper-scale solve, for one Student-t quantile.  These tests pin the
+Every ``tsajs`` call and every fresh interpreter pays for what the
+package imports.  ``scipy.stats`` alone used to cost more than a
+paper-scale solve, for one Student-t quantile.  These tests pin the
 three pieces that keep it off the import path with identical results:
 
-* a fresh interpreter imports the package, the CLI and the queue worker
-  without loading any ``scipy`` module;
+* a fresh interpreter imports the package and the CLI without loading
+  any ``scipy`` module;
 * :func:`summarize` computes its half-width with ``scipy.special.stdtrit``
   and matches ``scipy.stats.t.ppf`` bit for bit;
 * Greedy's masked-argmax slot pick matches the scalar scan it replaced,
@@ -39,7 +39,7 @@ SRC = Path(repro.__file__).resolve().parents[1]
 def test_package_imports_load_no_scipy():
     code = (
         "import sys\n"
-        "import repro, repro.cli, repro.sim.executors.worker\n"
+        "import repro, repro.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

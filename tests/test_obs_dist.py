@@ -2,7 +2,7 @@
 
 The load-bearing guarantees of ``repro.obs.dist`` and friends:
 
-* **Propagation.**  Pool and queue sweeps run with telemetry produce
+* **Propagation.**  Pool sweeps run with telemetry produce
   per-worker trace shards whose spans (including the annealer's, from
   inside the workers) merge into one schema-v2-valid tree under the
   coordinator's spans.
@@ -54,18 +54,13 @@ from repro.obs.schema import span_pairs_balanced, validate_record
 from repro.obs.sentinel import run_sentinel
 from repro.obs.trace import TraceRecorder, events_named, read_trace
 from repro.sim.config import SimulationConfig
-from repro.sim.executors import (
-    ProcessPoolSweepExecutor,
-    SerialExecutor,
-    WorkQueueExecutor,
-)
+from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
 from repro.sim.runner import run_schemes
 from tests.test_resilience import assert_identical_metrics
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
 SCHEDULE = AnnealingSchedule(chain_length=10, min_temperature=1e-1)
-FAST_QUEUE = dict(poll_s=0.02, idle_timeout_s=15.0, lease_timeout_s=10.0)
 SEEDS = [2025, 2026]
 
 
@@ -100,57 +95,18 @@ def _traced_sweep(telemetry_dir: Path, executor):
 
 
 def _ctx(tmp_path: Path, **overrides) -> TraceContext:
-    payload = {
+    fields = {
         "trace_id": "run-test",
         "parent_span_id": 0,
         "shard_dir": str(tmp_path),
         "iteration_detail": False,
         "tick": 0.5,
     }
-    payload.update(overrides)
-    return TraceContext.from_payload(payload)
+    fields.update(overrides)
+    return TraceContext(**fields)
 
 
 class TestTraceContext:
-    def test_payload_round_trip(self, tmp_path):
-        ctx = TraceContext(
-            trace_id="run-x",
-            parent_span_id=7,
-            shard_dir=str(tmp_path),
-            iteration_detail=True,
-            tick=0.25,
-        )
-        assert TraceContext.from_payload(ctx.to_payload()) == ctx
-
-    def test_round_trip_through_json(self, tmp_path):
-        ctx = _ctx(tmp_path)
-        wire = json.dumps(ctx.to_payload())
-        assert TraceContext.from_payload(json.loads(wire)) == ctx
-
-    @pytest.mark.parametrize(
-        "overrides, fragment",
-        [
-            ({"trace_id": ""}, "trace_id"),
-            ({"trace_id": 7}, "trace_id"),
-            ({"parent_span_id": -1}, "parent_span_id"),
-            ({"parent_span_id": True}, "parent_span_id"),
-            ({"parent_span_id": "root"}, "parent_span_id"),
-            ({"shard_dir": ""}, "shard_dir"),
-            ({"shard_dir": None}, "shard_dir"),
-            ({"tick": -0.5}, "tick"),
-            ({"tick": "fast"}, "tick"),
-        ],
-    )
-    def test_invalid_payloads_raise(self, tmp_path, overrides, fragment):
-        payload = _ctx(tmp_path).to_payload()
-        payload.update(overrides)
-        with pytest.raises(ConfigurationError, match=fragment):
-            TraceContext.from_payload(payload)
-
-    def test_non_object_payload_raises(self):
-        with pytest.raises(ConfigurationError, match="object"):
-            TraceContext.from_payload(["not", "a", "dict"])
-
     def test_no_context_from_null_recorder(self):
         assert propagated_context() is None
 
@@ -388,98 +344,23 @@ class TestPoolBackendTracing:
         )
 
 
-class TestQueueBackendTracing:
-    def test_traced_queue_sweep_matches_untraced_and_shards_merge(
-        self, tmp_path
-    ):
-        untraced = run_schemes(
-            CONFIG, [_annealer()], SEEDS, executor=SerialExecutor()
-        )
-        tel = tmp_path / "tel"
-        traced = _traced_sweep(
-            tel,
-            WorkQueueExecutor(tmp_path / "queue", **FAST_QUEUE),
-        )
-        assert_identical_metrics(untraced, traced)
-        assert len(find_shards(tel)) == len(SEEDS)
-        records = merge_trace_shards(tel)
-        for number, record in enumerate(records, start=1):
-            validate_record(record, line=number)
-        # The queue workers are fresh subprocesses, not forks — the
-        # context rode in the task files.
-        roots = [
-            record
-            for record in records
-            if record["kind"] == "span_start"
-            and record["name"] == "worker.task"
-        ]
-        assert len(roots) == len(SEEDS)
-        assert any(
-            record["kind"] == "span_start"
-            and record["name"] == "anneal.run"
-            and "shard" in record
-            for record in records
-        )
-
-    def test_queue_latency_histograms_recorded(self, tmp_path):
-        tel = tmp_path / "tel"
-        recorder = TraceRecorder(
-            tel / "trace.jsonl",
-            trace_id="run-test",
-            shard_dir=tel,
-        )
-        executor = WorkQueueExecutor(tmp_path / "queue", **FAST_QUEUE)
-        try:
-            with use_recorder(recorder):
-                run_schemes(CONFIG, [_annealer()], SEEDS, executor=executor)
-        finally:
-            recorder.close()
-            executor.close()
-        histograms = recorder.snapshot()["histograms"]
-        waits = histograms["queue.result_wait_s"]
-        assert waits["count"] == len(SEEDS)
-        assert waits["min"] >= 0.0
-
-    def test_untraced_task_files_carry_no_trace_key(self, tmp_path):
-        executor = WorkQueueExecutor(
-            tmp_path / "queue", n_local_workers=1, **FAST_QUEUE
-        )
-
-        # Workers spawn only after every task file is enqueued, so a
-        # stubbed _spawn_worker sees the final on-disk protocol.
-        def peek(*args, **kwargs):
-            tasks = list((tmp_path / "queue" / "tasks").glob("*.json"))
-            payloads = [
-                json.loads(path.read_text(encoding="utf-8")) for path in tasks
-            ]
-            assert payloads and all("trace" not in p for p in payloads)
-            raise KeyboardInterrupt  # stop the wave once inspected
-
-        executor._spawn_worker = peek  # type: ignore[method-assign]
-        with pytest.raises(KeyboardInterrupt):
-            executor.run_wave(
-                CONFIG, [GreedyScheduler()], [(0, 2025)], timeout_s=None
-            )
-        executor.close()
-
-
 class TestAnalysis:
     def test_openmetrics_renders_all_sections(self):
         recorder = TraceRecorder(clock=TickClock())
         recorder.count("runner.seeds_completed", scheme="TSAJS")
         recorder.gauge_set("scheduler.utility", 2.5, scheme="TSAJS", seed=1)
-        recorder.observe("queue.result_wait_s", 0.5)
-        recorder.observe("queue.result_wait_s", 1.5)
+        recorder.observe("scheduler.wall_time_s", 0.5)
+        recorder.observe("scheduler.wall_time_s", 1.5)
         rendered = render_openmetrics(recorder.snapshot())
         assert rendered.endswith("# EOF\n")
         assert (
             'runner_seeds_completed_total{scheme="TSAJS"} 1.0' in rendered
         )
-        assert "# TYPE queue_result_wait_s summary" in rendered
-        assert "queue_result_wait_s_count 2" in rendered
-        assert "queue_result_wait_s_sum 2.0" in rendered
-        assert "queue_result_wait_s_min 0.5" in rendered
-        assert "queue_result_wait_s_max 1.5" in rendered
+        assert "# TYPE scheduler_wall_time_s summary" in rendered
+        assert "scheduler_wall_time_s_count 2" in rendered
+        assert "scheduler_wall_time_s_sum 2.0" in rendered
+        assert "scheduler_wall_time_s_min 0.5" in rendered
+        assert "scheduler_wall_time_s_max 1.5" in rendered
 
     def test_openmetrics_rejects_malformed_snapshot(self):
         with pytest.raises(ConfigurationError, match="counters"):

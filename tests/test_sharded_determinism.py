@@ -2,14 +2,13 @@
 
 The sharded solver must be a pure function of ``(scenario, seed)`` no
 matter which :class:`~repro.sim.executors.base.SweepExecutor` backend
-fans the cells out: serial in-process, process pool, or the file-based
-work queue.  Locked down here:
+fans the cells out: serial in-process or the process pool.  Locked down
+here:
 
-* identical metrics for every (scheme, seed) cell across all three
-  backends;
+* identical metrics for every (scheme, seed) cell on both backends;
 * result caches written under each backend are byte-identical once the
   two wall-clock fields — explicitly outside the determinism contract —
-  are normalised away;
+  are normalised away, and a warm run reads back the same metrics;
 * two serial replays under the determinism sanitizer produce matching
   per-stream RNG ledgers (draw-for-draw);
 * the ``tsajs solve --shard --sanitize`` CLI path passes end to end.
@@ -25,7 +24,7 @@ from repro.core.annealing import AnnealingSchedule
 from repro.core.sharding import ShardedScheduler
 from repro.experiments.cache import ResultCache, cell_key
 from repro.sim.config import SimulationConfig
-from repro.sim.executors import WorkQueueExecutor, make_executor
+from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.runner import RetryPolicy, run_schemes
 from tests.test_resilience import assert_identical_metrics
 
@@ -40,9 +39,6 @@ CONFIG = SimulationConfig(
 )
 
 SEEDS = [1, 2, 3]
-
-#: Queue knobs tuned for test speed (matches tests/test_executors.py).
-FAST_QUEUE = dict(poll_s=0.02, idle_timeout_s=15.0, lease_timeout_s=10.0)
 
 
 def _scheduler() -> ShardedScheduler:
@@ -82,41 +78,24 @@ def _normalized_cache(root) -> str:
     )
 
 
-def test_all_backends_compute_identical_metrics(tmp_path):
+def test_all_backends_compute_identical_metrics():
     serial = _run()
-    pool = _run(executor=make_executor("pool", n_jobs=2))
-    queue = _run(
-        executor=WorkQueueExecutor(
-            tmp_path / "q", n_local_workers=2, **FAST_QUEUE
-        )
-    )
+    pool = _run(executor=ProcessPoolSweepExecutor(n_jobs=2))
     assert not pool.failures
-    assert not queue.failures
     assert_identical_metrics(serial, pool)
-    assert_identical_metrics(serial, queue)
 
 
 def test_journals_byte_identical_across_backends(tmp_path):
-    paths = {}
-    for backend in ("serial", "pool", "queue"):
-        path = tmp_path / backend
-        paths[backend] = path
-        journal = ResultCache(path)
-        if backend == "serial":
-            _run(journal=journal)
-        elif backend == "pool":
-            _run(executor=make_executor("pool", n_jobs=2), journal=journal)
-        else:
-            _run(
-                executor=WorkQueueExecutor(
-                    tmp_path / "qj", n_local_workers=2, **FAST_QUEUE
-                ),
-                journal=journal,
-            )
-    reference = _normalized_cache(paths["serial"])
+    serial = _run(journal=ResultCache(tmp_path / "serial"))
+    pool_cache = ResultCache(tmp_path / "pool")
+    _run(executor=ProcessPoolSweepExecutor(n_jobs=2), journal=pool_cache)
+    reference = _normalized_cache(tmp_path / "serial")
     assert reference  # the cache actually recorded the cells
-    assert _normalized_cache(paths["pool"]) == reference
-    assert _normalized_cache(paths["queue"]) == reference
+    assert _normalized_cache(tmp_path / "pool") == reference
+    # Warm: a serial run served entirely from the pool-written cache.
+    warm = _run(journal=pool_cache)
+    assert_identical_metrics(serial, warm)
+    assert _normalized_cache(tmp_path / "pool") == reference
 
 
 def test_sanitizer_ledgers_match_across_serial_replays():
