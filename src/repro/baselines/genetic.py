@@ -15,6 +15,10 @@ against a population-based search under the identical objective:
 * **mutation** — one Algorithm-2 neighbourhood move per offspring with a
   configurable probability,
 * **elitism** — the best individual always survives.
+
+Individuals are scored on the default
+:class:`~repro.core.delta.DeltaEvaluator` through its vector-diff path;
+``evaluator_factory=ObjectiveEvaluator`` is the bit-for-bit equal oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
 from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
@@ -63,7 +68,7 @@ class GeneticScheduler:
         mutation_probability: float = 0.3,
         patience: int = 20,
         neighborhood: Optional[NeighborhoodSampler] = None,
-        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = ObjectiveEvaluator,
+        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         if population_size < 2:
             raise ConfigurationError(

@@ -12,6 +12,10 @@ reverted and the user stays local.  Because the slot choice is fixed by
 signal strength alone — never revisited, never rebalanced across servers —
 the scheme trails TSAJS by a few percent everywhere (Fig. 3) and falls
 behind further once users contend for slots (Fig. 4).
+
+Decisions are scored on the default
+:class:`~repro.core.delta.DeltaEvaluator` through its vector-diff path;
+``evaluator_factory=ObjectiveEvaluator`` is the bit-for-bit equal oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
 from typing import TYPE_CHECKING
@@ -38,7 +43,7 @@ class GreedyScheduler:
 
     def __init__(
         self,
-        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = ObjectiveEvaluator,
+        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         self.evaluator_factory = evaluator_factory
 

@@ -10,17 +10,23 @@ It reuses Algorithm 2's neighbourhood but, unlike TSAJS, never accepts a
 worsening move — so it converges quickly to the nearest local optimum and
 its runtime stays flat as the search space grows (Fig. 8), at the price of
 a lower utility (Fig. 3).
+
+Like the annealer it scores each proposal on the default
+:class:`~repro.core.delta.DeltaEvaluator` from the move's touched set plus
+the last rejected move's; ``evaluator_factory=ObjectiveEvaluator`` is the
+bit-for-bit equal oracle and draws the same RNG stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
@@ -58,7 +64,7 @@ class LocalSearchScheduler:
         patience: int = 300,
         initial_offload_probability: float = 0.0,
         neighborhood: Optional[NeighborhoodSampler] = None,
-        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = ObjectiveEvaluator,
+        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         if max_iterations < 1:
             raise ConfigurationError(
@@ -108,13 +114,18 @@ class LocalSearchScheduler:
         )
         current_value = evaluator.evaluate(current)
         stale = 0
+        # The annealer's carry protocol: a rejected candidate stays in the
+        # evaluator's cache, so the next move also touches its users.
+        carry: Tuple[int, ...] = ()
         for _ in range(self.max_iterations):
-            candidate = self.neighborhood.propose(current, rng)
-            candidate_value = evaluator.evaluate(candidate)
+            candidate, touched = self.neighborhood.propose_move(current, rng)
+            candidate_value = evaluator.evaluate_move(candidate, touched + carry)
             if candidate_value > current_value:
                 current, current_value = candidate, candidate_value
                 stale = 0
+                carry = ()
             else:
+                carry = touched
                 stale += 1
                 if stale >= self.patience:
                     break

@@ -22,7 +22,8 @@ The delta path returns values **bit-for-bit equal** to the full path, so
 it reproduces the exact annealing trajectory of the scalar oracle
 (``use_delta=False``): the accept/reject comparisons and the RNG stream
 never diverge.  That is why it is the default evaluator of every TSAJS
-solve.  Three invariants make this work; keep them in lockstep with
+solve and of the hJTORA, LocalSearch, Exhaustive, Greedy and GA
+baselines.  Three invariants make this work; keep them in lockstep with
 :mod:`repro.core.objective` and :mod:`repro.net.sinr` when editing:
 
 1. every ``total_rx[j][s]`` bucket always equals the *sequential,
@@ -59,8 +60,13 @@ differ from the *previously evaluated* one (not the incumbent: a
 rejected proposal still updates the cache, so the annealer passes the
 union of the new move's touched set and the rejected move's).  Passing
 ``touched=None`` falls back to an ``O(U)`` vector diff, which makes the
-evaluator a safe drop-in for any caller, including the baselines'
-scratch-array loops.
+evaluator a safe drop-in for any caller.
+
+The baselines use both: hJTORA passes the user it is trying plus the
+previously tried and the last applied user, LocalSearch the annealer's
+carry protocol above, and the exhaustive DFS every user it set or reset
+since the last leaf; Greedy and GA score whole decisions and take the
+vector diff.
 """
 
 from __future__ import annotations

@@ -21,8 +21,10 @@ Three evaluation paths are provided and kept consistent (property-tested):
   fast path below reduces over *fixed-length* masked arrays (zeros for
   local users) in a fixed order, which the delta path maintains
   incrementally and reduces identically.  Keep the two in lockstep when
-  editing either.  The delta path is what every TSAJS solve runs by
-  default; this class is its oracle (``use_delta=False``).
+  editing either.  The delta path is what every TSAJS solve and every
+  search baseline (hJTORA, LocalSearch, Exhaustive, Greedy, GA) runs by
+  default; this class is its oracle (``use_delta=False`` for TSAJS,
+  ``evaluator_factory=ObjectiveEvaluator`` for a baseline).
 
 Every evaluator shares one counted entry point,
 :meth:`ObjectiveEvaluator.evaluate_assignment`: it increments

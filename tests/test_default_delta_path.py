@@ -3,12 +3,13 @@
 Every TSAJS entry point a user reaches without options — ``TsajsScheduler()``,
 the scheme registry (``TSAJS``, ``TSAJS-Shard``, ``TSAJS-PC``) and the
 figure drivers' ``standard_schedulers()`` — must resolve to
-:class:`~repro.core.delta.DeltaEvaluator`, and must reproduce the scalar
-oracle (``use_delta=False``) bit for bit: utility, decision bytes,
-evaluation count, accepted moves and the per-level best-value trace.  A
-spy on the one counted entry point,
-:meth:`ObjectiveEvaluator.evaluate_assignment`, must see exactly the
-evaluations each solve reports.
+:class:`~repro.core.delta.DeltaEvaluator`, as must the baselines built
+there (their oracle equivalence lives in ``test_baseline_evaluators.py``).
+The TSAJS entry points must also reproduce the scalar oracle
+(``use_delta=False``) bit for bit: utility, decision bytes, evaluation
+count, accepted moves and the per-level best-value trace.  A spy on the
+one counted entry point, :meth:`ObjectiveEvaluator.evaluate_assignment`,
+must see exactly the evaluations each solve reports.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ QUICK = AnnealingSchedule(chain_length=10, min_temperature=1e-2)
 MULTI_CLUSTER_RADIUS = 1.2
 
 SCHEMES = ["TSAJS", "TSAJS-Shard", "TSAJS-PC"]
+BASELINES = ["hJTORA", "LocalSearch", "Greedy", "Exhaustive", "GA"]
 
 
 def _fingerprint(result):
@@ -86,6 +88,15 @@ class TestDefaultsResolveToDelta:
         tsajs = standard_schedulers()[0]
         assert tsajs.name == "TSAJS"
         assert tsajs.evaluator_factory is DeltaEvaluator
+
+    def test_standard_baselines(self):
+        for scheduler in standard_schedulers(include_exhaustive=True):
+            if scheduler.name != "TSAJS":
+                assert scheduler.evaluator_factory is DeltaEvaluator, scheduler.name
+
+    def test_registry_baselines(self):
+        for scheduler in build_schemes(BASELINES, quick=True):
+            assert scheduler.evaluator_factory is DeltaEvaluator, scheduler.name
 
     def test_explicit_settings_keep_their_meaning(self):
         scenario = Scenario.build(CONFIG, SEEDS[0])

@@ -51,13 +51,17 @@ class TestCommonHelpers:
 
 @pytest.mark.slow
 class TestFig3:
-    def test_quick_run_structure(self):
-        output = fig3_suboptimality.run(fig3_suboptimality.Fig3Settings.quick())
-        assert output.experiment_id == "fig3"
-        assert output.headers[0] == "workload [Mc]"
-        assert "Exhaustive" in output.headers
-        assert len(output.rows) == 2  # two workloads in quick mode
-        assert render_text(output)
+    @pytest.fixture(scope="class")
+    def quick_output(self):
+        """One ``fig3 --quick`` run (exhaustive search included), shared."""
+        return fig3_suboptimality.run(fig3_suboptimality.Fig3Settings.quick())
+
+    def test_quick_run_structure(self, quick_output):
+        assert quick_output.experiment_id == "fig3"
+        assert quick_output.headers[0] == "workload [Mc]"
+        assert "Exhaustive" in quick_output.headers
+        assert len(quick_output.rows) == 2  # two workloads in quick mode
+        assert render_text(quick_output)
 
     def test_tsajs_close_to_exhaustive(self):
         settings = fig3_suboptimality.Fig3Settings(
@@ -71,9 +75,8 @@ class TestFig3:
         assert tsajs <= optimum + 1e-9
         assert tsajs >= 0.98 * optimum  # near-optimal (paper: ~99%+)
 
-    def test_all_schemes_beat_nothing(self):
-        output = fig3_suboptimality.run(fig3_suboptimality.Fig3Settings.quick())
-        for name, series in output.raw["series"].items():
+    def test_all_schemes_beat_nothing(self, quick_output):
+        for name, series in quick_output.raw["series"].items():
             for stat in series:
                 assert stat.mean >= 0.0, name
 
