@@ -35,11 +35,10 @@ Sub-commands
 ``tsajs trace show FILE [--convergence]``
     Validate and summarise a recorded trace; ``--convergence`` rebuilds
     the annealer's convergence profile from its ``anneal.level`` events.
-``tsajs obs merge|tree|critical-path|flame|export|sentinel ...``
+``tsajs obs merge|tree|critical-path|flame|export ...``
     Distributed-trace analysis: merge worker shards into one span tree,
-    render the tree / the critical path / folded flamegraph stacks,
-    export a metrics snapshot as OpenMetrics text, or compare fresh
-    BENCH_*.json results against the checked-in baselines.
+    render the tree / the critical path / folded flamegraph stacks, or
+    export a metrics snapshot as OpenMetrics text.
 
 Observability flags: ``solve --trace FILE`` records the solve,
 ``run --telemetry DIR`` writes ``trace.jsonl`` + ``metrics.json`` for a
@@ -301,9 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rebuild the convergence profile from anneal.level events",
     )
 
-    obs_parser = sub.add_parser(
-        "obs", help="distributed-trace analysis and the perf sentinel"
-    )
+    obs_parser = sub.add_parser("obs", help="distributed-trace analysis")
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
 
     obs_merge = obs_sub.add_parser(
@@ -355,38 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs_export.add_argument(
         "--out", metavar="FILE", help="write to FILE instead of stdout"
-    )
-
-    obs_sentinel = obs_sub.add_parser(
-        "sentinel",
-        help=(
-            "compare fresh BENCH_*.json results against checked-in "
-            "baselines (exit 1 on regression)"
-        ),
-    )
-    obs_sentinel.add_argument(
-        "--current",
-        metavar="DIR",
-        default=".",
-        help="directory holding the freshly produced BENCH files",
-    )
-    obs_sentinel.add_argument(
-        "--baseline",
-        metavar="DIR",
-        default=".",
-        help="directory holding the checked-in baseline BENCH files",
-    )
-    obs_sentinel.add_argument(
-        "--files",
-        metavar="NAME",
-        nargs="+",
-        default=None,
-        help="BENCH file names to compare (default: all four)",
-    )
-    obs_sentinel.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also write the machine-readable verdict to FILE",
     )
 
     lint_parser = sub.add_parser(
@@ -1013,20 +978,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             else:
                 sys.stdout.write(rendered)
             return 0
-        if args.obs_command == "sentinel":
-            from repro.obs.sentinel import render_report, run_sentinel
-
-            report = run_sentinel(
-                args.current,
-                args.baseline,
-                files=tuple(args.files) if args.files else None,
-            )
-            print(render_report(report))
-            if args.json:
-                from repro.atomicio import atomic_write_json
-
-                atomic_write_json(Path(args.json), report.to_payload(), indent=2)
-            return 0 if report.verdict == "pass" else 1
         raise AssertionError(f"unhandled obs command {args.obs_command!r}")
     except BrokenPipeError:
         # Output piped into head/less and the reader quit: not an error.

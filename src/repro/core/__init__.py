@@ -8,7 +8,7 @@
 * :mod:`repro.core.delta` — incremental (delta) evaluation of the same
   objective for the annealer's single-user moves.
 * :mod:`repro.core.batch` — vectorized batch evaluation of whole
-  Algorithm-2 neighbourhoods, plus parallel tempering over batches.
+  Algorithm-2 neighbourhoods.
 * :mod:`repro.core.annealing` — the threshold-triggered simulated-annealing
   engine (Algorithm 1's control loop).
 * :mod:`repro.core.neighborhood` — the move generator (Algorithm 2).
@@ -23,7 +23,7 @@
 
 from repro.core.allocation import kkt_allocation, optimal_allocation_cost
 from repro.core.annealing import AnnealingSchedule, ThresholdTriggeredAnnealer
-from repro.core.batch import BatchEvaluator, ParallelTemperingScheduler
+from repro.core.batch import BatchEvaluator
 from repro.core.decision import LOCAL, OffloadingDecision
 from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
@@ -38,7 +38,6 @@ __all__ = [
     "BatchEvaluator",
     "Cluster",
     "DeltaEvaluator",
-    "ParallelTemperingScheduler",
     "NeighborhoodSampler",
     "ObjectiveEvaluator",
     "OffloadingDecision",

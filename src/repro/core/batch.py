@@ -45,13 +45,6 @@ row-batching identities of NumPy, pinned by tests/test_batch_equivalence:
 The cache must mirror the **incumbent** (not the last evaluated
 candidate, as in delta mode): ``evaluate_batch`` never mutates it, and
 the annealer calls :meth:`commit` exactly when a move is accepted.
-
-:class:`ParallelTemperingScheduler` amortizes one finalize across
-multiple annealing chains at staggered temperatures: every chain stages
-its own batch against its own cache, and :func:`finalize_staged` fuses
-the NumPy phase.  Parallel tempering is a different search algorithm —
-it makes no bitwise-equivalence claim against the scalar path, only a
-seeded-determinism one.
 """
 
 from __future__ import annotations
@@ -62,18 +55,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.allocation import kkt_allocation
-from repro.core.annealing import AnnealingSchedule, ThresholdTriggeredAnnealer
 from repro.core.decision import LOCAL, OffloadingDecision
 from repro.core.delta import DeltaEvaluator
-from repro.core.neighborhood import NeighborhoodSampler
 from repro.errors import ConfigurationError
-from repro.obs.clock import Stopwatch
-from repro.obs.recorder import get_recorder
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.core.scheduler import ScheduleResult
     from repro.sim.scenario import Scenario
 
 #: One candidate move: the proposed decision plus its touched-user set.
@@ -114,19 +101,16 @@ class StagedBatch:
 class BatchEvaluator(DeltaEvaluator):
     """Array-at-once scorer for Algorithm-2 neighborhoods.
 
-    Construction cost matches :class:`DeltaEvaluator` (pass
-    ``share_constants_from`` to alias another instance's per-scenario
-    constants).  The inherited ``evaluate`` / ``evaluate_assignment``
-    entry points still work and keep the cache in sync, so the annealer's
-    initial and final full evaluations need no special casing.
+    Construction cost matches :class:`DeltaEvaluator`.  The inherited
+    ``evaluate`` / ``evaluate_assignment`` entry points still work and
+    keep the cache in sync, so the annealer's initial and final full
+    evaluations need no special casing.
     """
 
     def __init__(
         self,
         scenario: "Scenario",
         external_rx: Optional[np.ndarray] = None,
-        *,
-        share_constants_from: Optional[DeltaEvaluator] = None,
     ) -> None:
         if external_rx is not None:
             # stage() rebuilds candidate buckets from occupant rows alone;
@@ -135,7 +119,7 @@ class BatchEvaluator(DeltaEvaluator):
                 "BatchEvaluator does not model external_rx; use "
                 "DeltaEvaluator or ObjectiveEvaluator for boundary re-anneals"
             )
-        super().__init__(scenario, share_constants_from=share_constants_from)
+        super().__init__(scenario)
         #: Candidates scored through the vectorized path (telemetry;
         #: direct attribute increments for the same reason as
         #: ``fast_evals`` — the hot loop must not pay for bookkeeping).
@@ -300,8 +284,7 @@ def finalize_staged(staged_batches: Sequence[StagedBatch]) -> List[np.ndarray]:
     """Fuse the NumPy phase of one or more staged batches.
 
     All batches must come from evaluators over scenarios with the same
-    user count (parallel-tempering chains share one scenario).  Returns
-    one value vector per staged batch, in order.
+    user count.  Returns one value vector per staged batch, in order.
     """
     if not staged_batches:
         return []
@@ -394,296 +377,9 @@ def _finalize_one(staged: StagedBatch, se: np.ndarray) -> np.ndarray:
     return out
 
 
-class ParallelTemperingScheduler:
-    """TSAJS with parallel-tempering chains sharing one vectorized batch.
-
-    Runs ``n_chains`` threshold-triggered annealing chains at staggered
-    temperatures (chain ``c`` starts at ``T0 * temperature_spacing**c``),
-    each scoring speculative candidate batches against its own
-    :class:`BatchEvaluator` cache; every round fuses all chains' staging
-    output through one :func:`finalize_staged` call, which is the
-    amortization this mode exists for.  Every ``swap_every`` temperature
-    levels, adjacent chains attempt a replica-exchange (Metropolis
-    criterion on the inverse-temperature gap), letting hot-chain
-    discoveries migrate to the cold chain.
-
-    The result is deterministic for a fixed RNG (chains draw from
-    ``rng.spawn`` streams) but *not* bitwise-equal to the single-chain
-    path — it is a different search algorithm.
-    """
-
-    name = "TSAJS-PT"
-
-    def __init__(
-        self,
-        schedule: Optional[AnnealingSchedule] = None,
-        neighborhood: Optional[NeighborhoodSampler] = None,
-        n_chains: int = 4,
-        temperature_spacing: float = 1.6,
-        batch_size: int = 16,
-        swap_every: int = 4,
-        initial_offload_probability: float = 0.5,
-    ) -> None:
-        if n_chains < 1:
-            raise ConfigurationError(f"n_chains must be >= 1, got {n_chains}")
-        if temperature_spacing <= 1.0:
-            raise ConfigurationError(
-                f"temperature_spacing must exceed 1, got {temperature_spacing}"
-            )
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if swap_every < 1:
-            raise ConfigurationError(f"swap_every must be >= 1, got {swap_every}")
-        self.schedule_params = schedule if schedule is not None else AnnealingSchedule()
-        self.neighborhood = (
-            neighborhood if neighborhood is not None else NeighborhoodSampler()
-        )
-        self.n_chains = n_chains
-        self.temperature_spacing = temperature_spacing
-        self.batch_size = batch_size
-        self.swap_every = swap_every
-        self.initial_offload_probability = initial_offload_probability
-
-    def schedule(
-        self, scenario: "Scenario", rng: Optional[np.random.Generator] = None
-    ) -> ScheduleResult:
-        """Solve one scenario with ``n_chains`` tempered chains."""
-        # Imported lazily: scheduler imports this module at package-init
-        # time (and sim imports scheduler), so top-level imports of
-        # either would be circular.
-        from repro.core.scheduler import ScheduleResult
-        from repro.sim.rng import make_rng
-
-        rng = rng if rng is not None else make_rng()
-        rec = get_recorder()
-        watch = Stopwatch()
-        sched = self.schedule_params
-        with rec.span(
-            "scheduler.schedule",
-            scheme=self.name,
-            n_users=scenario.n_users,
-            n_servers=scenario.n_servers,
-            n_subbands=scenario.n_subbands,
-            n_chains=self.n_chains,
-            batch_size=self.batch_size,
-        ):
-            if scenario.n_users == 0:
-                empty = OffloadingDecision.all_local(
-                    0, scenario.n_servers, scenario.n_subbands
-                )
-                evaluator = BatchEvaluator(scenario)
-                return ScheduleResult(
-                    decision=empty,
-                    allocation=kkt_allocation(scenario, empty),
-                    utility=evaluator.evaluate(empty),
-                    evaluations=evaluator.evaluations,
-                    wall_time_s=watch.elapsed(),
-                )
-
-            streams = rng.spawn(self.n_chains + 1)
-            swap_rng = streams[-1]
-            chains: List[_Chain] = []
-            for c in range(self.n_chains):
-                chains.append(
-                    _Chain(
-                        scenario=scenario,
-                        neighborhood=self.neighborhood,
-                        schedule=sched,
-                        temperature=self._initial_temperature(scenario)
-                        * self.temperature_spacing**c,
-                        rng=streams[c],
-                        share_from=chains[0].evaluator if chains else None,
-                    )
-                )
-            for chain in chains:
-                chain.start(self.initial_offload_probability)
-
-            level = 0
-            swaps_accepted = 0
-            # The coldest chain (index 0) owns the stopping criterion.
-            while chains[0].temperature > sched.min_temperature:
-                for chain in chains:
-                    chain.begin_level()
-                while any(chain.steps_left > 0 for chain in chains):
-                    active = [chain for chain in chains if chain.steps_left > 0]
-                    staged = [
-                        chain.propose_batch(self.batch_size) for chain in active
-                    ]
-                    for chain, values in zip(active, finalize_staged(staged)):
-                        chain.scan(values)
-                for chain in chains:
-                    chain.cool()
-                level += 1
-                if level % self.swap_every == 0:
-                    swaps_accepted += self._attempt_swaps(chains, swap_rng)
-
-            best_chain = max(chains, key=lambda chain: chain.best_value)
-            best = best_chain.best
-            if best_chain.best_value < 0.0:
-                best = OffloadingDecision.all_local(
-                    scenario.n_users, scenario.n_servers, scenario.n_subbands
-                )
-            evaluator = chains[0].evaluator
-            utility = evaluator.evaluate(best)
-            evaluations = 0
-            batch_evals = 0
-            accepted_moves = 0
-            for chain in chains:
-                evaluations += chain.evaluator.evaluations
-                batch_evals += chain.evaluator.batch_evals
-                accepted_moves += chain.accepted_moves
-            if rec.enabled:
-                rec.event(
-                    "scheduler.result",
-                    scheme=self.name,
-                    utility=float(utility),
-                    evaluations=evaluations,
-                    batch_evals=batch_evals,
-                    n_chains=self.n_chains,
-                    swaps_accepted=swaps_accepted,
-                    levels=level,
-                    n_offloaded=int(best.n_offloaded()),
-                )
-            return ScheduleResult(
-                decision=best,
-                allocation=kkt_allocation(scenario, best),
-                utility=utility,
-                evaluations=evaluations,
-                wall_time_s=watch.elapsed(),
-                accepted_moves=accepted_moves,
-            )
-
-    def _initial_temperature(self, scenario: "Scenario") -> float:
-        if self.schedule_params.initial_temperature is not None:
-            return self.schedule_params.initial_temperature
-        return float(scenario.n_subbands)
-
-    def _attempt_swaps(
-        self, chains: List["_Chain"], swap_rng: np.random.Generator
-    ) -> int:
-        """Replica exchange between adjacent chains (cold-to-hot order)."""
-        accepted = 0
-        for cold, hot in zip(chains, chains[1:]):
-            # Maximization form of the PT criterion: swapping helps when
-            # the hot chain found a better value than the cold one.
-            gap = (1.0 / cold.temperature - 1.0 / hot.temperature) * (
-                hot.current_value - cold.current_value
-            )
-            if gap >= 0.0 or np.exp(gap) > swap_rng.random():
-                cold.exchange_with(hot)
-                accepted += 1
-        return accepted
-
-
-class _Chain:
-    """One tempered annealing chain: state, cache and trigger counters."""
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        neighborhood: NeighborhoodSampler,
-        schedule: AnnealingSchedule,
-        temperature: float,
-        rng: np.random.Generator,
-        share_from: Optional[BatchEvaluator],
-    ) -> None:
-        self.scenario = scenario
-        self.neighborhood = neighborhood
-        self.schedule = schedule
-        self.temperature = temperature
-        self.rng = rng
-        self.evaluator = BatchEvaluator(scenario, share_constants_from=share_from)
-        self.current: OffloadingDecision
-        self.current_value = 0.0
-        self.best: OffloadingDecision
-        self.best_value = 0.0
-        self.accepted_moves = 0
-        self.accepted_worse = 0
-        self.steps_left = 0
-        self._pending: List[Candidate] = []
-
-    def start(self, initial_offload_probability: float) -> None:
-        self.current = OffloadingDecision.random_feasible(
-            self.scenario.n_users,
-            self.scenario.n_servers,
-            self.scenario.n_subbands,
-            self.rng,
-            offload_probability=initial_offload_probability,
-        )
-        self.current_value = self.evaluator.evaluate(self.current)
-        self.best = self.current
-        self.best_value = self.current_value
-
-    def begin_level(self) -> None:
-        self.steps_left = self.schedule.chain_length
-
-    def propose_batch(self, batch_size: int) -> StagedBatch:
-        """Speculative candidates from the incumbent, staged for fusion."""
-        count = min(batch_size, self.steps_left)
-        self._pending = [
-            self.neighborhood.propose_move(self.current, self.rng)
-            for _ in range(count)
-        ]
-        evaluator = self.evaluator
-        evaluator.evaluations += count
-        evaluator.batch_evals += count
-        evaluator.batch_rounds += 1
-        return evaluator.stage(self._pending)
-
-    def scan(self, values: np.ndarray) -> None:
-        """Metropolis over the batch; stop at the first acceptance.
-
-        Unlike the bitwise single-chain batch mode, rejected-then-stale
-        candidates are simply dropped (no RNG replay): parallel tempering
-        defines its own chain semantics.
-        """
-        consumed = len(self._pending)
-        for i, (candidate, touched) in enumerate(self._pending):
-            value = float(values[i])
-            delta = value - self.current_value
-            accept = delta > 0
-            if not accept and delta > float("-inf"):
-                accept = bool(np.exp(delta / self.temperature) > self.rng.random())
-                if accept:
-                    self.accepted_worse += 1
-            if accept:
-                self.current, self.current_value = candidate, value
-                self.accepted_moves += 1
-                self.evaluator.commit(candidate, touched)
-                if value > self.best_value:
-                    self.best, self.best_value = candidate, value
-                consumed = i + 1
-                break
-        self.steps_left -= consumed
-        self._pending = []
-
-    def cool(self) -> None:
-        if self.accepted_worse < self.schedule.max_count:
-            self.temperature *= self.schedule.alpha_slow
-        else:
-            self.temperature *= self.schedule.alpha_fast
-            self.accepted_worse = 0
-
-    def exchange_with(self, other: "_Chain") -> None:
-        """Swap incumbents with ``other`` and resync both caches."""
-        self.current, other.current = other.current, self.current
-        self.current_value, other.current_value = (
-            other.current_value,
-            self.current_value,
-        )
-        # Full-vector resync (touched=None diffs the whole assignment).
-        self.evaluator.evaluate_assignment(
-            self.current.server, self.current.channel
-        )
-        other.evaluator.evaluate_assignment(
-            other.current.server, other.current.channel
-        )
-
-
 __all__ = [
     "BatchEvaluator",
     "Candidate",
-    "ParallelTemperingScheduler",
     "StagedBatch",
     "finalize_staged",
 ]

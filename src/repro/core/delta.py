@@ -78,7 +78,6 @@ import numpy as np
 
 from repro.core.decision import LOCAL
 from repro.core.objective import ObjectiveEvaluator
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.scenario import Scenario
@@ -91,21 +90,17 @@ class DeltaEvaluator(ObjectiveEvaluator):
     gain copy); :meth:`rebuild` resets the cache to the all-local
     assignment, after which the evaluator is indistinguishable from a
     fresh one.  ``external_rx`` is the same frozen ``(N, S)`` boundary
-    term :class:`~repro.core.objective.ObjectiveEvaluator` accepts, and
-    is honoured whether or not ``share_constants_from`` is given.
+    term :class:`~repro.core.objective.ObjectiveEvaluator` accepts.
     """
 
     def __init__(
         self,
         scenario: "Scenario",
         external_rx: Optional[np.ndarray] = None,
-        *,
-        share_constants_from: Optional["DeltaEvaluator"] = None,
     ) -> None:
         super().__init__(scenario, external_rx=external_rx)
         #: ``_external_rows[j][s]``: the frozen out-of-instance power, one
-        #: Python row per sub-band.  Per-instance state, never aliased
-        #: from ``share_constants_from``.
+        #: Python row per sub-band.
         self._external_rows: Optional[List[List[float]]] = (
             None if self.external_rx is None else self.external_rx.tolist()
         )
@@ -116,38 +111,19 @@ class DeltaEvaluator(ObjectiveEvaluator):
         #: the annealer's inner loop pays nothing for the bookkeeping.
         self.fast_evals = 0
         self.full_evals = 0
-        if share_constants_from is not None:
-            # Alias the immutable per-scenario constants of an existing
-            # evaluator instead of re-materialising them (the gain copy is
-            # the expensive part: U*N*S Python floats).  Used by the
-            # parallel-tempering chains, which all score the same scenario.
-            if share_constants_from.scenario is not scenario:
-                raise ConfigurationError(
-                    "share_constants_from must wrap the same scenario object"
-                )
-            src = share_constants_from
-            self._p_list = src._p_list
-            self._sqrt_eta_list = src._sqrt_eta_list
-            self._comm_list = src._comm_list
-            self._gain_list = src._gain_list
-            self._noise = src._noise
-            self._n_servers = src._n_servers
-            self._cpu_hz = src._cpu_hz
-            self._gain_rows = src._gain_rows
-        else:
-            # Python-native copies of the constants read per move: list
-            # indexing returns ready-made floats, numpy scalar indexing
-            # allocates a wrapper object each time.  float() is exact, so
-            # scalar arithmetic on these matches numpy's kernels bitwise.
-            self._p_list = scenario.tx_power_watts.tolist()
-            self._sqrt_eta_list = scenario.sqrt_eta.tolist()
-            self._comm_list = scenario.comm_weight.tolist()
-            self._gain_list = scenario.offload_gain.tolist()
-            self._noise = float(scenario.noise_watts)
-            self._n_servers = scenario.n_servers
-            self._cpu_hz = scenario.server_cpu_hz
-            #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
-            self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
+        # Python-native copies of the constants read per move: list
+        # indexing returns ready-made floats, numpy scalar indexing
+        # allocates a wrapper object each time.  float() is exact, so
+        # scalar arithmetic on these matches numpy's kernels bitwise.
+        self._p_list = scenario.tx_power_watts.tolist()
+        self._sqrt_eta_list = scenario.sqrt_eta.tolist()
+        self._comm_list = scenario.comm_weight.tolist()
+        self._gain_list = scenario.offload_gain.tolist()
+        self._noise = float(scenario.noise_watts)
+        self._n_servers = scenario.n_servers
+        self._cpu_hz = scenario.server_cpu_hz
+        #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
+        self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
         self.rebuild()
 
     # --- Cache lifecycle ---------------------------------------------------

@@ -22,7 +22,6 @@ from repro.baselines import (
     RandomScheduler,
 )
 from repro.core.annealing import AnnealingSchedule
-from repro.core.batch import ParallelTemperingScheduler
 from repro.core.scheduler import Scheduler, TsajsScheduler, resolve_use_delta
 from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
@@ -96,9 +95,6 @@ SCHEME_FACTORIES: Dict[str, Callable[[SchemeOptions], Scheduler]] = {
         batch_size=opts.batch_size,
     ),
     "TSAJS-Shard": _sharded,
-    "TSAJS-PT": lambda opts: ParallelTemperingScheduler(
-        schedule=_annealing(opts.quick), batch_size=opts.batch_size
-    ),
     "hJTORA": lambda opts: HJtoraScheduler(),
     "LocalSearch": lambda opts: LocalSearchScheduler(),
     "Greedy": lambda opts: GreedyScheduler(),

@@ -15,16 +15,15 @@ Three cooperating pieces (see ``docs/observability.md``):
   default, and the JSONL schema-v2 :class:`TraceRecorder`;
 * :mod:`repro.obs.metrics` / :mod:`repro.obs.profile` — per-series
   counters/gauges/histograms and opt-in cProfile hotspot capture;
-* :mod:`repro.obs.dist` / :mod:`repro.obs.analyze` /
-  :mod:`repro.obs.sentinel` — distributed trace-context propagation and
-  shard merging, span-tree / critical-path / flamegraph / OpenMetrics
-  analysis, and the BENCH-baseline perf-regression sentinel (the
-  ``tsajs obs`` subcommands).
+* :mod:`repro.obs.dist` / :mod:`repro.obs.analyze` — distributed
+  trace-context propagation and shard merging, and span-tree /
+  critical-path / flamegraph / OpenMetrics analysis (the ``tsajs obs``
+  subcommands).
 
 The cardinal rule: **instrumentation never influences results.**  The
-null path is held bitwise-identical to an uninstrumented build by test
-and to <3 % overhead by ``benchmarks/bench_obs.py``; recorders never
-touch any RNG stream; trace payloads carry monotonic deltas only.
+null path is held bitwise-identical to an uninstrumented build by test,
+and its cost shows in perfbench's untraced ``solve_p50_s``; recorders
+never touch any RNG stream; trace payloads carry monotonic deltas only.
 """
 
 from repro.obs.analyze import (
@@ -79,12 +78,6 @@ from repro.obs.schema import (
     span_pairs_balanced,
     validate_record,
     validate_trace,
-)
-from repro.obs.sentinel import (
-    DEFAULT_BENCH_FILES,
-    SentinelReport,
-    render_report,
-    run_sentinel,
 )
 from repro.obs.trace import (
     Span,
@@ -143,8 +136,4 @@ __all__ = [
     "render_critical_path",
     "folded_stacks",
     "render_openmetrics",
-    "SentinelReport",
-    "run_sentinel",
-    "render_report",
-    "DEFAULT_BENCH_FILES",
 ]

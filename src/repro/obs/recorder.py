@@ -8,7 +8,8 @@ process-level decision:
   is an attribute check or an empty method, the hot paths guard their
   emission behind ``recorder.enabled``, and results are bitwise
   identical to an uninstrumented build (enforced by
-  ``tests/test_obs_integration.py`` and ``benchmarks/bench_obs.py``);
+  ``tests/test_obs_integration.py``; the cost of the null hooks shows
+  in perfbench's untraced ``solve_p50_s``);
 * ``tsajs solve --trace`` / ``tsajs run --telemetry`` (or any caller via
   :func:`set_recorder` / :func:`use_recorder`) install a
   :class:`~repro.obs.trace.TraceRecorder` for the duration of the run.

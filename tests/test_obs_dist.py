@@ -1,4 +1,4 @@
-"""Distributed tracing, trace analysis, and the perf sentinel.
+"""Distributed tracing and trace analysis.
 
 The load-bearing guarantees of ``repro.obs.dist`` and friends:
 
@@ -13,19 +13,14 @@ The load-bearing guarantees of ``repro.obs.dist`` and friends:
 * **Degradation.**  A torn shard is quarantined and replaced by a
   ``shard_truncated`` event; an unpropagable context is announced with
   ``worker_detached`` instead of silently dropping worker telemetry.
-* **Sentinel.**  Fresh BENCH files outside the tolerance bands fail the
-  comparison (nonzero exit via the CLI).
 """
 
 from __future__ import annotations
 
-import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.baselines import GreedyScheduler
 from repro.cli import main as cli_main
 from repro.core.annealing import AnnealingSchedule
@@ -51,14 +46,12 @@ from repro.obs.dist import (
 )
 from repro.obs.recorder import set_recorder, use_recorder
 from repro.obs.schema import span_pairs_balanced, validate_record
-from repro.obs.sentinel import run_sentinel
 from repro.obs.trace import TraceRecorder, events_named, read_trace
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
 from repro.sim.runner import run_schemes
 from tests.test_resilience import assert_identical_metrics
 
-REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
 SCHEDULE = AnnealingSchedule(chain_length=10, min_temperature=1e-1)
 SEEDS = [2025, 2026]
@@ -379,81 +372,3 @@ class TestAnalysis:
         assert names == ["root", "heavy", "leaf"]
         rendered = render_critical_path(critical_path(tree))
         assert "100.0%" in rendered.splitlines()[0]
-
-
-class TestSentinel:
-    def _current_dir(self, tmp_path: Path) -> Path:
-        current = tmp_path / "current"
-        current.mkdir()
-        for name in (
-            "BENCH_delta.json",
-            "BENCH_obs.json",
-            "BENCH_batch.json",
-            "BENCH_shard.json",
-        ):
-            shutil.copy(REPO_ROOT / name, current / name)
-        return current
-
-    def test_identical_results_pass(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        report = run_sentinel(current, REPO_ROOT)
-        assert report.verdict == "pass"
-        assert report.n_enforced > 0
-        assert not report.errors
-
-    def test_degraded_bench_fails_with_nonzero_exit(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        obs_path = current / "BENCH_obs.json"
-        payload = json.loads(obs_path.read_text(encoding="utf-8"))
-        payload["traced_overhead_pct"] = payload["traced_overhead_pct"] + 50.0
-        obs_path.write_text(json.dumps(payload), encoding="utf-8")
-        report = run_sentinel(current, REPO_ROOT)
-        assert report.verdict == "fail"
-        (failure,) = report.failures()
-        assert failure.metric == "traced_overhead_pct"
-        assert cli_main(
-            [
-                "obs",
-                "sentinel",
-                "--current",
-                str(current),
-                "--baseline",
-                str(REPO_ROOT),
-            ]
-        ) == 1
-
-    def test_collapsed_speedup_fails(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        delta_path = current / "BENCH_delta.json"
-        payload = json.loads(delta_path.read_text(encoding="utf-8"))
-        payload["speedup"] = 1.0  # baseline is >3x
-        delta_path.write_text(json.dumps(payload), encoding="utf-8")
-        report = run_sentinel(current, REPO_ROOT)
-        assert report.verdict == "fail"
-
-    def test_flipped_correctness_boolean_fails(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        delta_path = current / "BENCH_delta.json"
-        payload = json.loads(delta_path.read_text(encoding="utf-8"))
-        payload["values_identical"] = False
-        delta_path.write_text(json.dumps(payload), encoding="utf-8")
-        report = run_sentinel(current, REPO_ROOT)
-        assert report.verdict == "fail"
-
-    def test_missing_current_file_is_an_error_not_a_skip(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        (current / "BENCH_obs.json").unlink()
-        report = run_sentinel(current, REPO_ROOT)
-        assert report.verdict == "fail"
-        assert any("BENCH_obs.json" in error for error in report.errors)
-
-    def test_machine_readable_payload_shape(self, tmp_path):
-        current = self._current_dir(tmp_path)
-        payload = run_sentinel(current, REPO_ROOT).to_payload()
-        assert payload["verdict"] == "pass"
-        assert payload["n_checks"] == len(payload["checks"])
-        assert {check["status"] for check in payload["checks"]} <= {
-            "pass",
-            "fail",
-            "info",
-        }

@@ -20,9 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.annealing import AnnealingSchedule
 from repro.core.decision import OffloadingDecision
+from repro.core.partition import partition_scenario
 from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
+from repro.obs.clock import TickClock
+from repro.obs.recorder import use_recorder
+from repro.obs.trace import TraceRecorder
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
@@ -51,6 +56,40 @@ GAP_SEEDS = tuple(range(2025, 2035))
 #: mean gap across the seed set must stay within 5%.
 MAX_SEED_GAP = 0.20
 MAX_MEAN_GAP = 0.05
+
+#: The equivalence harness's quick schedule, for the multi-cluster tests
+#: that check feasibility and telemetry rather than solution quality.
+QUICK_SCHEDULE = AnnealingSchedule(chain_length=15, min_temperature=1e-2)
+
+
+def assert_real_decomposition(scenario):
+    """The multi-cluster partition has >= 2 clusters and a boundary user."""
+    part = partition_scenario(
+        scenario,
+        MULTI_CLUSTER_RADIUS,
+        scenario.topology.inter_site_distance_km,
+    )
+    assert part.n_clusters >= 2
+    assert sum(int(c.boundary_users.size) for c in part.clusters) >= 1
+
+
+def traced_shard_solve(solve):
+    """``solve()`` under a trace recorder: its result and the recorder."""
+    recorder = TraceRecorder(clock=TickClock())
+    with use_recorder(recorder):
+        result = solve()
+    return result, recorder
+
+
+def reconcile_rounds(recorder) -> int:
+    """Reconcile rounds the one traced sharded solve reported."""
+    (event,) = [
+        record
+        for record in recorder.records
+        if record["name"] == "scheduler.result"
+        and record["attrs"].get("scheme") == "TSAJS-Shard"
+    ]
+    return int(event["attrs"]["reconcile_rounds"])
 
 
 @pytest.mark.parametrize("seed", [2025, 2031])
@@ -84,14 +123,24 @@ def test_single_cluster_cross_mode_identity():
 
 
 def test_multi_cluster_gap_within_pinned_tolerance():
-    """Sharded utility tracks the global solve across >= 10 seeds."""
+    """Sharded utility tracks the global solve across >= 10 seeds.
+
+    Both sides run on the delta evaluator: its utilities are bit-equal
+    to the scalar oracle's on both sides (see
+    ``test_multi_cluster_evaluation_paths_agree``), so the gaps are the
+    scalar path's.
+    """
     gaps = []
     for seed in GAP_SEEDS:
         scenario = Scenario.build(CONFIG, seed)
-        reference = run_trajectory(scenario, seed, "scalar")
-        sharded = run_sharded_trajectory(
-            scenario, seed, "scalar", cluster_radius_km=MULTI_CLUSTER_RADIUS
+        assert_real_decomposition(scenario)
+        reference = run_trajectory(scenario, seed, "delta")
+        sharded, recorder = traced_shard_solve(
+            lambda: run_sharded_trajectory(
+                scenario, seed, "delta", cluster_radius_km=MULTI_CLUSTER_RADIUS
+            )
         )
+        assert reconcile_rounds(recorder) >= 1
         assert sharded.utility > 0.0
         gap = (reference.utility - sharded.utility) / abs(reference.utility)
         gaps.append(gap)
@@ -107,18 +156,13 @@ def test_multi_cluster_gap_within_pinned_tolerance():
 
 def test_multi_cluster_result_is_feasible():
     scenario = Scenario.build(CONFIG, 2030)
-    scheduler = ShardedScheduler(cluster_radius_km=MULTI_CLUSTER_RADIUS)
+    # A real decomposition happens (not the degenerate single tile).
+    assert_real_decomposition(scenario)
+    scheduler = ShardedScheduler(
+        cluster_radius_km=MULTI_CLUSTER_RADIUS, schedule=QUICK_SCHEDULE
+    )
     result = scheduler.schedule(scenario, child_rng(2030, 100))
     validate_result(scenario, result)
-    # A real decomposition happened (not the degenerate single tile).
-    from repro.core.partition import partition_scenario
-
-    part = partition_scenario(
-        scenario,
-        MULTI_CLUSTER_RADIUS,
-        scenario.topology.inter_site_distance_km,
-    )
-    assert part.n_clusters > 1
 
 
 def test_multi_cluster_evaluation_paths_agree():
@@ -159,11 +203,17 @@ def test_sharded_replay_is_deterministic():
 
 def test_warm_start_round_trips_through_the_decomposition():
     scenario = Scenario.build(CONFIG, 2028)
-    scheduler = ShardedScheduler(cluster_radius_km=MULTI_CLUSTER_RADIUS)
-    cold = scheduler.schedule(scenario, child_rng(2028, 100))
-    warm = scheduler.schedule(
-        scenario, child_rng(2028, 101), initial=cold.decision
+    assert_real_decomposition(scenario)
+    scheduler = ShardedScheduler(
+        cluster_radius_km=MULTI_CLUSTER_RADIUS, schedule=QUICK_SCHEDULE
     )
+    cold = scheduler.schedule(scenario, child_rng(2028, 100))
+    warm, recorder = traced_shard_solve(
+        lambda: scheduler.schedule(
+            scenario, child_rng(2028, 101), initial=cold.decision
+        )
+    )
+    assert reconcile_rounds(recorder) >= 1
     validate_result(scenario, warm)
     assert warm.utility > 0.0
 
@@ -262,15 +312,15 @@ def test_negative_composed_utility_falls_back_to_all_local():
 
 def test_sharded_solve_emits_shard_telemetry():
     """A traced multi-cluster solve emits the documented shard records."""
-    from repro.obs.clock import TickClock
-    from repro.obs.recorder import use_recorder
-    from repro.obs.trace import TraceRecorder
-
     scenario = Scenario.build(CONFIG, 2033)
-    scheduler = ShardedScheduler(cluster_radius_km=MULTI_CLUSTER_RADIUS)
-    recorder = TraceRecorder(clock=TickClock())
-    with use_recorder(recorder):
-        traced = scheduler.schedule(scenario, child_rng(2033, 100))
+    assert_real_decomposition(scenario)
+    scheduler = ShardedScheduler(
+        cluster_radius_km=MULTI_CLUSTER_RADIUS, schedule=QUICK_SCHEDULE
+    )
+    traced, recorder = traced_shard_solve(
+        lambda: scheduler.schedule(scenario, child_rng(2033, 100))
+    )
+    assert reconcile_rounds(recorder) >= 1
     names = [record["name"] for record in recorder.records]
     assert "shard.schedule" in names
     assert "shard.cluster" in names
