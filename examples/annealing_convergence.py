@@ -12,7 +12,7 @@ Run:  python examples/annealing_convergence.py
 from __future__ import annotations
 
 from repro import Scenario, SimulationConfig
-from repro.analysis import ascii_sparkline, compare_convergence, summarize_trace
+from repro.analysis import ascii_sparkline, summarize_trace
 from repro.core.annealing import AnnealingSchedule
 from repro.core.scheduler import TsajsScheduler
 from repro.sim.rng import child_rng
@@ -40,7 +40,6 @@ def main() -> None:
     }
 
     print(f"instance: U=25, S=9, N=3, w=2000 Mc (seed {SEED})\n")
-    reports = compare_convergence(scenario, variants, seeds=[SEED])
     for name, scheduler in variants.items():
         result = scheduler.schedule(scenario, child_rng(SEED, 100))
         report = summarize_trace(result.trace)
@@ -52,7 +51,6 @@ def main() -> None:
             f"90% of climb by level {report.levels_to_90}   "
             f"evals = {result.evaluations}\n"
         )
-    del reports  # statistics shown per run above
 
     print(
         "Reading: the threshold trigger spends fewer temperature levels\n"

@@ -4,10 +4,7 @@ from repro.analysis.optimality import GapReport, measure_optimality_gap
 from repro.analysis.convergence import (
     ConvergenceReport,
     ascii_sparkline,
-    best_traces_from_records,
-    compare_convergence,
     summarize_trace,
-    summarize_trace_records,
 )
 
 __all__ = [
@@ -15,8 +12,5 @@ __all__ = [
     "GapReport",
     "measure_optimality_gap",
     "ascii_sparkline",
-    "best_traces_from_records",
-    "compare_convergence",
     "summarize_trace",
-    "summarize_trace_records",
 ]

@@ -10,27 +10,21 @@ scheduler records with ``record_trace=True``:
   final value, and the normalised area under the trace (1.0 = the run
   spent its whole budget already at the final value; lower = slower
   climb).
-* :func:`compare_convergence` — run several schedulers over shared seeds
-  and tabulate their profiles side by side.
-* :func:`best_traces_from_records` / :func:`summarize_trace_records` —
-  recover the same per-temperature best-utility series from a recorded
-  observability trace (``anneal.level`` events, see
-  :mod:`repro.obs.trace`), so ``tsajs trace show --convergence`` can
-  profile a run after the fact without re-running it.
 * :func:`ascii_sparkline` — render a trace for terminal output.
+
+``tsajs obs explain`` (:mod:`repro.obs.analyze`) applies both to the
+best-so-far series it rebuilds from a recorded trace's ``anneal.level``
+events, so a run can be profiled after the fact without re-running it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.scheduler import TsajsScheduler
 from repro.errors import ConfigurationError
-from repro.sim.rng import child_rng
-from repro.sim.scenario import Scenario
 
 #: Unicode block characters used by :func:`ascii_sparkline`.
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -89,86 +83,6 @@ def summarize_trace(trace: Sequence[float]) -> ConvergenceReport:
         levels_to_99=levels_to_99,
         normalized_auc=float(progress.mean()),
     )
-
-
-def best_traces_from_records(
-    records: Sequence[Dict[str, object]],
-) -> List[List[float]]:
-    """Best-utility series per annealing run in an observability trace.
-
-    ``records`` are decoded schema-v1 records (see
-    :func:`repro.obs.trace.read_trace`).  Each annealing run emits one
-    ``anneal.level`` event per temperature level whose ``best`` attr is
-    the running best utility; runs are delimited by ``level`` restarting
-    at 0.  A ``null`` best (a dead assignment's ``-inf``, sanitised out
-    of the JSON) maps back to ``-inf``, so the recovered series equals
-    the scheduler's own ``result.trace`` exactly.
-    """
-    traces: List[List[float]] = []
-    current: Optional[List[float]] = None
-    for record in records:
-        if record.get("kind") != "event" or record.get("name") != "anneal.level":
-            continue
-        attrs = record["attrs"]
-        assert isinstance(attrs, dict)
-        if attrs.get("level") == 0 or current is None:
-            current = []
-            traces.append(current)
-        best = attrs.get("best")
-        current.append(float("-inf") if best is None else float(best))
-    return traces
-
-
-def summarize_trace_records(
-    records: Sequence[Dict[str, object]], run_index: int = 0
-) -> ConvergenceReport:
-    """:func:`summarize_trace` applied to a recorded observability trace.
-
-    ``run_index`` selects the annealing run when the trace contains
-    several (e.g. a multi-scheme ``tsajs solve --trace``); negative
-    indices count from the end as usual.
-    """
-    traces = best_traces_from_records(records)
-    if not traces:
-        raise ConfigurationError(
-            "trace contains no anneal.level events; record it from an "
-            "annealing scheduler (e.g. `tsajs solve --trace FILE`)"
-        )
-    try:
-        trace = traces[run_index]
-    except IndexError:
-        raise ConfigurationError(
-            f"run_index {run_index} out of range: trace contains "
-            f"{len(traces)} annealing run(s)"
-        ) from None
-    return summarize_trace(trace)
-
-
-def compare_convergence(
-    scenario: Scenario,
-    schedulers: Dict[str, TsajsScheduler],
-    seeds: Sequence[int],
-) -> Dict[str, List[ConvergenceReport]]:
-    """Convergence profiles of several annealer variants on one scenario.
-
-    Every scheduler must have been constructed with ``record_trace=True``
-    (a :class:`ConfigurationError` is raised otherwise, since a traceless
-    run cannot be profiled).  Each (scheduler, seed) pair gets its own
-    derived RNG, so variants see identical chains of seeds.
-    """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    for name, scheduler in schedulers.items():
-        if not getattr(scheduler, "record_trace", False):
-            raise ConfigurationError(
-                f"scheduler {name!r} must be built with record_trace=True"
-            )
-    reports: Dict[str, List[ConvergenceReport]] = {name: [] for name in schedulers}
-    for seed in seeds:
-        for name, scheduler in schedulers.items():
-            result = scheduler.schedule(scenario, child_rng(seed, 100))
-            reports[name].append(summarize_trace(result.trace))
-    return reports
 
 
 def ascii_sparkline(trace: Sequence[float], width: Optional[int] = None) -> str:

@@ -29,16 +29,13 @@ Sub-commands
 ``tsajs lint [PATHS ...] [--format text|json] [--rules R001,...]``
     Run the project's static-analysis rules (determinism, unit
     discipline, paper-equation traceability); exits 1 on findings.
-``tsajs trace record --out FILE [instance options]``
-    Solve one instance with tracing on and write the schema-v2 JSONL
-    span/event trace (see ``docs/observability.md``).
-``tsajs trace show FILE [--convergence]``
-    Validate and summarise a recorded trace; ``--convergence`` rebuilds
-    the annealer's convergence profile from its ``anneal.level`` events.
-``tsajs obs merge|tree|critical-path|flame|export ...``
-    Distributed-trace analysis: merge worker shards into one span tree,
-    render the tree / the critical path / folded flamegraph stacks, or
-    export a metrics snapshot as OpenMetrics text.
+``tsajs obs explain PATH``
+    Explain a recorded trace (a ``.jsonl`` file, or a telemetry
+    directory whose worker shards are merged in memory): time per
+    top-level span and the critical path, per annealing run the
+    acceptance rate per level, phase-switch levels, best-so-far curve
+    and iterations after the final best, reconcile rounds and cache
+    hits (see ``docs/observability.md``).
 
 Observability flags: ``solve --trace FILE`` records the solve,
 ``run --telemetry DIR`` writes ``trace.jsonl`` + ``metrics.json`` for a
@@ -267,91 +264,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("schemes", help="list available scheduling schemes")
 
-    trace_parser = sub.add_parser(
-        "trace", help="record or inspect observability traces"
-    )
-    trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
-    trace_record = trace_sub.add_parser(
-        "record", help="solve one instance with tracing on"
-    )
-    trace_record.add_argument("--out", required=True, metavar="FILE")
-    trace_record.add_argument("--users", type=int, default=20)
-    trace_record.add_argument("--servers", type=int, default=9)
-    trace_record.add_argument("--subbands", type=int, default=3)
-    trace_record.add_argument("--seed", type=int, default=0)
-    trace_record.add_argument("--schemes", default="TSAJS")
-    trace_record.add_argument(
-        "--quick",
-        action="store_true",
-        help="stop the annealer early (T_min = 1e-2)",
-    )
-    trace_record.add_argument(
-        "--iterations",
-        action="store_true",
-        help="include per-proposal anneal.step events",
-    )
-    trace_show = trace_sub.add_parser(
-        "show", help="validate and summarise a recorded trace"
-    )
-    trace_show.add_argument("file", metavar="FILE")
-    trace_show.add_argument(
-        "--convergence",
-        action="store_true",
-        help="rebuild the convergence profile from anneal.level events",
-    )
-
-    obs_parser = sub.add_parser("obs", help="distributed-trace analysis")
+    obs_parser = sub.add_parser("obs", help="read recorded traces")
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
-
-    obs_merge = obs_sub.add_parser(
-        "merge",
-        help="merge worker trace shards into one schema-valid trace",
+    obs_explain = obs_sub.add_parser(
+        "explain", help="explain why a traced run ended where it did"
     )
-    obs_merge.add_argument(
-        "telemetry_dir", metavar="DIR", help="telemetry directory to merge"
-    )
-    obs_merge.add_argument(
-        "--out",
-        metavar="FILE",
-        help="merged trace destination (default DIR/trace_merged.jsonl)",
-    )
-
-    for name, help_text in (
-        ("tree", "render the span hierarchy with per-span self/total time"),
-        ("critical-path", "render the longest root-to-leaf span chain"),
-        ("flame", "emit folded-stack lines for flamegraph tooling"),
-    ):
-        analysis = obs_sub.add_parser(name, help=help_text)
-        analysis.add_argument(
-            "path",
-            metavar="TRACE",
-            help=(
-                "a trace .jsonl file, or a telemetry directory "
-                "(shards are merged in memory)"
-            ),
-        )
-        if name == "tree":
-            analysis.add_argument(
-                "--max-depth",
-                type=int,
-                default=None,
-                help="truncate the rendering below this depth",
-            )
-
-    obs_export = obs_sub.add_parser(
-        "export", help="export a metrics snapshot for scraping"
-    )
-    obs_export.add_argument(
-        "metrics_file", metavar="FILE", help="a metrics.json snapshot"
-    )
-    obs_export.add_argument(
-        "--format",
-        choices=["openmetrics"],
-        default="openmetrics",
-        help="output format (OpenMetrics text is the only one today)",
-    )
-    obs_export.add_argument(
-        "--out", metavar="FILE", help="write to FILE instead of stdout"
+    obs_explain.add_argument(
+        "path",
+        metavar="PATH",
+        help=(
+            "a trace .jsonl file, or a telemetry directory "
+            "(shards are merged in memory)"
+        ),
     )
 
     lint_parser = sub.add_parser(
@@ -503,8 +427,8 @@ def _cmd_run(
 
         n_shards = len(find_shards(telemetry_dir))
         shard_note = (
-            f", {n_shards} worker shards (merge with "
-            f"'tsajs obs merge {telemetry_dir}')"
+            f", {n_shards} worker shards (read with "
+            f"'tsajs obs explain {telemetry_dir}')"
             if n_shards
             else ""
         )
@@ -819,166 +743,22 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "record":
-        return _cmd_trace_record(args)
-    return _cmd_trace_show(args)
-
-
-def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.experiments.schemes import build_schemes
-    from repro.obs.recorder import use_recorder
-    from repro.obs.trace import TraceRecorder
-
-    config = SimulationConfig(
-        n_users=args.users,
-        n_servers=args.servers,
-        n_subbands=args.subbands,
-    )
-    scenario = Scenario.build(config, seed=args.seed)
-    names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    schedulers = build_schemes(names, quick=args.quick)
-    recorder = TraceRecorder(args.out, iteration_detail=args.iterations)
-    with recorder, use_recorder(recorder):
-        for index, scheduler in enumerate(schedulers):
-            rng = child_rng(args.seed, 100 + index)
-            result = scheduler.schedule(scenario, rng)
-            print(
-                f"{scheduler.name:12s} utility={result.utility:10.4f} "
-                f"evaluations={result.evaluations}"
-            )
-    print(f"[trace: {recorder.n_records} records written to {args.out}]")
-    return 0
-
-
-def _cmd_trace_show(args: argparse.Namespace) -> int:
-    from collections import Counter
-
-    from repro.errors import ReproError
-    from repro.obs.schema import span_pairs_balanced
-    from repro.obs.trace import read_trace
-
-    try:
-        records = read_trace(args.file)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    counts = Counter(
-        (record["kind"], record["name"]) for record in records
-    )
-    versions = sorted({record["v"] for record in records})
-    version_note = "/".join(f"v{v}" for v in versions) if versions else "empty"
-    print(f"{args.file}: {len(records)} records, schema {version_note}, all valid")
-    print(f"spans balanced: {'yes' if span_pairs_balanced(records) else 'NO'}")
-    print(f"{'kind':>10} {'name':24} {'count':>7}")
-    for (kind, name), count in sorted(counts.items()):
-        print(f"{kind:>10} {name:24} {count:>7}")
-    if args.convergence:
-        from repro.analysis.convergence import (
-            ascii_sparkline,
-            best_traces_from_records,
-            summarize_trace_records,
-        )
-
-        traces = best_traces_from_records(records)
-        if not traces:
-            print(
-                "error: no anneal.level events in this trace "
-                "(record one from an annealing scheduler)",
-                file=sys.stderr,
-            )
-            return 1
-        for index, trace in enumerate(traces):
-            report = summarize_trace_records(records, run_index=index)
-            print(
-                f"\nannealing run {index}: final={report.final_value:.4f} "
-                f"levels={report.levels} to90={report.levels_to_90} "
-                f"to99={report.levels_to_99} auc={report.normalized_auc:.3f}"
-            )
-            finite = [value for value in trace if value > float("-inf")]
-            if finite:
-                print(ascii_sparkline(finite, width=min(len(finite), 60)))
-    return 0
-
-
-def _load_trace_records(path_arg: str) -> List[Dict[str, object]]:
-    """Trace records from a .jsonl file or a telemetry directory.
-
-    Directories are merged in memory (coordinator trace + worker
-    shards), so the analysis subcommands work on a sweep's telemetry
-    directory without an explicit ``tsajs obs merge`` first.
-    """
-    from pathlib import Path
-
-    from repro.obs.dist import merge_trace_shards
-    from repro.obs.trace import read_trace
-
-    path = Path(path_arg)
-    if path.is_dir():
-        return merge_trace_shards(path)
-    return read_trace(path)
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import ReproError
+    from repro.obs.analyze import explain
+    from repro.obs.dist import merge_trace_shards
+    from repro.obs.trace import read_trace
 
+    path = Path(args.path)
     try:
-        if args.obs_command == "merge":
-            from repro.obs.dist import write_merged_trace
-
-            target, records = write_merged_trace(
-                args.telemetry_dir, out_path=args.out
-            )
-            shard_labels = sorted(
-                {
-                    str(record["shard"])
-                    for record in records
-                    if "shard" in record
-                }
-            )
-            print(
-                f"{target}: {len(records)} records from "
-                f"{len(shard_labels)} shard tasks, schema-valid"
-            )
-            return 0
-        if args.obs_command in ("tree", "critical-path", "flame"):
-            from repro.obs.analyze import (
-                build_span_tree,
-                critical_path,
-                folded_stacks,
-                render_critical_path,
-                render_tree,
-            )
-
-            roots = build_span_tree(_load_trace_records(args.path))
-            if args.obs_command == "tree":
-                print(render_tree(roots, max_depth=args.max_depth))
-            elif args.obs_command == "critical-path":
-                print(render_critical_path(critical_path(roots)))
-            else:
-                for line in folded_stacks(roots):
-                    print(line)
-            return 0
-        if args.obs_command == "export":
-            import json as json_module
-
-            from repro.obs.analyze import render_openmetrics
-
-            snapshot = json_module.loads(
-                Path(args.metrics_file).read_text(encoding="utf-8")
-            )
-            rendered = render_openmetrics(snapshot)
-            if args.out:
-                from repro.atomicio import atomic_write_text
-
-                atomic_write_text(Path(args.out), rendered)
-                print(f"wrote {args.out}")
-            else:
-                sys.stdout.write(rendered)
-            return 0
-        raise AssertionError(f"unhandled obs command {args.obs_command!r}")
+        records = merge_trace_shards(path) if path.is_dir() else read_trace(path)
+    except (OSError, ValueError, ReproError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        print(explain(records))
     except BrokenPipeError:
         # Output piped into head/less and the reader quit: not an error.
         # Detach stdout so the interpreter's shutdown flush stays quiet.
@@ -986,10 +766,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 0
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def _cmd_episode(args: argparse.Namespace) -> int:
@@ -1117,8 +894,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_solve(args)
     if args.command == "schemes":
         return _cmd_schemes()
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "episode":

@@ -67,6 +67,9 @@ class ScheduleResult:
     #: Accepted annealer moves (improving + worse); 0 for non-annealing
     #: schedulers.
     accepted_moves: int = 0
+    #: Algorithm-2 phase switches (fast cooling steps); 0 for
+    #: non-annealing schedulers.
+    fast_coolings: int = 0
 
 
 def resolve_use_delta(use_delta: Optional[bool], use_batch: bool) -> bool:
@@ -298,4 +301,5 @@ class TsajsScheduler:
                 wall_time_s=watch.elapsed(),
                 trace=list(outcome.best_trace),
                 accepted_moves=outcome.accepted_moves,
+                fast_coolings=outcome.fast_coolings,
             )

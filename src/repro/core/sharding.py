@@ -273,6 +273,7 @@ class ShardedScheduler:
             wall_time_s=watch.elapsed(),
             trace=list(result.trace),
             accepted_moves=result.accepted_moves,
+            fast_coolings=result.fast_coolings,
         )
 
     def _schedule_multi(
@@ -299,7 +300,7 @@ class ShardedScheduler:
         inner = self._inner_scheduler()
         sub_scenarios: List["Scenario"] = []
         evaluations = 0
-        accepted_moves = 0
+        accepted_moves = fast_coolings = 0
         trace: List[float] = []
         for cluster in partition.clusters:
             sub_scenario = extract_cluster_scenario(scenario, cluster)
@@ -331,6 +332,7 @@ class ShardedScheduler:
             scatter_decision(composed, cluster, result.decision)
             evaluations += result.evaluations
             accepted_moves += result.accepted_moves
+            fast_coolings += result.fast_coolings
             trace.extend(result.trace)
 
         global_eval = ObjectiveEvaluator(scenario)
@@ -357,6 +359,7 @@ class ShardedScheduler:
                 )
                 evaluations += result.evaluations
                 accepted_moves += result.accepted_moves
+                fast_coolings += result.fast_coolings
                 candidate = composed.copy()
                 scatter_decision(candidate, cluster, result.decision)
                 candidate_utility = global_eval.evaluate(candidate)
@@ -406,4 +409,5 @@ class ShardedScheduler:
             wall_time_s=watch.elapsed(),
             trace=trace,
             accepted_moves=accepted_moves,
+            fast_coolings=fast_coolings,
         )

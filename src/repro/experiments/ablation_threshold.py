@@ -55,16 +55,13 @@ class AblationThresholdSettings:
         return cls(n_users=15, n_seeds=2, min_temperature=1e-2)
 
 
-def run(
-    settings: AblationThresholdSettings = AblationThresholdSettings(),
-    sweep: Sweep = Sweep(),
-) -> ExperimentOutput:
-    """Compare TTSA against single-rate annealing schedules."""
+def schedulers(settings: AblationThresholdSettings) -> List[TsajsScheduler]:
+    """The three compared variants: TTSA, Vanilla-slow and Vanilla-fast."""
     base = dict(
         chain_length=settings.chain_length,
         min_temperature=settings.min_temperature,
     )
-    schedulers = [
+    return [
         _NamedTsajs("TTSA", AnnealingSchedule(**base)),
         _NamedTsajs(
             "Vanilla-slow",
@@ -75,16 +72,24 @@ def run(
             AnnealingSchedule(alpha_slow=0.90, alpha_fast=0.90, **base),
         ),
     ]
+
+
+def run(
+    settings: AblationThresholdSettings = AblationThresholdSettings(),
+    sweep: Sweep = Sweep(),
+) -> ExperimentOutput:
+    """Compare TTSA against single-rate annealing schedules."""
+    variants = schedulers(settings)
     config = SimulationConfig(
         n_users=settings.n_users,
         workload_megacycles=settings.workload_megacycles,
     )
-    result = sweep.run(config, schedulers, default_seeds(settings.n_seeds))
+    result = sweep.run(config, variants, default_seeds(settings.n_seeds))
 
     headers = ["variant", "utility", "evaluations"]
     rows: List[List[str]] = []
     raw: dict = {"series": {}}
-    for scheduler in schedulers:
+    for scheduler in variants:
         utility = result.utility_summary(scheduler.name)
         evals = summarize(
             [float(m.evaluations) for m in result.metrics[scheduler.name]]

@@ -1,7 +1,9 @@
 """Fig. 8 — average computation time versus the number of sub-channels.
 
 Two panels, chain lengths L in {10, 50}, same sub-channel sweep as Fig. 7
-but reporting each scheme's scheduling wall-clock time.
+but reporting each scheme's scheduling wall-clock time.  The panels are
+interleaved (N outer, L inner) so a cross-panel comparison is not
+confounded by host drift between two back-to-back sweeps.
 
 Expected shape: "with the increase in the number of sub-channels, the
 average computation time also extends, attributed to the expansion of the
@@ -63,26 +65,26 @@ def run(
     rows: List[List[str]] = []
     raw: dict = {"panels": []}
 
-    names = None
-    for chain_length in settings.chain_lengths:
-        schedulers = standard_schedulers(
+    # Both chain-length panels run inside one loop over N, so host speed
+    # drift during the sweep lands on both panels alike; the rows are
+    # still rendered L-major.
+    panels = {
+        chain_length: standard_schedulers(
             chain_length=chain_length,
             min_temperature=settings.min_temperature,
         )
-        if names is None:
-            names = [s.name for s in schedulers]
-            headers = headers + [f"{n} [s]" for n in names]
-        panel = {
-            "chain_length": chain_length,
-            "subchannel_counts": list(settings.subchannel_counts),
-            "series": {n: [] for n in names},
-        }
-        for n_subbands in settings.subchannel_counts:
-            config = SimulationConfig(
-                n_users=settings.n_users,
-                n_subbands=n_subbands,
-                workload_megacycles=settings.workload_megacycles,
-            )
+        for chain_length in settings.chain_lengths
+    }
+    names = [s.name for s in next(iter(panels.values()))]
+    headers = headers + [f"{n} [s]" for n in names]
+    cells: dict = {}
+    for n_subbands in settings.subchannel_counts:
+        config = SimulationConfig(
+            n_users=settings.n_users,
+            n_subbands=n_subbands,
+            workload_megacycles=settings.workload_megacycles,
+        )
+        for chain_length, schedulers in panels.items():
             with rec.span(
                 "experiment.point",
                 experiment="fig8",
@@ -90,9 +92,18 @@ def run(
                 n_subbands=n_subbands,
             ):
                 result = sweep.run(config, schedulers, seeds)
+            cells[chain_length, n_subbands] = [
+                result.wall_time_summary(name) for name in names
+            ]
+    for chain_length in settings.chain_lengths:
+        panel = {
+            "chain_length": chain_length,
+            "subchannel_counts": list(settings.subchannel_counts),
+            "series": {n: [] for n in names},
+        }
+        for n_subbands in settings.subchannel_counts:
             row = [str(chain_length), str(n_subbands)]
-            for name in names:
-                stat = result.wall_time_summary(name)
+            for name, stat in zip(names, cells[chain_length, n_subbands]):
                 row.append(format_stat(stat, precision=4))
                 panel["series"][name].append(stat)
             rows.append(row)

@@ -15,10 +15,11 @@ Three cooperating pieces (see ``docs/observability.md``):
   default, and the JSONL schema-v2 :class:`TraceRecorder`;
 * :mod:`repro.obs.metrics` / :mod:`repro.obs.profile` — per-series
   counters/gauges/histograms and opt-in cProfile hotspot capture;
-* :mod:`repro.obs.dist` / :mod:`repro.obs.analyze` — distributed
-  trace-context propagation and shard merging, and span-tree /
-  critical-path / flamegraph / OpenMetrics analysis (the ``tsajs obs``
-  subcommands).
+* :mod:`repro.obs.dist` — distributed trace-context propagation and
+  shard merging;
+* :mod:`repro.obs.analyze` — the ``tsajs obs explain`` report (span
+  tree, critical path, annealing runs, reconcile rounds, cache hits).
+  Import it directly: it is kept out of this package's eager imports.
 
 The cardinal rule: **instrumentation never influences results.**  The
 null path is held bitwise-identical to an uninstrumented build by test,
@@ -26,15 +27,6 @@ and its cost shows in perfbench's untraced ``solve_p50_s``; recorders
 never touch any RNG stream; trace payloads carry monotonic deltas only.
 """
 
-from repro.obs.analyze import (
-    SpanNode,
-    build_span_tree,
-    critical_path,
-    folded_stacks,
-    render_critical_path,
-    render_openmetrics,
-    render_tree,
-)
 from repro.obs.clock import (
     Clock,
     MonotonicClock,
@@ -51,7 +43,6 @@ from repro.obs.dist import (
     merge_trace_shards,
     propagated_context,
     worker_trace,
-    write_merged_trace,
 )
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
 from repro.obs.profile import (
@@ -128,12 +119,4 @@ __all__ = [
     "worker_trace",
     "find_shards",
     "merge_trace_shards",
-    "write_merged_trace",
-    "SpanNode",
-    "build_span_tree",
-    "render_tree",
-    "critical_path",
-    "render_critical_path",
-    "folded_stacks",
-    "render_openmetrics",
 ]

@@ -1,22 +1,22 @@
-"""Trace and metrics analysis behind the ``tsajs obs`` subcommands.
+"""Trace analysis behind ``tsajs obs explain``.
 
 Consumes schema-v2 records (one file, or a telemetry directory merged by
-:func:`repro.obs.dist.merge_trace_shards`) and renders:
+:func:`repro.obs.dist.merge_trace_shards`) and explains a run from the
+events the program already emits:
 
-* :func:`build_span_tree` / :func:`render_tree` — the reconstructed span
-  hierarchy with per-span **total** (the span's own ``dur``) and
-  **self** time (total minus the sum of direct children; clamped at 0,
-  since children that ran in parallel workers can legitimately sum past
-  their coordinator-side parent);
+* :func:`build_span_tree` — the reconstructed span hierarchy with
+  per-span **total** (the span's own ``dur``) and **self** time (total
+  minus the sum of direct children; clamped at 0, since children that
+  ran in parallel workers can legitimately sum past their
+  coordinator-side parent);
 * :func:`critical_path` — the longest chain through the tree: from the
   heaviest root, repeatedly descend into the heaviest child.  On a
   sweep trace this names the seed/cluster/worker that gated wall clock;
-* :func:`folded_stacks` — ``parent;child;leaf <self-µs>`` lines in the
-  folded-stack format standard flamegraph tooling consumes
-  (``flamegraph.pl``, speedscope, inferno);
-* :func:`render_openmetrics` — an ``ExperimentResult.telemetry`` /
-  ``metrics.json`` snapshot in OpenMetrics text format (counters,
-  gauges, and histogram summaries) for service scraping.
+* :func:`explain` — the whole report: time per top-level span and the
+  critical path, one block per annealing run (acceptance rate per
+  temperature level, phase-switch levels, best-so-far curve, iterations
+  after the final best, evaluation counters), shard reconcile rounds
+  and cache hits.
 
 Everything here is a pure function of its input records — analysis
 never re-runs experiments, and deterministic inputs render to
@@ -25,15 +25,18 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import re
+import textwrap
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.errors import ConfigurationError
-from repro.units import seconds_to_micros
+from repro.analysis.convergence import ascii_sparkline, summarize_trace
+from repro.obs.schema import span_pairs_balanced
 
-#: Attrs worth echoing inline in tree/path listings (identity, not bulk).
+#: Attrs worth echoing inline in span and run labels (identity, not bulk).
 _KEY_ATTRS = ("task", "seed", "scheme", "cluster", "round")
+
+#: Acceptance rates printed per line of a run block.
+_RATES_PER_LINE = 10
 
 
 @dataclass
@@ -71,16 +74,9 @@ class SpanNode:
         return " ".join(parts)
 
 
-def build_span_tree(records: List[Dict[str, Any]]) -> List[SpanNode]:
-    """Reconstruct the span hierarchy from decoded trace records.
-
-    Children are linked through the schema-v2 ``parent`` field; spans
-    with no (or an unknown) parent become roots.  Record order is
-    preserved among siblings, so deterministic traces yield
-    deterministic trees.
-    """
+def _span_nodes(records: List[Dict[str, Any]]) -> Dict[int, SpanNode]:
+    """Every span by id, children linked through the ``parent`` field."""
     nodes: Dict[int, SpanNode] = {}
-    roots: List[SpanNode] = []
     for record in records:
         kind = record.get("kind")
         if kind == "span_start":
@@ -98,36 +94,27 @@ def build_span_tree(records: List[Dict[str, Any]]) -> List[SpanNode]:
             if node is not None:
                 node.dur = float(record.get("dur", 0.0))
     for node in nodes.values():
-        parent = (
-            nodes.get(node.parent_id) if node.parent_id is not None else None
-        )
-        if parent is not None and parent is not node:
+        parent = _parent(node, nodes)
+        if parent is not None:
             parent.children.append(node)
-        else:
-            roots.append(node)
-    return roots
+    return nodes
 
 
-def render_tree(
-    roots: List[SpanNode], max_depth: Optional[int] = None
-) -> str:
-    """Indented span hierarchy with per-span total/self time."""
-    lines: List[str] = []
+def _parent(node: SpanNode, nodes: Dict[int, SpanNode]) -> Optional[SpanNode]:
+    parent = nodes.get(node.parent_id) if node.parent_id is not None else None
+    return parent if parent is not node else None
 
-    def visit(node: SpanNode, depth: int) -> None:
-        indent = "  " * depth
-        lines.append(
-            f"{indent}{node.label()}  "
-            f"total={node.total_s:.6f}s self={node.self_s:.6f}s"
-        )
-        if max_depth is not None and depth + 1 >= max_depth:
-            return
-        for child in node.children:
-            visit(child, depth + 1)
 
-    for root in roots:
-        visit(root, 0)
-    return "\n".join(lines)
+def build_span_tree(records: List[Dict[str, Any]]) -> List[SpanNode]:
+    """Reconstruct the span hierarchy from decoded trace records.
+
+    Children are linked through the schema-v2 ``parent`` field; spans
+    with no (or an unknown) parent become roots.  Record order is
+    preserved among siblings, so deterministic traces yield
+    deterministic trees.
+    """
+    nodes = _span_nodes(records)
+    return [node for node in nodes.values() if _parent(node, nodes) is None]
 
 
 def critical_path(roots: List[SpanNode]) -> List[SpanNode]:
@@ -155,116 +142,187 @@ def render_critical_path(path: List[SpanNode]) -> str:
     return "\n".join(lines)
 
 
-def folded_stacks(roots: List[SpanNode]) -> List[str]:
-    """Folded-stack lines (``a;b;c <self-µs>``) for flamegraph tooling.
+# --- explain -----------------------------------------------------------------
 
-    Self time is attributed to each stack in integer microseconds;
-    stacks whose self time rounds to zero are dropped.  Lines are
-    sorted, matching the conventional ``flamegraph.pl`` input shape and
-    making the output deterministic.
+
+@dataclass
+class _Run:
+    """One annealing run: its ``anneal.*`` events and its scheduler result."""
+
+    label: str
+    levels: List[Dict[str, Any]] = field(default_factory=list)
+    switch_levels: List[int] = field(default_factory=list)
+    finish: Optional[Dict[str, Any]] = None
+    result: Optional[Dict[str, Any]] = None
+
+
+def _run_label(record: Dict[str, Any], nodes: Dict[int, SpanNode]) -> str:
+    """Identity attrs of the spans enclosing ``record`` (innermost wins)."""
+    found: Dict[str, Any] = {}
+    node = nodes.get(record["parent"]) if "parent" in record else None
+    while node is not None:
+        for key in _KEY_ATTRS:
+            if key in node.attrs and key not in found:
+                found[key] = node.attrs[key]
+        node = _parent(node, nodes)
+    parts = [f"{key}={found[key]}" for key in _KEY_ATTRS if key in found]
+    if "shard" in record:
+        parts.append(f"[shard {record['shard']}]")
+    return " ".join(parts) if parts else "(no enclosing span)"
+
+
+def _explain_time(roots: List[SpanNode]) -> List[str]:
+    if not roots:
+        return ["time: no spans"]
+    lines = ["time (top-level spans):", f"{'total_s':>14} {'self_s':>12}  span"]
+    lines += [
+        f"{root.total_s:14.6f} {root.self_s:12.6f}  {root.label()}"
+        for root in roots
+    ]
+    lines.append("critical path:")
+    lines.append(render_critical_path(critical_path(roots)))
+    return lines
+
+
+def _explain_run(index: int, run: _Run) -> List[str]:
+    finish = run.finish or {}
+    result = run.result or {}
+    last = run.levels[-1]
+    iterations = int(finish.get("iterations", last["iterations"]))
+    lines = [
+        f"run {index}: {run.label}",
+        f"  levels={len(run.levels)} iterations={iterations} "
+        f"evaluations={result.get('evaluations', 'n/a')} "
+        f"fast_coolings={finish.get('fast_coolings', 'n/a')}",
+    ]
+    # A dead assignment's -inf best is stored as null; the best-so-far
+    # series is non-decreasing, so its finite part is a suffix.
+    best = [
+        float("-inf") if lv["best"] is None else float(lv["best"])
+        for lv in run.levels
+    ]
+    finite = [value for value in best if value > float("-inf")]
+    if finite:
+        skipped = len(best) - len(finite)
+        report = summarize_trace(finite)
+        lines.append(
+            f"  best {ascii_sparkline(finite, width=min(len(finite), 60))}"
+        )
+        lines.append(
+            f"  final={report.final_value:.4f} "
+            f"to90=level {skipped + report.levels_to_90} "
+            f"to99=level {skipped + report.levels_to_99} "
+            f"auc={report.normalized_auc:.3f}"
+        )
+        reached = best.index(best[-1])
+        after = iterations - int(run.levels[reached]["iterations"])
+        share = after / iterations * 100.0 if iterations else 0.0
+        lines.append(
+            f"  final best first reached at level {reached}: {after} of "
+            f"{iterations} iterations ({share:.1f}%) came after it"
+        )
+    else:
+        lines.append("  best: no finite utility")
+    switched = set(run.switch_levels)
+    lines.append(f"  phase switch fired {len(run.switch_levels)} times")
+    if run.switch_levels:
+        levels = ", ".join(str(level) for level in run.switch_levels)
+        lines += textwrap.wrap(
+            f"at levels {levels}",
+            width=76,
+            initial_indent="    ",
+            subsequent_indent="    ",
+        )
+    lines.append("  acceptance rate per level (* = phase switch):")
+    prev_accepted = prev_iterations = 0
+    cells: List[str] = []
+    for lv in run.levels:
+        d_iter = int(lv["iterations"]) - prev_iterations
+        d_acc = int(lv["accepted_moves"]) - prev_accepted
+        rate = d_acc / d_iter if d_iter else 0.0
+        mark = "*" if lv["level"] in switched else " "
+        cells.append(f"{rate:.2f}{mark}")
+        prev_accepted = int(lv["accepted_moves"])
+        prev_iterations = int(lv["iterations"])
+    for start in range(0, len(cells), _RATES_PER_LINE):
+        chunk = " ".join(cells[start : start + _RATES_PER_LINE])
+        lines.append(f"  {start:6d}: {chunk}".rstrip())
+    return lines
+
+
+def explain(records: List[Dict[str, Any]]) -> str:
+    """Why a traced run spent its time and ended where it did.
+
+    ``records`` are decoded, schema-validated trace records.  Annealing
+    runs are split where ``anneal.level`` restarts at ``level == 0``;
+    each run's ``anneal.finish`` and the next ``scheduler.result`` after
+    it supply its iteration, fast-cooling and evaluation counters.
     """
-    totals: Dict[str, int] = {}
-
-    def frame(node: SpanNode) -> str:
-        # Semicolons separate stack frames in the folded format.
-        return node.label().replace(";", ",")
-
-    def visit(node: SpanNode, prefix: str) -> None:
-        stack = f"{prefix};{frame(node)}" if prefix else frame(node)
-        micros = int(round(seconds_to_micros(node.self_s)))
-        if micros > 0:
-            totals[stack] = totals.get(stack, 0) + micros
-        for child in node.children:
-            visit(child, stack)
-
-    for root in roots:
-        visit(root, "")
-    return [f"{stack} {value}" for stack, value in sorted(totals.items())]
-
-
-# --- OpenMetrics export ----------------------------------------------------
-
-_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-
-def _metric_name(name: str) -> str:
-    """A series name made OpenMetrics-legal (dots and dashes to ``_``)."""
-    cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if not _NAME_OK.match(cleaned):
-        cleaned = f"_{cleaned}"
-    return cleaned
-
-
-def _split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Parse ``name{k=v,...}`` (the :func:`repro.obs.metrics.metric_key`
-    rendering) back into name + labels."""
-    if "{" not in key:
-        return key, {}
-    name, _, rest = key.partition("{")
-    body = rest.rstrip("}")
-    labels: Dict[str, str] = {}
-    for pair in body.split(","):
-        label, sep, value = pair.partition("=")
-        if sep:
-            labels[label] = value
-    return name, labels
-
-
-def _render_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    escaped = ",".join(
-        f'{_metric_name(key)}="' +
-        value.replace("\\", "\\\\").replace('"', '\\"') +
-        '"'
-        for key, value in sorted(labels.items())
-    )
-    return "{" + escaped + "}"
-
-
-def render_openmetrics(snapshot: Mapping[str, Any]) -> str:
-    """A metrics snapshot in OpenMetrics text format.
-
-    ``snapshot`` is the :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
-    shape (``counters`` / ``gauges`` / ``histograms``); the same document
-    lands in ``ExperimentResult.telemetry`` and ``metrics.json``.
-    Counters become ``<name>_total``, gauges pass through, histogram
-    summaries export ``_count`` / ``_sum`` plus ``_min`` / ``_max``
-    gauges.  Output is deterministic for a deterministic snapshot.
-    """
-    for section in ("counters", "gauges", "histograms"):
-        if section in snapshot and not isinstance(snapshot[section], Mapping):
-            raise ConfigurationError(
-                f"metrics snapshot section {section!r} must be an object"
+    nodes = _span_nodes(records)
+    roots = [node for node in nodes.values() if _parent(node, nodes) is None]
+    runs: List[_Run] = []
+    sharded: List[List[str]] = []
+    hits = seeds = 0
+    for record in records:
+        name, attrs = record["name"], record["attrs"]
+        if record["kind"] == "span_start":
+            if name == "runner.seed":
+                seeds += 1
+            elif name == "shard.schedule":
+                sharded.append(
+                    [
+                        f"  {nodes[record['id']].label()}: "
+                        f"{attrs.get('n_clusters')} clusters, "
+                        f"{attrs.get('n_boundary_users')} boundary users"
+                    ]
+                )
+            continue
+        if record["kind"] != "event":
+            continue
+        if name == "anneal.level":
+            if attrs["level"] == 0 or not runs:
+                runs.append(_Run(_run_label(record, nodes)))
+            runs[-1].levels.append(attrs)
+        elif name == "anneal.phase_switch" and runs:
+            runs[-1].switch_levels.append(int(attrs["level"]))
+        elif name == "anneal.finish" and runs and runs[-1].finish is None:
+            runs[-1].finish = attrs
+        elif (
+            name == "scheduler.result"
+            and runs
+            and runs[-1].finish is not None
+            and runs[-1].result is None
+        ):
+            runs[-1].result = attrs
+        elif name == "shard.reconcile_round" and sharded:
+            sharded[-1].append(
+                f"    round {attrs['round']}: "
+                f"improved={'yes' if attrs['improved'] else 'no'} "
+                f"accepted_clusters={attrs['accepted_clusters']} "
+                f"utility={float(attrs['utility']):.4f}"
             )
-    lines: List[str] = []
+        elif name == "runner.journal_hit":
+            hits += 1
 
-    def families(section: str) -> Dict[str, List[Tuple[Dict[str, str], Any]]]:
-        grouped: Dict[str, List[Tuple[Dict[str, str], Any]]] = {}
-        for key, value in snapshot.get(section, {}).items():
-            name, labels = _split_series_key(key)
-            grouped.setdefault(_metric_name(name), []).append((labels, value))
-        return grouped
-
-    for name, series in sorted(families("counters").items()):
-        lines.append(f"# TYPE {name} counter")
-        for labels, value in series:
-            lines.append(f"{name}_total{_render_labels(labels)} {value}")
-    for name, series in sorted(families("gauges").items()):
-        lines.append(f"# TYPE {name} gauge")
-        for labels, value in series:
-            lines.append(f"{name}{_render_labels(labels)} {value}")
-    for name, series in sorted(families("histograms").items()):
-        lines.append(f"# TYPE {name} summary")
-        for labels, stats in series:
-            rendered = _render_labels(labels)
-            lines.append(f"{name}_count{rendered} {stats['count']}")
-            lines.append(f"{name}_sum{rendered} {stats['total']}")
-        lines.append(f"# TYPE {name}_min gauge")
-        for labels, stats in series:
-            lines.append(f"{name}_min{_render_labels(labels)} {stats['min']}")
-        lines.append(f"# TYPE {name}_max gauge")
-        for labels, stats in series:
-            lines.append(f"{name}_max{_render_labels(labels)} {stats['max']}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    balanced = "yes" if span_pairs_balanced(records) else "NO"
+    lines = [f"{len(records)} records, schema valid, spans balanced: {balanced}"]
+    lines.append("")
+    lines += _explain_time(roots)
+    lines.append("")
+    lines.append(f"annealing runs: {len(runs)}")
+    if not runs:
+        lines.append("  no annealing runs in this trace")
+    for index, run in enumerate(runs):
+        lines += _explain_run(index, run)
+    lines.append("")
+    lines.append(f"sharded solves: {len(sharded)}")
+    for block in sharded:
+        if len(block) == 1:
+            block.append("    no reconcile rounds")
+        lines += block
+    lines.append("")
+    lines.append(
+        f"cache: {hits} hits (runner.journal_hit), "
+        f"{seeds} computed seeds (runner.seed)"
+    )
+    return "\n".join(lines)

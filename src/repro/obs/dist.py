@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.atomicio import atomic_write_text
 from repro.obs.clock import TickClock
 from repro.obs.recorder import get_recorder
 from repro.obs.schema import SCHEMA_VERSION, TraceSchemaError, validate_record
@@ -53,9 +52,6 @@ from repro.obs.trace import TraceRecorder, read_trace
 
 #: Filename prefix of worker trace shards inside the telemetry directory.
 SHARD_PREFIX = "trace-"
-
-#: Default filename of the merged trace inside the telemetry directory.
-MERGED_TRACE_NAME = "trace_merged.jsonl"
 
 
 @dataclass(frozen=True)
@@ -285,15 +281,3 @@ def render_trace_lines(records: List[Dict[str, Any]]) -> str:
         json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
         for record in records
     )
-
-
-def write_merged_trace(
-    telemetry_dir: Union[str, Path],
-    out_path: Optional[Union[str, Path]] = None,
-) -> Tuple[Path, List[Dict[str, Any]]]:
-    """Merge shards under ``telemetry_dir`` and atomically write the result."""
-    root = Path(telemetry_dir)
-    records = merge_trace_shards(root)
-    target = Path(out_path) if out_path is not None else root / MERGED_TRACE_NAME
-    atomic_write_text(target, render_trace_lines(records))
-    return target, records

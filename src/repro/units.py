@@ -34,9 +34,6 @@ HZ_PER_GHZ = 1e9
 #: Hertz in one megahertz.
 HZ_PER_MHZ = 1e6
 
-#: Microseconds in one second (flamegraph folded-stack counts are µs).
-MICROSECONDS_PER_SECOND = 1e6
-
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a power level in dBm to watts.
@@ -96,8 +93,3 @@ def ghz_to_hz(ghz: float) -> float:
 def mhz_to_hz(mhz: float) -> float:
     """Convert megahertz to hertz."""
     return mhz * HZ_PER_MHZ
-
-
-def seconds_to_micros(seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return seconds * MICROSECONDS_PER_SECOND

@@ -1,17 +1,9 @@
 """Tests for the convergence-analysis utilities."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.convergence import (
-    ascii_sparkline,
-    compare_convergence,
-    summarize_trace,
-)
-from repro.core.annealing import AnnealingSchedule
-from repro.core.scheduler import TsajsScheduler
+from repro.analysis.convergence import ascii_sparkline, summarize_trace
 from repro.errors import ConfigurationError
-from tests.conftest import make_scenario
 
 
 class TestSummarizeTrace:
@@ -66,47 +58,3 @@ class TestAsciiSparkline:
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigurationError):
             ascii_sparkline([1.0, 2.0], width=0)
-
-
-class TestCompareConvergence:
-    def schedulers(self):
-        quick = dict(min_temperature=1e-1, chain_length=5)
-        return {
-            "ttsa": TsajsScheduler(
-                schedule=AnnealingSchedule(**quick), record_trace=True
-            ),
-            "vanilla": TsajsScheduler(
-                schedule=AnnealingSchedule(threshold_factor=1e18, **quick),
-                record_trace=True,
-            ),
-        }
-
-    def test_collects_per_seed_reports(self, small_random_scenario):
-        reports = compare_convergence(
-            small_random_scenario, self.schedulers(), seeds=[1, 2]
-        )
-        assert set(reports) == {"ttsa", "vanilla"}
-        assert len(reports["ttsa"]) == 2
-        for report in reports["ttsa"]:
-            assert report.levels > 0
-
-    def test_rejects_traceless_scheduler(self, small_random_scenario):
-        schedulers = {"bad": TsajsScheduler(schedule=AnnealingSchedule(
-            min_temperature=1e-1))}
-        with pytest.raises(ConfigurationError):
-            compare_convergence(small_random_scenario, schedulers, seeds=[1])
-
-    def test_rejects_empty_seeds(self, small_random_scenario):
-        with pytest.raises(ConfigurationError):
-            compare_convergence(small_random_scenario, self.schedulers(), seeds=[])
-
-    def test_shared_seed_same_instance(self, small_random_scenario):
-        # Same scheduler under two names must produce identical reports
-        # for the same seed (derived RNGs are name-independent).
-        quick = AnnealingSchedule(min_temperature=1e-1, chain_length=5)
-        schedulers = {
-            "a": TsajsScheduler(schedule=quick, record_trace=True),
-            "b": TsajsScheduler(schedule=quick, record_trace=True),
-        }
-        reports = compare_convergence(small_random_scenario, schedulers, seeds=[9])
-        assert reports["a"][0] == reports["b"][0]

@@ -7,6 +7,7 @@ properties that must hold even at quick scale.
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
     ablation_cooling,
     ablation_neighborhood,
@@ -27,6 +28,22 @@ from repro.experiments.common import (
     standard_schedulers,
 )
 from repro.experiments.report import render_text
+from repro.obs.clock import TickClock
+from repro.obs.recorder import use_recorder
+from repro.obs.trace import TraceRecorder, read_trace
+
+
+def traced_fig3_quick(telemetry_dir):
+    """``fig3 --quick`` traced into ``telemetry_dir`` as ``run --telemetry``
+    records it, but on a TickClock."""
+    recorder = TraceRecorder(
+        telemetry_dir / "trace.jsonl",
+        clock=TickClock(),
+        trace_id="run-fig3",
+        shard_dir=telemetry_dir,
+    )
+    with recorder, use_recorder(recorder):
+        return fig3_suboptimality.run(fig3_suboptimality.Fig3Settings.quick())
 
 
 class TestCommonHelpers:
@@ -52,9 +69,39 @@ class TestCommonHelpers:
 @pytest.mark.slow
 class TestFig3:
     @pytest.fixture(scope="class")
-    def quick_output(self):
-        """One ``fig3 --quick`` run (exhaustive search included), shared."""
-        return fig3_suboptimality.run(fig3_suboptimality.Fig3Settings.quick())
+    def telemetry_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fig3_telemetry")
+
+    @pytest.fixture(scope="class")
+    def quick_output(self, telemetry_dir):
+        """One traced ``fig3 --quick`` run (exhaustive search included), shared."""
+        return traced_fig3_quick(telemetry_dir)
+
+    def test_explain_reads_the_telemetry_directory(
+        self, quick_output, telemetry_dir, tmp_path, capsys
+    ):
+        traced_fig3_quick(tmp_path)  # a second recording of the same run
+        reports = []
+        for tel in (telemetry_dir, tmp_path):
+            capsys.readouterr()
+            assert main(["obs", "explain", str(tel)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        report = reports[0]
+        n_runs = sum(
+            1
+            for record in read_trace(telemetry_dir / "trace.jsonl")
+            if record["kind"] == "span_start" and record["name"] == "anneal.run"
+        )
+        assert n_runs > 0
+        assert f"annealing runs: {n_runs}\n" in report
+        for needle in (
+            "acceptance rate per level (* = phase switch):",
+            "  phase switch fired ",
+            "  best ",
+            "iterations (",
+        ):
+            assert report.count(needle) == n_runs, needle
 
     def test_quick_run_structure(self, quick_output):
         assert quick_output.experiment_id == "fig3"

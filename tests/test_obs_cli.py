@@ -1,8 +1,8 @@
 """CLI round-trips for the observability layer.
 
-``tsajs trace record`` → ``tsajs trace show``, ``tsajs solve --trace``,
-and ``tsajs run --telemetry [--profile]`` all produce schema-valid
-artefacts that the inspection commands accept.
+``tsajs solve --trace [--trace-iterations]`` and ``tsajs run --telemetry
+[--profile]`` produce schema-valid artefacts that ``tsajs obs explain``
+reads back.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ SMALL = ["--users", "6", "--servers", "2", "--subbands", "2", "--quick"]
 
 
 class TestTraceRecordShow:
+    """Record a trace with ``solve --trace`` and read it back with
+    ``obs explain``."""
+
     def test_record_then_show_round_trip(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        code = main(
-            ["trace", "record", "--out", str(out), "--seed", "1"] + SMALL
-        )
+        code = main(["solve", "--seed", "1", "--trace", str(out)] + SMALL)
         assert code == 0
         recorded = capsys.readouterr().out
         assert "TSAJS" in recorded
@@ -44,37 +45,41 @@ class TestTraceRecordShow:
         names = {record["name"] for record in records}
         assert {"anneal.run", "anneal.level", "scheduler.schedule"} <= names
 
-        assert main(["trace", "show", str(out)]) == 0
+        assert main(["obs", "explain", str(out)]) == 0
         shown = capsys.readouterr().out
-        assert "all valid" in shown
+        assert f"{len(records)} records, schema valid" in shown
         assert "spans balanced: yes" in shown
-        assert "anneal.level" in shown
+        assert "scheduler.schedule scheme=TSAJS" in shown
 
     def test_show_convergence_rebuilds_the_profile(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        main(["trace", "record", "--out", str(out), "--seed", "1"] + SMALL)
+        main(["solve", "--seed", "1", "--trace", str(out)] + SMALL)
         capsys.readouterr()
-        assert main(["trace", "show", str(out), "--convergence"]) == 0
+        assert main(["obs", "explain", str(out)]) == 0
         shown = capsys.readouterr().out
-        assert "annealing run 0" in shown
+        assert "run 0: scheme=TSAJS" in shown
         assert "final=" in shown
         assert "auc=" in shown
+        assert "acceptance rate per level" in shown
 
     def test_show_rejects_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"not": "a record"}\n', encoding="utf-8")
-        assert main(["trace", "show", str(bad)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert main(["obs", "explain", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_show_missing_file_fails_cleanly(self, tmp_path, capsys):
-        assert main(["trace", "show", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["obs", "explain", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_record_with_iteration_detail_emits_steps(self, tmp_path):
         out = tmp_path / "steps.jsonl"
         main(
-            ["trace", "record", "--out", str(out), "--seed", "1",
-             "--iterations"] + SMALL
+            ["solve", "--seed", "1", "--trace", str(out),
+             "--trace-iterations"] + SMALL
         )
         records = read_trace(out)
         assert any(record["name"] == "anneal.step" for record in records)
@@ -132,8 +137,10 @@ class TestRunTelemetry:
             key.startswith("runner.seeds_completed") for key in metrics["counters"]
         )
 
-        assert main(["trace", "show", str(tel / "trace.jsonl")]) == 0
-        assert "all valid" in capsys.readouterr().out
+        assert main(["obs", "explain", str(tel)]) == 0
+        shown = capsys.readouterr().out
+        assert "schema valid, spans balanced: yes" in shown
+        assert "computed seeds (runner.seed)" in shown
 
     def test_run_profile_writes_hotspot_sidecars(self, tmp_path, capsys):
         tel = tmp_path / "tel"

@@ -25,24 +25,20 @@ from repro.baselines import GreedyScheduler
 from repro.cli import main as cli_main
 from repro.core.annealing import AnnealingSchedule
 from repro.core.scheduler import TsajsScheduler
-from repro.errors import ConfigurationError
 from repro.obs.analyze import (
     build_span_tree,
     critical_path,
-    folded_stacks,
+    explain,
     render_critical_path,
-    render_openmetrics,
-    render_tree,
 )
 from repro.obs.clock import TickClock
 from repro.obs.dist import (
-    MERGED_TRACE_NAME,
     TraceContext,
     find_shards,
     merge_trace_shards,
     propagated_context,
+    render_trace_lines,
     worker_trace,
-    write_merged_trace,
 )
 from repro.obs.recorder import set_recorder, use_recorder
 from repro.obs.schema import span_pairs_balanced, validate_record
@@ -226,12 +222,14 @@ class TestMergeShards:
         ]
 
     def test_merged_write_is_deterministic(self, tmp_path):
+        # Merging reads the directory without changing it: a second merge
+        # renders the same document.
         tel = self._telemetry(tmp_path)
-        target_a, _ = write_merged_trace(tel)
-        first = target_a.read_bytes()
-        target_b, _ = write_merged_trace(tel)
-        assert target_b.read_bytes() == first
-        assert target_a.name == MERGED_TRACE_NAME
+        first = render_trace_lines(merge_trace_shards(tel))
+        assert render_trace_lines(merge_trace_shards(tel)) == first
+        assert sorted(path.name for path in tel.iterdir()) == sorted(
+            ["trace.jsonl"] + [path.name for path in find_shards(tel)]
+        )
 
     def test_torn_shard_is_quarantined_not_fatal(self, tmp_path):
         tel = self._telemetry(tmp_path)
@@ -283,35 +281,44 @@ class TestPoolBackendTracing:
             f"s{seed}" for seed in SEEDS
         }
         tree = build_span_tree(records)
-        rendered = render_tree(tree)
-        assert "pool.wave" in rendered
-        assert "worker.task" in rendered
         path = critical_path(tree)
         assert path and path[0].name in ("runner.run_schemes", "pool.wave")
-        assert any("anneal.run" in line for line in folded_stacks(tree))
+        assert [node.name for node in path[1:4]] == [
+            "pool.wave",
+            "worker.task",
+            "runner.seed",
+        ]
 
     def test_merged_trace_is_byte_identical_across_runs(self, tmp_path):
         # Different worker PIDs each run; on a TickClock the merged
         # document must not notice.
-        blobs = []
+        merged, reports = [], []
         for name in ("a", "b"):
             tel = tmp_path / name
             _traced_sweep(tel, ProcessPoolSweepExecutor(n_jobs=2))
-            target, _ = write_merged_trace(tel)
-            blobs.append(target.read_bytes())
-        assert blobs[0] == blobs[1]
+            records = merge_trace_shards(tel)
+            merged.append(render_trace_lines(records))
+            reports.append(explain(records))
+        assert merged[0] == merged[1]
+        assert reports[0] == reports[1]
 
     def test_obs_cli_analyzes_a_real_sweep_trace(self, tmp_path, capsys):
         tel = tmp_path / "tel"
         _traced_sweep(tel, ProcessPoolSweepExecutor(n_jobs=2))
-        assert cli_main(["obs", "merge", str(tel)]) == 0
-        merged = tel / MERGED_TRACE_NAME
-        assert cli_main(["obs", "tree", str(merged), "--max-depth", "3"]) == 0
-        assert cli_main(["obs", "critical-path", str(merged)]) == 0
-        assert cli_main(["obs", "flame", str(tel)]) == 0
+        assert cli_main(["obs", "explain", str(tel)]) == 0
         out = capsys.readouterr().out
-        assert "worker.task" in out
-        assert "anneal.run" in out
+        assert out == explain(merge_trace_shards(tel)) + "\n"
+        # The critical path descends into a worker shard, and each seed's
+        # annealing run is reported with its shard attribution.
+        path_lines = out.split("critical path:\n")[1].split("\n\n")[0]
+        assert "worker.task task=s" in path_lines
+        assert "anneal.run [shard s" in path_lines
+        for index, seed in enumerate(SEEDS):
+            assert (
+                f"run {index}: task=s{seed} seed={seed} scheme=TSAJS "
+                f"[shard s{seed}]"
+            ) in out
+        assert f"{len(SEEDS)} computed seeds (runner.seed)" in out
 
     def test_wave_without_context_emits_worker_detached(self, tmp_path):
         # Telemetry on, but no shard_dir: the legacy lossy situation,
@@ -338,27 +345,6 @@ class TestPoolBackendTracing:
 
 
 class TestAnalysis:
-    def test_openmetrics_renders_all_sections(self):
-        recorder = TraceRecorder(clock=TickClock())
-        recorder.count("runner.seeds_completed", scheme="TSAJS")
-        recorder.gauge_set("scheduler.utility", 2.5, scheme="TSAJS", seed=1)
-        recorder.observe("scheduler.wall_time_s", 0.5)
-        recorder.observe("scheduler.wall_time_s", 1.5)
-        rendered = render_openmetrics(recorder.snapshot())
-        assert rendered.endswith("# EOF\n")
-        assert (
-            'runner_seeds_completed_total{scheme="TSAJS"} 1.0' in rendered
-        )
-        assert "# TYPE scheduler_wall_time_s summary" in rendered
-        assert "scheduler_wall_time_s_count 2" in rendered
-        assert "scheduler_wall_time_s_sum 2.0" in rendered
-        assert "scheduler_wall_time_s_min 0.5" in rendered
-        assert "scheduler_wall_time_s_max 1.5" in rendered
-
-    def test_openmetrics_rejects_malformed_snapshot(self):
-        with pytest.raises(ConfigurationError, match="counters"):
-            render_openmetrics({"counters": [1, 2]})
-
     def test_critical_path_descends_heaviest_children(self):
         recorder = TraceRecorder(clock=TickClock(step=1.0))
         with recorder.span("root"):

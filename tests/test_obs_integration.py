@@ -10,8 +10,8 @@ The load-bearing guarantees:
   own ``record_trace`` series exactly, ``anneal.phase_switch`` fires at
   precisely the end-of-chain checks where the accepted-worse counter has
   reached ``maxCount = threshold_factor * L``, and the convergence
-  report rebuilt from a trace equals the one computed from the in-memory
-  series.
+  report ``tsajs obs explain`` rebuilds from a trace equals the one
+  computed from the in-memory series.
 * **Runner telemetry.**  ``run_schemes`` snapshots per-(scheme, seed)
   metrics into ``ExperimentResult.telemetry``, and a retry policy makes
   the runner emit retry/failure events.
@@ -23,15 +23,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.convergence import (
-    best_traces_from_records,
-    summarize_trace,
-    summarize_trace_records,
-)
+from repro.analysis.convergence import summarize_trace
 from repro.core.annealing import AnnealingSchedule
 from repro.core.degradation import degrade
 from repro.core.scheduler import TsajsScheduler
 from repro.faults import FaultConfig, FaultSet, apply_faults, draw_faults_for_seed
+from repro.obs.analyze import explain
 from repro.obs.clock import TickClock
 from repro.obs.recorder import set_recorder, use_recorder
 from repro.obs.schema import span_pairs_balanced, validate_record
@@ -173,31 +170,30 @@ class TestAnnealTraceFidelity:
 class TestConvergenceFromTrace:
     def test_report_from_trace_equals_report_from_series(self):
         result, records = _traced_run(record_trace=True)
-        assert summarize_trace_records(records) == summarize_trace(result.trace)
+        report = summarize_trace(result.trace)
+        assert (
+            f"  final={report.final_value:.4f} "
+            f"to90=level {report.levels_to_90} "
+            f"to99=level {report.levels_to_99} "
+            f"auc={report.normalized_auc:.3f}\n"
+        ) in explain(records)
 
     def test_multiple_runs_are_split(self):
         scenario = _scenario()
         scheduler = _scheduler()
         recorder = TraceRecorder(clock=TickClock())
         with use_recorder(recorder):
-            scheduler.schedule(scenario, child_rng(2025, 100))
-            scheduler.schedule(scenario, child_rng(2026, 100))
-        traces = best_traces_from_records(recorder.records)
-        assert len(traces) == 2
-        summarize_trace_records(recorder.records, run_index=1)
+            first = scheduler.schedule(scenario, child_rng(2025, 100))
+            second = scheduler.schedule(scenario, child_rng(2026, 100))
+        report = explain(recorder.records)
+        assert "annealing runs: 2\n" in report
+        assert f"evaluations={first.evaluations} " in report.split("run 1:")[0]
+        assert f"evaluations={second.evaluations} " in report.split("run 1:")[1]
 
-    def test_out_of_range_run_index_raises(self):
-        from repro.errors import ConfigurationError
-
-        _, records = _traced_run()
-        with pytest.raises(ConfigurationError, match="out of range"):
-            summarize_trace_records(records, run_index=5)
-
-    def test_empty_trace_raises(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="anneal.level"):
-            summarize_trace_records([])
+    def test_empty_trace_reports_no_runs(self):
+        report = explain([])
+        assert report.startswith("0 records, schema valid, spans balanced: yes")
+        assert "annealing runs: 0\n  no annealing runs in this trace" in report
 
 
 class TestRunnerTelemetry:

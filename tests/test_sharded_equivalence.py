@@ -53,9 +53,11 @@ GAP_SEEDS = tuple(range(2025, 2035))
 
 #: Pinned tolerances for the multi-cluster utility gap, relative to the
 #: global solve: no single seed may fall more than 20% short, and the
-#: mean gap across the seed set must stay within 5%.
+#: median gap across the seed set must stay within 5%.  A median, not a
+#: mean: one seed whose global reference lands far below the sharded
+#: solve (2034 reads about -280%) would drag a mean below any bound.
 MAX_SEED_GAP = 0.20
-MAX_MEAN_GAP = 0.05
+MAX_MEDIAN_GAP = 0.05
 
 #: The equivalence harness's quick schedule, for the multi-cluster tests
 #: that check feasibility and telemetry rather than solution quality.
@@ -142,16 +144,19 @@ def test_multi_cluster_gap_within_pinned_tolerance():
         )
         assert reconcile_rounds(recorder) >= 1
         assert sharded.utility > 0.0
-        gap = (reference.utility - sharded.utility) / abs(reference.utility)
-        gaps.append(gap)
-        assert gap <= MAX_SEED_GAP, (
-            f"seed {seed}: sharded utility {sharded.utility} trails global "
-            f"{reference.utility} by {gap:.2%} (> {MAX_SEED_GAP:.0%})"
-        )
-    mean_gap = float(np.mean(gaps))
-    assert mean_gap <= MAX_MEAN_GAP, (
-        f"mean sharded-vs-global gap {mean_gap:.2%} exceeds {MAX_MEAN_GAP:.0%}"
+        gaps.append((reference.utility - sharded.utility) / abs(reference.utility))
+    median_gap = float(np.median(gaps))
+    assert median_gap <= MAX_MEDIAN_GAP, (
+        f"median sharded-vs-global gap {median_gap:.2%} exceeds "
+        f"{MAX_MEDIAN_GAP:.0%} (per-seed gaps: "
+        + ", ".join(f"{gap:.2%}" for gap in gaps)
+        + ")"
     )
+    for seed, gap in zip(GAP_SEEDS, gaps):
+        assert gap <= MAX_SEED_GAP, (
+            f"seed {seed}: sharded utility trails the global solve by "
+            f"{gap:.2%} (> {MAX_SEED_GAP:.0%})"
+        )
 
 
 def test_multi_cluster_result_is_feasible():
