@@ -26,7 +26,7 @@ Sub-commands
     Inject a seeded fault set into one scheduled instance and print how
     the degradation policy (local fallback or restricted re-scheduling)
     recovers: utility retention, fallback count, repair time.
-``tsajs lint [PATHS ...] [--format text|json] [--rules R001,...]``
+``tsajs lint [PATHS ...] [--format text|json|sarif] [--rule R0xx,...]``
     Run the project's static-analysis rules (determinism, unit
     discipline, paper-equation traceability); exits 1 on findings.
 ``tsajs obs explain PATH``
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -159,16 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--telemetry directory (requires --telemetry)"
         ),
     )
-    run_parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "run the experiment twice serially under the determinism "
-            "sanitizer and assert per-stream RNG ledgers and outputs "
-            "are identical (incompatible with --cache, --workers, "
-            "--seed-timeout and --telemetry)"
-        ),
-    )
 
     solve_parser = sub.add_parser("solve", help="solve one random instance")
     solve_parser.add_argument("--users", type=int, default=20)
@@ -249,16 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "include one anneal.step event per proposal in the trace "
             "(orders of magnitude more lines; requires --trace)"
-        ),
-    )
-    solve_parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "replay the solve under scalar, delta and batch evaluation "
-            "with the determinism sanitizer and assert per-stream RNG "
-            "ledgers and utilities are identical (overrides "
-            "--batch; incompatible with --trace)"
         ),
     )
 
@@ -366,28 +346,12 @@ def _cmd_run(
     seed_timeout: Optional[float] = None,
     telemetry: Optional[str] = None,
     profile: bool = False,
-    sanitize: bool = False,
     cache: Optional[str] = None,
     no_resume: bool = False,
 ) -> int:
     if no_resume and cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
-    if sanitize:
-        if (
-            telemetry is not None
-            or workers != 1
-            or seed_timeout is not None
-            or cache is not None
-        ):
-            print(
-                "error: --sanitize replays the experiment serially and "
-                "cannot be combined with --cache, --seed-timeout, "
-                "--telemetry or --workers",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_run_sanitized(experiment_id, quick, out, json_out)
     if profile and telemetry is None:
         print("error: --profile requires --telemetry DIR", file=sys.stderr)
         return 2
@@ -474,65 +438,6 @@ def _build_sweep(
     )
 
 
-def _cmd_run_sanitized(
-    experiment_id: str,
-    quick: bool,
-    out: Optional[str],
-    json_out: Optional[str],
-) -> int:
-    """Run the experiment twice serially and assert ledger/output equality.
-
-    Serial on purpose: the sanitizer's stream observer is process-local,
-    so pool workers would create unobserved streams.  Two full replays
-    must agree draw-for-draw on every stream and byte-for-byte on the
-    rendered table.
-    """
-    from repro.errors import DeterminismViolation
-    from repro.sanitize import assert_ledgers_match, sanitized
-
-    spec = get_experiment(experiment_id)
-    snapshots = []
-    texts = []
-    output = None
-    for _ in range(2):
-        with sanitized() as sanitizer:
-            output = spec.run_quick() if quick else spec.run_full()
-        snapshots.append(sanitizer.snapshot())
-        texts.append(render_text(output))
-    try:
-        assert_ledgers_match(
-            snapshots[0],
-            snapshots[1],
-            compare_draws=True,
-            context="serial run replay",
-        )
-    except DeterminismViolation as exc:
-        print(f"SANITIZER FAILED: {exc}", file=sys.stderr)
-        return 1
-    if texts[0] != texts[1]:
-        print(
-            "SANITIZER FAILED: rendered outputs differ between replays",
-            file=sys.stderr,
-        )
-        return 1
-    print(texts[1])
-    if out:
-        from repro.atomicio import atomic_write_text
-
-        atomic_write_text(out, texts[1] + "\n")
-        print(f"\n[written to {out}]")
-    if json_out and output is not None:
-        from repro.experiments.persistence import save_output
-
-        save_output(output, json_out)
-        print(f"[structured result written to {json_out}]")
-    print(
-        f"[sanitize: {len(snapshots[0])} RNG stream ledgers identical "
-        "across 2 serial replays]"
-    )
-    return 0
-
-
 def _cmd_run_body(
     experiment_id: str,
     quick: bool,
@@ -569,15 +474,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace_iterations and not args.trace:
         print("error: --trace-iterations requires --trace FILE", file=sys.stderr)
         return 2
-    if args.sanitize:
-        if args.trace:
-            print(
-                "error: --sanitize replays the solve and cannot be "
-                "combined with --trace",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_solve_sanitized(args)
     if args.trace:
         from repro.obs.recorder import use_recorder
         from repro.obs.trace import TraceRecorder
@@ -638,108 +534,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
             f"offloaded={result.decision.n_offloaded():3d}/{args.users:<3d} "
             f"time={result.wall_time_s:7.3f}s"
         )
-    return 0
-
-
-def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
-    """Replay the solve under all three evaluators with ledger checks.
-
-    Scalar vs delta must agree draw-for-draw; scalar vs batch must agree
-    on final stream states (the batch evaluator draws speculative
-    uniforms and rewinds, so its draw *counts* legitimately differ) and
-    on every utility bit.
-    """
-    from repro.errors import DeterminismViolation
-    from repro.experiments.schemes import build_schemes
-    from repro.sanitize import assert_ledgers_match, sanitized
-
-    names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    modes = (
-        ("scalar", False, False),
-        ("delta", True, False),
-        ("batch", False, True),
-    )
-    shard_tag = " sharded" if args.shard else ""
-    print(
-        f"instance: U={args.users} S={args.servers} N={args.subbands} "
-        f"w={args.workload_mc:.0f} Mc d={args.input_kb:.0f} KB "
-        f"seed={args.seed} [sanitize: scalar/delta/batch{shard_tag} replay]"
-    )
-    snapshots = {}
-    utilities: Dict[str, Dict[str, float]] = {}
-    for mode_name, use_delta, use_batch in modes:
-        config = SimulationConfig(
-            n_users=args.users,
-            n_servers=args.servers,
-            n_subbands=args.subbands,
-            workload_megacycles=args.workload_mc,
-            input_kb=args.input_kb,
-            use_delta=use_delta,
-            use_batch=use_batch,
-            batch_size=args.batch_size,
-            use_sharding=args.shard,
-            cluster_radius_km=args.cluster_radius,
-            interference_radius_km=args.interference_radius,
-            max_reconcile_rounds=args.reconcile_rounds,
-        )
-        with sanitized() as sanitizer:
-            scenario = Scenario.build(config, seed=args.seed)
-            schedulers = build_schemes(
-                names,
-                quick=args.quick,
-                use_delta=use_delta,
-                use_batch=use_batch,
-                batch_size=args.batch_size,
-                use_sharding=config.use_sharding,
-                cluster_radius_km=config.cluster_radius_km,
-                interference_radius_km=config.interference_radius_km,
-                max_reconcile_rounds=config.max_reconcile_rounds,
-            )
-            for index, scheduler in enumerate(schedulers):
-                rng = child_rng(args.seed, 100 + index)
-                result = scheduler.schedule(scenario, rng)
-                utilities.setdefault(scheduler.name, {})[mode_name] = (
-                    result.utility
-                )
-        snapshots[mode_name] = sanitizer.snapshot()
-    try:
-        assert_ledgers_match(
-            snapshots["scalar"],
-            snapshots["delta"],
-            compare_draws=True,
-            context="scalar vs delta replay",
-        )
-        assert_ledgers_match(
-            snapshots["scalar"],
-            snapshots["batch"],
-            compare_draws=False,
-            context="scalar vs batch replay",
-        )
-    except DeterminismViolation as exc:
-        print(f"SANITIZER FAILED: {exc}", file=sys.stderr)
-        return 1
-    divergent = {
-        name: by_mode
-        for name, by_mode in utilities.items()
-        if len({repr(value) for value in by_mode.values()}) != 1
-    }
-    if divergent:
-        print(
-            f"SANITIZER FAILED: utilities diverged across modes: "
-            f"{divergent}",
-            file=sys.stderr,
-        )
-        return 1
-    for name in sorted(utilities):
-        print(
-            f"{name:12s} utility={utilities[name]['scalar']:10.4f} "
-            "(bitwise-identical across scalar/delta/batch)"
-        )
-    n_streams = len(snapshots["scalar"])
-    print(
-        f"[sanitize: {n_streams} RNG stream ledgers identical across "
-        "3 replays]"
-    )
     return 0
 
 
@@ -886,7 +680,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed_timeout=args.seed_timeout,
             telemetry=args.telemetry,
             profile=args.profile,
-            sanitize=args.sanitize,
             cache=args.cache,
             no_resume=args.no_resume,
         )

@@ -27,11 +27,3 @@ class InfeasibleAllocationError(ReproError):
 class SolverError(ReproError):
     """A scheduling algorithm failed to produce a valid solution."""
 
-
-class DeterminismViolation(ReproError):
-    """The runtime sanitizer caught a reproducibility contract breach.
-
-    Raised by :mod:`repro.sanitize` when per-stream draw ledgers diverge
-    between replays that the contract requires to be bitwise identical
-    (scalar vs delta vs batch, or a resumed run vs a fresh one).
-    """

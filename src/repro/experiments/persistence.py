@@ -231,18 +231,17 @@ _CODE_FINGERPRINT: Optional[str] = None
 def code_fingerprint() -> str:
     """Short hex digest of the *implementation contract* of this build.
 
-    Hashes the checked-in equation/algorithm registries and the lint
-    rule set (ids + titles + required-citation map) — the project's
-    machine-readable statement of which formulas the code implements and
-    which invariants it enforces.  When any of those change, previously
-    persisted per-seed metrics may no longer be reproducible, so every
-    cache address includes this fingerprint and results written under a
-    different one are never served.
+    Hashes the checked-in equation/algorithm registries and the
+    required-citation map — the project's machine-readable statement of
+    which formulas the code implements.  When any of those change,
+    previously persisted per-seed metrics may no longer be reproducible,
+    so every cache address includes this fingerprint and results written
+    under a different one are never served.  Lint rules are not hashed:
+    results do not depend on them.
 
-    The registries are imported lazily (the lint package is otherwise
-    never needed at sweep time) and the digest memoized: registries are
-    module-level constants, so the fingerprint cannot change within a
-    process.
+    The registries are imported lazily and the digest memoized:
+    registries are module-level constants, so the fingerprint cannot
+    change within a process.
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
@@ -251,7 +250,6 @@ def code_fingerprint() -> str:
             EQUATIONS,
             REQUIRED_CITATIONS,
         )
-        from repro.lint.registry import all_rules
 
         payload = {
             "equations": EQUATIONS,
@@ -263,7 +261,6 @@ def code_fingerprint() -> str:
                 }
                 for module, functions in sorted(REQUIRED_CITATIONS.items())
             },
-            "rules": [[rule.rule_id, rule.title] for rule in all_rules()],
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         _CODE_FINGERPRINT = hashlib.sha256(

@@ -29,19 +29,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
         "--rule",
         action="append",
         default=None,
         metavar="R0xx[,R0yy]",
-        help=(
-            "rule id(s) to run; repeatable and comma-splittable, "
-            "combined with --rules"
-        ),
+        help="rule id(s) to run; repeatable and comma-splittable (default: all)",
     )
     parser.add_argument(
         "--list-rules",
@@ -51,10 +43,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timing",
         action="store_true",
-        help=(
-            "print flow-analysis build time to stderr (CI gates the "
-            "whole-project pass under 10 s)"
-        ),
+        help="print R011's flow-analysis build time to stderr",
     )
 
 
@@ -85,10 +74,6 @@ def run(args: argparse.Namespace, prog: str = "repro.lint") -> int:
         return 0
 
     requested: List[str] = []
-    if args.rules is not None:
-        requested.extend(
-            part.strip() for part in args.rules.split(",") if part.strip()
-        )
     for chunk in getattr(args, "rule", None) or []:
         requested.extend(part.strip() for part in chunk.split(",") if part.strip())
 
@@ -115,7 +100,7 @@ def run(args: argparse.Namespace, prog: str = "repro.lint") -> int:
                 file=sys.stderr,
             )
         else:
-            print(f"{prog}: no flow rule ran", file=sys.stderr)
+            print(f"{prog}: R011 did not run", file=sys.stderr)
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":

@@ -27,9 +27,9 @@ class Project:
 
     contexts: List[FileContext] = field(default_factory=list)
     #: Cache slot for the whole-project flow analysis (built lazily by
-    #: ``repro.lint.flow.analyze_project`` so the four flow rules share
-    #: one symbol-table/call-graph/taint pass per invocation).  Typed
-    #: ``Any`` to keep the engine importable without the flow package.
+    #: ``repro.lint.flow.analyze_project``, at most once per
+    #: invocation).  Typed ``Any`` to keep the engine importable without
+    #: the flow package.
     flow_cache: Optional[Any] = None
 
     def find_module(self, rel: str) -> Optional[FileContext]:
@@ -50,7 +50,7 @@ class LintResult:
     #: Rule ids that ran, in execution order (schema v2 reports them).
     rule_ids: List[str] = field(default_factory=list)
     #: Wall-clock seconds spent building the whole-project flow
-    #: analysis, or ``None`` when no flow rule ran.
+    #: analysis, or ``None`` when R011 did not run.
     flow_build_seconds: Optional[float] = None
 
     @property

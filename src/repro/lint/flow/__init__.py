@@ -1,32 +1,22 @@
-"""Whole-project dataflow analysis for the determinism lint rules.
+"""Whole-project dataflow analysis for the unordered-reduction rule.
 
 The per-file AST rules (R001-R008) can only see one module at a time,
-but the reproduction guarantees they protect — scalar==delta==batch
-bitwise identity, byte-identical ``--cache`` resumes, RNG-rewind invisibility —
-are *inter-procedural* properties: an RNG stream created in one module
-is threaded through calls, closures and executor submissions defined in
-others.  This package adds the project-wide view those properties need:
+but an unordered iterable built in one function can be reduced in
+another: a ``set`` returned by a helper, passed as an argument, or
+parked on ``self``.  This package adds the project-wide view that R011
+needs:
 
 * :mod:`repro.lint.flow.symbols` — a cross-module symbol table mapping
-  every import, module-level binding, function and class to its
-  absolute dotted name;
-* :mod:`repro.lint.flow.callgraph` — a call graph over the project's
-  own functions (resolved through the symbol table, including
-  ``self.method`` and ``Class.method`` calls);
-* :mod:`repro.lint.flow.cfg` — a per-function CFG-lite giving statement
-  order, branch structure and loop depth (a call site inside a loop
-  executes many times — the difference between sharing one RNG stream
-  and deriving a fresh one per task);
-* :mod:`repro.lint.flow.taint` — the dataflow walker: it seeds taint at
-  sources (``make_rng()``/``child_rng()`` calls, ``Generator``
-  parameters, executor constructions, ``get_recorder()``, unordered
-  iterables), propagates it through assignments, comprehensions,
-  conditional expressions and — via a fixpoint over the call graph —
-  through calls and returns.
+  every import, module-level binding and function to its absolute
+  dotted name;
+* :mod:`repro.lint.flow.taint` — the dataflow walker: it marks
+  unordered sources (set displays and constructors, ``as_completed``,
+  ``os.listdir``, ``glob``, ``Path.iterdir``) and propagates the mark
+  through assignments, comprehensions, conditional expressions and —
+  via a fixpoint over call sites — through calls and returns.
 
-The flow rules R009-R012 consume one shared :class:`FlowAnalysis` per
-lint invocation (cached on the :class:`~repro.lint.engine.Project`), so
-the whole-project pass is built exactly once however many rules run.
+R011 builds one :class:`FlowAnalysis` per lint invocation (cached on
+the :class:`~repro.lint.engine.Project`).
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
-from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.symbols import SymbolTable
 from repro.lint.flow.taint import FunctionTaint, TaintAnalysis
 
@@ -44,14 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 @dataclass
 class FlowAnalysis:
-    """The shared whole-project analysis the flow rules consume."""
+    """The shared whole-project analysis R011 consumes."""
 
     symbols: SymbolTable
-    callgraph: CallGraph
     taint: TaintAnalysis
     #: Wall-clock seconds spent building the analysis (symbol table +
-    #: call graph + taint fixpoint); surfaced by ``repro.lint --timing``
-    #: and gated < 10 s in CI.
+    #: taint fixpoint); surfaced by ``repro.lint --timing`` and gated
+    #: < 10 s in the test suite.
     build_seconds: float = 0.0
 
     @property
@@ -61,11 +49,7 @@ class FlowAnalysis:
 
 
 def analyze_project(project: "Project") -> FlowAnalysis:
-    """Build (or reuse) the :class:`FlowAnalysis` for one lint run.
-
-    The analysis is cached on the project object, so the four flow rules
-    share a single symbol-table/call-graph/taint pass per invocation.
-    """
+    """Build (or reuse) the :class:`FlowAnalysis` for one lint run."""
     cached = project.flow_cache
     if isinstance(cached, FlowAnalysis):
         return cached
@@ -77,9 +61,8 @@ def analyze_project(project: "Project") -> FlowAnalysis:
 
     start = time.perf_counter()
     symbols = SymbolTable.build(project)
-    callgraph = CallGraph.build(symbols)
-    taint = TaintAnalysis.build(symbols, callgraph)
-    analysis = FlowAnalysis(symbols=symbols, callgraph=callgraph, taint=taint)
+    taint = TaintAnalysis.build(symbols)
+    analysis = FlowAnalysis(symbols=symbols, taint=taint)
     analysis.build_seconds = time.perf_counter() - start
     project.flow_cache = analysis
     return analysis
@@ -88,7 +71,6 @@ def analyze_project(project: "Project") -> FlowAnalysis:
 __all__ = [
     "FlowAnalysis",
     "analyze_project",
-    "CallGraph",
     "SymbolTable",
     "TaintAnalysis",
 ]

@@ -8,20 +8,15 @@ Maps every scanned file to a dotted module name and records, per module:
 * **functions** — every module-level function and one-level method,
   keyed ``"func"`` / ``"Class.method"`` locally and
   ``"pkg.mod.Class.method"`` globally;
-* **classes** — module-level class definitions, plus which of their
-  ``__init__`` parameters are *retained* (assigned onto ``self``), which
-  is how the aliasing rule knows that handing an RNG to a constructor
-  parks a long-lived reference to the stream;
-* **module-level bindings** — names assigned at module scope, with the
-  subset bound to *mutable containers* (dict/list/set displays or
-  constructor calls) that the pool-capture rule treats as shared state.
+* **module-level bindings** — names assigned at module scope (classes
+  and functions included).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.lint.rules_base import FileContext
 
@@ -29,9 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.lint.engine import Project
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: Calls and displays that build a mutable container.
-_MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "deque", "Counter", "OrderedDict"}
 
 
 def module_name(ctx: FileContext) -> str:
@@ -46,15 +38,6 @@ def module_name(ctx: FileContext) -> str:
         parts = parts[:-1]
         return ".".join(parts) if parts else ctx.path.parent.name
     return ".".join(parts[:-1] + [leaf])
-
-
-def _is_mutable_value(node: ast.expr) -> bool:
-    """Whether a module-level binding's value is a mutable container."""
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_CTORS
-    return False
 
 
 @dataclass
@@ -81,19 +64,6 @@ class FunctionInfo:
 
 
 @dataclass
-class ClassInfo:
-    """One project class: its node plus constructor retention facts."""
-
-    qualified: str
-    module: str
-    node: ast.ClassDef
-    #: ``__init__`` parameters assigned onto ``self`` (long-lived refs).
-    retained_params: Set[str] = field(default_factory=set)
-    #: Positional order of ``__init__`` parameters after ``self``.
-    init_params: List[str] = field(default_factory=list)
-
-
-@dataclass
 class ModuleSymbols:
     """Everything the analysis knows about one module."""
 
@@ -101,25 +71,19 @@ class ModuleSymbols:
     ctx: FileContext
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: Every module-level binding: name -> assigned value node.
     bindings: Dict[str, ast.expr] = field(default_factory=dict)
-    #: Module-level names bound to mutable containers.
-    mutable_globals: Dict[str, ast.stmt] = field(default_factory=dict)
 
 
 class SymbolTable:
-    """The project-wide name-resolution layer the flow rules share."""
+    """The project-wide name-resolution layer of the flow analysis."""
 
     def __init__(self, modules: Dict[str, ModuleSymbols]) -> None:
         self.modules = modules
         self._functions: Dict[str, FunctionInfo] = {}
-        self._classes: Dict[str, ClassInfo] = {}
         for mod in modules.values():
             for info in mod.functions.values():
                 self._functions[info.qualified] = info
-            for cls in mod.classes.values():
-                self._classes[cls.qualified] = cls
 
     @classmethod
     def build(cls, project: "Project") -> "SymbolTable":
@@ -221,9 +185,6 @@ class SymbolTable:
 
     @classmethod
     def _scan_class(cls, mod: ModuleSymbols, node: ast.ClassDef) -> None:
-        info = ClassInfo(
-            qualified=f"{mod.name}.{node.name}", module=mod.name, node=node
-        )
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method = FunctionInfo(
@@ -235,58 +196,7 @@ class SymbolTable:
                     class_name=node.name,
                 )
                 mod.functions[method.local_name] = method
-                if item.name == "__init__":
-                    cls._scan_init_retention(info, item)
-        # A dataclass without an explicit __init__ retains every field.
-        if not info.init_params and cls._is_dataclass(node):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    info.init_params.append(item.target.id)
-                    info.retained_params.add(item.target.id)
-        mod.classes[node.name] = info
         mod.bindings.setdefault(node.name, ast.Name(id=node.name))
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if isinstance(target, ast.Name) and target.id == "dataclass":
-                return True
-            if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-                return True
-        return False
-
-    @staticmethod
-    def _scan_init_retention(info: ClassInfo, init: FunctionNode) -> None:
-        args = init.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        info.init_params = [p for p in params if p != "self"]
-        for stmt in ast.walk(init):
-            targets: Sequence[ast.expr] = ()
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None:
-                continue
-            stored = {
-                t.attr
-                for t in targets
-                if isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
-            }
-            if not stored:
-                continue
-            for name_node in ast.walk(value):
-                if (
-                    isinstance(name_node, ast.Name)
-                    and name_node.id in info.init_params
-                ):
-                    info.retained_params.add(name_node.id)
 
     @classmethod
     def _scan_binding(cls, mod: ModuleSymbols, node: ast.stmt) -> None:
@@ -302,8 +212,6 @@ class SymbolTable:
             return
         for bound in names:
             mod.bindings[bound] = value
-            if _is_mutable_value(value):
-                mod.mutable_globals[bound] = node
 
     # ------------------------------------------------------------------
     # Resolution
@@ -330,7 +238,7 @@ class SymbolTable:
             base = mod.imports[head]
             resolved = ".".join((base,) + rest) if rest else base
             return self._follow_reexport(resolved)
-        if head in mod.functions or head in mod.classes or head in mod.bindings:
+        if head in mod.functions or head in mod.bindings:
             return ".".join((module, head) + rest)
         return None
 
@@ -342,7 +250,7 @@ class SymbolTable:
         real function.
         """
         for _ in range(4):
-            if dotted in self._functions or dotted in self._classes:
+            if dotted in self._functions:
                 return dotted
             if "." not in dotted:
                 return dotted
@@ -355,9 +263,6 @@ class SymbolTable:
 
     def function(self, qualified: str) -> Optional[FunctionInfo]:
         return self._functions.get(qualified)
-
-    def class_info(self, qualified: str) -> Optional[ClassInfo]:
-        return self._classes.get(qualified)
 
     def all_functions(self) -> List[FunctionInfo]:
         """Every project function, in deterministic qualified-name order."""

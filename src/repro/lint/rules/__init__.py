@@ -3,8 +3,8 @@
 Importing this package registers every rule with the global registry;
 each module calls :func:`repro.lint.registry.register` at import time.
 
-R001-R008 are per-file AST rules; R009-R012 are flow rules built on the
-whole-project analysis in :mod:`repro.lint.flow`.
+R001-R008 are per-file AST rules; R011 is built on the whole-project
+analysis in :mod:`repro.lint.flow`.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from repro.lint.rules import (  # noqa: F401
     r006_config_drift,
     r007_exceptions,
     r008_telemetry,
-    r009_rng_aliasing,
-    r010_pool_capture,
     r011_unordered_reduction,
-    r012_telemetry_purity,
 )
 
 __all__ = [
@@ -33,8 +30,5 @@ __all__ = [
     "r006_config_drift",
     "r007_exceptions",
     "r008_telemetry",
-    "r009_rng_aliasing",
-    "r010_pool_capture",
     "r011_unordered_reduction",
-    "r012_telemetry_purity",
 ]

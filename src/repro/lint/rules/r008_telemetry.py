@@ -21,12 +21,12 @@ The rule flags ``import time`` / ``from time import ...`` and any
 itself is out of scope for the timing checks — it is the one place
 allowed to touch :mod:`time`.
 
-A third check covers **telemetry file writes**: inside ``repro/obs``
-and ``repro/sim/executors`` — the packages that publish trace shards
-and merged traces other processes read concurrently — a direct
-``open(..., "w")`` (or ``.write_text()`` / ``.write_bytes()``)
-produces files that can be observed half-written.
-Everything these packages write must go through :mod:`repro.atomicio`
+A third check covers **file writes** anywhere in ``repro``: trace
+shards, merged traces, cache entries and result tables are read by
+other processes (pool workers, a resumed sweep, a reader racing a
+crash), and a direct ``open(..., "w")`` (or ``.write_text()`` /
+``.write_bytes()``) produces files that can be observed half-written.
+Everything the package writes must go through :mod:`repro.atomicio`
 (``atomic_write_text`` / ``atomic_write_json`` /
 :class:`~repro.atomicio.AtomicLineWriter`), which publishes via
 temp-file + rename so readers only ever see complete files.  Read-mode
@@ -49,13 +49,13 @@ from repro.lint.rules_base import FileContext, Rule
 @register
 class TelemetryDisciplineRule(Rule):
     rule_id = "R008"
-    title = "time/print/file-writes in scoped packages go through repro.obs"
+    title = "time/print go through repro.obs, file writes through repro.atomicio"
     rationale = (
         "Direct time.* calls bypass the injectable clock seam (so tests "
         "cannot make timing deterministic), print() bypasses the "
         "recorder (so traces and machine-readable output miss it), and "
-        "direct open()-for-write in the telemetry/executor packages "
-        "publishes files other processes can observe half-written; use "
+        "direct open()-for-write publishes files other processes can "
+        "observe half-written; use "
         "repro.obs.clock.Stopwatch / sleep, recorder events, and "
         "repro.atomicio writers instead."
     )
@@ -69,13 +69,9 @@ class TelemetryDisciplineRule(Rule):
 
     @staticmethod
     def _in_write_scope(ctx: FileContext) -> bool:
-        """Packages whose on-disk output other processes read concurrently."""
-        if ctx.in_subpackage("obs"):
-            return True
-        return len(ctx.module) >= 4 and ctx.module[:3] == (
-            "repro",
-            "sim",
-            "executors",
+        """Every ``repro`` module except the atomic writers themselves."""
+        return ctx.module[:1] == ("repro",) and not ctx.is_module(
+            "repro/atomicio.py"
         )
 
     def _check_imports(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -129,8 +125,8 @@ class TelemetryDisciplineRule(Rule):
                 yield ctx.diagnostic(
                     self.rule_id,
                     call,
-                    "open() for writing in a telemetry/executor package "
-                    "can be observed half-written by concurrent readers; "
+                    "open() for writing can be observed half-written by "
+                    "concurrent readers; "
                     "publish atomically via repro.atomicio "
                     "(atomic_write_* or AtomicLineWriter)",
                 )
@@ -141,8 +137,8 @@ class TelemetryDisciplineRule(Rule):
                 yield ctx.diagnostic(
                     self.rule_id,
                     call,
-                    f".{call.func.attr}() in a telemetry/executor package "
-                    "can be observed half-written by concurrent readers; "
+                    f".{call.func.attr}() can be observed half-written by "
+                    "concurrent readers; "
                     "publish atomically via repro.atomicio "
                     "(atomic_write_* or AtomicLineWriter)",
                 )

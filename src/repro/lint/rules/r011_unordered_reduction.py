@@ -4,7 +4,7 @@ Floating-point addition is not associative: summing the same values in
 a different order changes the last bits, and the golden-trajectory and
 resume-equality suites compare *bits*.  R005 already bans scalar
 accumulation inside ``core/``; this rule closes the gap everywhere else
-by following *where the iterable came from*.  The flow layer taints
+by following *where the iterable came from*.  The flow layer marks
 inherently unordered producers —
 
 * ``set``/``frozenset`` displays, constructors and comprehensions,
@@ -12,7 +12,7 @@ inherently unordered producers —
 * ``os.listdir`` / ``os.scandir`` / ``glob`` / ``Path.iterdir``
   (directory order is filesystem-dependent),
 
-— and tracks the taint through assignments, ``list()``/``enumerate()``
+— and tracks the mark through assignments, ``list()``/``enumerate()``
 wrappers and comprehensions (which all *preserve* the unordered order);
 ``sorted(...)`` cleanses it.  The rule fires on:
 
@@ -36,7 +36,7 @@ from repro.lint.astutil import dotted_name
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import Project
 from repro.lint.flow import analyze_project
-from repro.lint.flow.taint import UNORDERED, FunctionTaint, TaintAnalysis
+from repro.lint.flow.taint import FunctionTaint, TaintAnalysis
 from repro.lint.registry import register
 from repro.lint.rules_base import Rule
 
@@ -93,7 +93,7 @@ class UnorderedReductionRule(Rule):
             name = dotted_name(call.func)
             if name not in REDUCTIONS or not call.args:
                 continue
-            if UNORDERED in taint.kinds_of(fnt, call.args[0]):
+            if taint.is_unordered(fnt, call.args[0]):
                 pretty = ".".join(name)
                 yield fnt.info.ctx.diagnostic(
                     self.rule_id,
@@ -107,11 +107,10 @@ class UnorderedReductionRule(Rule):
     def _check_loop_accumulation(
         self, taint: TaintAnalysis, fnt: FunctionTaint
     ) -> Iterator[Diagnostic]:
-        for node in fnt.cfg.statements():
-            stmt = node.stmt
+        for stmt in fnt.statements:
             if not isinstance(stmt, (ast.For, ast.AsyncFor)):
                 continue
-            if UNORDERED not in taint.kinds_of(fnt, stmt.iter):
+            if not taint.is_unordered(fnt, stmt.iter):
                 continue
             for accumulation in self._arith_augassigns(stmt):
                 yield fnt.info.ctx.diagnostic(

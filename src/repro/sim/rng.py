@@ -9,43 +9,14 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
-
-#: Optional hook wrapping every generator these factories hand out.
-#: ``repro.sanitize`` installs one to interpose its draw-ledger proxy;
-#: the default (``None``) hands back the raw generator, so the hot path
-#: costs one ``is None`` check.  Process-local by design, mirroring the
-#: ``repro.obs`` recorder seam.
-_STREAM_OBSERVER: Optional[
-    Callable[[np.random.Generator, str], np.random.Generator]
-] = None
-
-
-def set_stream_observer(
-    observer: Optional[Callable[[np.random.Generator, str], np.random.Generator]]
-) -> None:
-    """Install (or clear, with ``None``) the stream-creation observer.
-
-    The observer receives every generator created by :func:`make_rng` /
-    :func:`child_rng` together with a stable stream label
-    (``"root:<seed>"`` / ``"child:<seed>:<stream>"``) and returns the
-    generator to hand to the caller — typically a wrapping proxy.
-    """
-    global _STREAM_OBSERVER
-    _STREAM_OBSERVER = observer
-
-
-def _observe(rng: np.random.Generator, label: str) -> np.random.Generator:
-    if _STREAM_OBSERVER is None:
-        return rng
-    return _STREAM_OBSERVER(rng, label)
 
 
 def make_rng(seed: Optional[int] = None) -> np.random.Generator:
     """A fresh generator; with ``seed=None`` entropy comes from the OS."""
-    return _observe(np.random.default_rng(seed), f"root:{seed}")
+    return np.random.default_rng(seed)
 
 
 def child_rng(seed: int, stream: int) -> np.random.Generator:
@@ -55,11 +26,8 @@ def child_rng(seed: int, stream: int) -> np.random.Generator:
     statistically independent streams, and the mapping is stable across
     processes and runs.
     """
-    return _observe(
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-        ),
-        f"child:{seed}:{stream}",
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     )
 
 

@@ -13,7 +13,7 @@ from repro.baselines import (
     LocalSearchScheduler,
     RandomScheduler,
 )
-from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.decision import LOCAL
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError, SolverError

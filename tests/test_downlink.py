@@ -9,7 +9,6 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
 from repro.errors import ConfigurationError
 from repro.extensions.downlink import DownlinkAwareEvaluator, DownlinkModel
-from tests.conftest import make_scenario
 
 
 class TestDownlinkModel:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.fading import RayleighFading, RicianFading, faded_scenario
-from tests.conftest import make_scenario
 
 
 class TestRayleighFading:

@@ -26,11 +26,11 @@ def _write(root: Path, rel: str, source: str) -> Path:
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R010", "R011", "R012",
+            "R011",
         ]
 
     def test_rules_carry_title_and_rationale(self):
@@ -202,20 +202,16 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in (
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R010", "R011", "R012",
+            "R011",
         ):
             assert rule_id in out
+        for gone in ("R009", "R010", "R012"):
+            assert gone not in out
 
     def test_unknown_rule_exits_2(self, capsys):
         from repro.lint.cli import main
 
-        assert main(["--rules", "R999", "src"]) == 2
-
-    def test_rule_subset_selection(self, tmp_path, capsys):
-        from repro.lint.cli import main
-
-        _write(tmp_path, "repro/core/x.py", "total = sum([1.0])\n")
-        assert main([str(tmp_path), "--rules", "R001"]) == 0
+        assert main(["--rule", "R001,R999", "src"]) == 2
 
     def test_rule_flag_repeatable_and_comma_splittable(self, tmp_path, capsys):
         from repro.lint.cli import main
@@ -247,7 +243,7 @@ class TestCli:
         from repro.lint.cli import main
 
         _write(tmp_path, "repro/core/x.py", "total = sum([1.0])\n")
-        assert main([str(tmp_path), "--rules", "R005", "--format", "sarif"]) == 1
+        assert main([str(tmp_path), "--rule", "R005", "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         assert payload["runs"][0]["results"]
@@ -308,19 +304,16 @@ class TestShippedTreeIsClean:
         assert result.suppressed == 0
 
     def test_src_tree_clean_under_flow_rules_without_suppressions(self):
-        # The flow rules (R009-R012) must hold on src/ by construction,
-        # not by suppression comments.
-        result = lint_paths(
-            [SRC], rule_ids=["R009", "R010", "R011", "R012"], root=REPO_ROOT
-        )
+        # The flow rule (R011) must hold on src/ by construction, not by
+        # suppression comments.
+        result = lint_paths([SRC], rule_ids=["R011"], root=REPO_ROOT)
         rendered = "\n".join(d.render() for d in result.diagnostics)
         assert result.diagnostics == [], f"flow findings on src/:\n{rendered}"
         assert result.suppressed == 0
         src_text = "\n".join(
             p.read_text(encoding="utf-8") for p in SRC.rglob("*.py")
         )
-        for rule_id in ("R009", "R010", "R011", "R012"):
-            assert f"disable={rule_id}" not in src_text
+        assert "disable=R011" not in src_text
 
     def test_flow_analysis_builds_under_ten_seconds(self):
         result = lint_paths([SRC], root=REPO_ROOT)

@@ -669,10 +669,9 @@ class TestR008TelemetryDiscipline:
         })
         assert _lint(tmp_path, "R008") == []
 
-    def test_open_write_outside_write_scope_is_fine(self, tmp_path):
-        # The write check covers only repro/obs and repro/sim/executors;
-        # other packages (e.g. experiments persistence, which streams
-        # journal lines incrementally on purpose) keep direct writes.
+    def test_flags_writes_in_every_repro_package(self, tmp_path):
+        # The write check covers all of repro: a result cache entry or a
+        # rendered table is read by other processes just like a trace.
         _write_tree(tmp_path, {
             "repro/experiments/x.py": (
                 "def publish(path, body):\n"
@@ -681,7 +680,17 @@ class TestR008TelemetryDiscipline:
             ),
             "repro/sim/x.py": (
                 "def publish(path, body):\n"
-                "    path.write_text(body)\n"
+                "    path.write_bytes(body)\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R008")) == 2
+
+    def test_atomicio_is_out_of_write_scope(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/atomicio.py": (
+                "def atomic_write_text(path, body):\n"
+                "    with open(path, 'w') as handle:\n"
+                "        handle.write(body)\n"
             ),
         })
         assert _lint(tmp_path, "R008") == []

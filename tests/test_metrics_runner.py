@@ -14,7 +14,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.metrics import solution_metrics
 from repro.sim.runner import run_schemes
-from tests.conftest import make_scenario
 
 QUICK_TSAJS = TsajsScheduler(schedule=AnnealingSchedule(min_temperature=1e-1))
 

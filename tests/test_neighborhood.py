@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.decision import OffloadingDecision
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.errors import ConfigurationError
 

@@ -14,7 +14,6 @@ from repro.extensions.power_control import (
     scenario_with_powers,
     utility_with_powers,
 )
-from tests.conftest import make_scenario
 
 QUICK = AnnealingSchedule(min_temperature=1e-2)
 

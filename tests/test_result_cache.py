@@ -4,7 +4,7 @@ The contract: a cache entry is only ever (a) absent, (b) a complete,
 checksum-verified record that reproduces the original metrics bitwise,
 or (c) quarantined to ``corrupt/`` and recomputed.  A warm cache changes
 wall time, never bytes, and never draws RNG streams the fresh run would
-not have drawn.
+not have drawn: it recomputes only the cells it is missing.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import pytest
 from repro.baselines import GreedyScheduler
 from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.persistence import code_fingerprint
-from repro.sanitize import sanitized
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_schemes
+from tests.streams import recorded_streams
 from tests.test_resilience import AlwaysFailScheduler, assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
@@ -106,7 +106,7 @@ class TestWarmRuns:
     def test_warm_run_draws_no_rng_streams(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         run_schemes(CONFIG, [GreedyScheduler()], [1, 2], journal=cache)
-        with sanitized() as warm:
+        with recorded_streams() as warm:
             result = run_schemes(
                 CONFIG, [GreedyScheduler()], [1, 2], journal=cache
             )
@@ -114,22 +114,26 @@ class TestWarmRuns:
         assert not result.failures
 
     def test_partially_warm_run_draws_only_missing_seeds(self, tmp_path):
+        marker = tmp_path / "markers"
+        marker.mkdir()
+        schedulers = [CountingScheduler(str(marker))]
         config = SimulationConfig(n_users=6, n_servers=2)
-        with sanitized() as fresh:
-            fresh_result = run_schemes(config, [GreedyScheduler()], [1, 2, 3])
+        with recorded_streams() as fresh:
+            fresh_result = run_schemes(config, schedulers, [1, 2, 3])
         cache = ResultCache(tmp_path / "c")
-        run_schemes(config, [GreedyScheduler()], [1, 2], journal=cache)
-        with sanitized() as resumed:
+        run_schemes(config, schedulers, [1, 2], journal=cache)
+        before = _calls(marker)
+        with recorded_streams() as resumed:
             resumed_result = run_schemes(
-                config, [GreedyScheduler()], [1, 2, 3], journal=cache
+                config, schedulers, [1, 2, 3], journal=cache
             )
+        assert _calls(marker) == before + 1  # seed 3 only
         expected = {f"child:3:{stream}" for stream in (0, 1, 100)}
         fresh_snapshot = fresh.snapshot()
         resumed_snapshot = resumed.snapshot()
         assert set(resumed_snapshot) == expected
-        for label, account in resumed_snapshot.items():
-            assert account["state"] == fresh_snapshot[label]["state"]
-            assert account["draws"] == fresh_snapshot[label]["draws"]
+        for label, states in resumed_snapshot.items():
+            assert states == fresh_snapshot[label]
         assert_identical_metrics(fresh_result, resumed_result)
 
     def test_no_resume_recomputes_but_still_records(self, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.annealing import AnnealingSchedule
-from repro.core.decision import OffloadingDecision
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import Scheduler, TsajsScheduler
 from repro.errors import ConfigurationError

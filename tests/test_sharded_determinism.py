@@ -9,16 +9,16 @@ here:
 * result caches written under each backend are byte-identical once the
   two wall-clock fields — explicitly outside the determinism contract —
   are normalised away, and a warm run reads back the same metrics;
-* two serial replays under the determinism sanitizer produce matching
-  per-stream RNG ledgers (draw-for-draw);
-* the ``tsajs solve --shard --sanitize`` CLI path passes end to end.
+* two serial replays create the same RNG streams and leave each one in
+  the same final state.
+
+Sharded scalar/delta/batch bitwise identity is pinned in
+``tests/test_sharded_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.core.annealing import AnnealingSchedule
 from repro.core.sharding import ShardedScheduler
@@ -26,6 +26,7 @@ from repro.experiments.cache import ResultCache, cell_key
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.runner import RetryPolicy, run_schemes
+from tests.streams import recorded_streams
 from tests.test_resilience import assert_identical_metrics
 
 #: Small multi-cluster deployment: 9 stations at 1 km spacing under a
@@ -99,50 +100,18 @@ def test_journals_byte_identical_across_backends(tmp_path):
 
 
 def test_sanitizer_ledgers_match_across_serial_replays():
-    from repro.sanitize import assert_ledgers_match, sanitized
-
     snapshots = []
     utilities = []
     for _ in range(2):
-        with sanitized() as sanitizer:
+        with recorded_streams() as streams:
             result = _run()
-        snapshots.append(sanitizer.snapshot())
+        snapshots.append(streams.snapshot())
         utilities.append(
             [m.system_utility for m in result.metrics["TSAJS-Shard"]]
         )
-    # Raises DeterminismViolation on any per-stream divergence.
-    assert_ledgers_match(
-        snapshots[0],
-        snapshots[1],
-        compare_draws=True,
-        context="sharded serial replay",
-    )
+    assert snapshots[0]  # the replay drew from recorded streams
+    assert snapshots[0] == snapshots[1]
     assert utilities[0] == utilities[1]
-
-
-def test_cli_sanitized_sharded_solve_passes(capsys):
-    from repro.cli import main
-
-    status = main(
-        [
-            "solve",
-            "--users",
-            "6",
-            "--servers",
-            "9",
-            "--quick",
-            "--shard",
-            "--cluster-radius",
-            "1.2",
-            "--schemes",
-            "TSAJS",
-            "--sanitize",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "sharded replay" in out
-    assert "ledgers identical" in out
 
 
 def test_sharded_scheme_name_in_journal(tmp_path):
