@@ -5,7 +5,12 @@ Usage, from anywhere inside a clone with full history::
     python scripts/perf_gate.py BASE_REF
 
 ``BASE_REF`` is checked out with ``git worktree add --detach`` into a
-temporary directory (removed again on exit).  The gate then runs
+temporary directory (removed again on exit).  Both checkouts' ``src`` and
+``perfbench`` are byte-compiled first: a fresh worktree has no
+``__pycache__``, and under ``PYTHONDONTWRITEBYTECODE`` it would compile
+its modules again in every run while this checkout reads its cached
+bytecode, which reads as a ``setup_s`` gap on identical code.  The gate
+then runs
 ``perfbench/run.py --trace 0`` ``PAIRS`` times on every workload of the
 base's ``BENCHMARK.json``, alternating the base and this checkout (the
 base first on even pairs), and compares medians:
@@ -26,6 +31,7 @@ workloads x 2 checkouts of about 15 s each (2 cores), so 7-8 minutes.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import math
 import shutil
@@ -42,6 +48,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 5
 #: ``--seconds`` of every perfbench run.
 SECONDS = 3
+#: The directories of a checkout that a perfbench run imports from.
+COMPILED = ("src", "perfbench")
 
 #: One perfbench run: its exit status and the last line of its stdout.
 Run = Tuple[int, str]
@@ -80,6 +88,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int) -> Run:
         sys.stderr.write(proc.stderr[-2000:])
     lines = proc.stdout.strip().splitlines()
     return proc.returncode, lines[-1] if lines else ""
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile what a perfbench run of ``checkout`` imports."""
+    for name in COMPILED:
+        directory = checkout / name
+        if directory.is_dir() and not compileall.compile_dir(str(directory), quiet=1):
+            raise SystemExit(f"perf gate: could not byte-compile {directory}")
 
 
 def _parse(run: Run) -> Optional[Dict]:
@@ -187,6 +203,8 @@ def judge(
 def gate(base: Path, change: Path, run: Runner = run_perfbench) -> List[Check]:
     """Run the alternating pairs and judge them by ``base``'s bounds."""
     spec = json.loads((base / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for checkout in (base, change):
+        compile_checkout(checkout)
     workloads = [w["name"] for w in spec["workloads"]]
     runs: Dict[str, Dict[str, List[Run]]] = {
         side: {w: [] for w in workloads} for side in ("base", "change")

@@ -11,27 +11,29 @@ worsening move — so it converges quickly to the nearest local optimum and
 its runtime stays flat as the search space grows (Fig. 8), at the price of
 a lower utility (Fig. 3).
 
-Like the annealer it scores each proposal on the default
-:class:`~repro.core.delta.DeltaEvaluator` from the move's touched set plus
-the last rejected move's; ``evaluator_factory=ObjectiveEvaluator`` is the
-bit-for-bit equal oracle and draws the same RNG stream.
+Like the annealer it draws each proposal as a move from the incumbent,
+scores it in place on the default :class:`~repro.core.delta.DeltaEvaluator`
+from the move's touched set plus the last rejected move's, and builds a
+new decision only for an improving move; ``evaluator_factory=
+ObjectiveEvaluator`` is the bit-for-bit equal oracle and draws the same
+RNG stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
-from repro.core.decision import OffloadingDecision
+from repro.core.decision import Move, OffloadingDecision
 from repro.core.delta import DeltaEvaluator
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.neighborhood import NeighborhoodSampler, score_move
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
 from repro.errors import ConfigurationError
-from repro.sim.rng import make_rng
+from repro.sim.rng import DirectDraws, make_rng
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -114,18 +116,19 @@ class LocalSearchScheduler:
         )
         current_value = evaluator.evaluate(current)
         stale = 0
+        draws = DirectDraws(rng)
         # The annealer's carry protocol: a rejected candidate stays in the
         # evaluator's cache, so the next move also touches its users.
-        carry: Tuple[int, ...] = ()
+        rejected: Move = []
         for _ in range(self.max_iterations):
-            candidate, touched = self.neighborhood.propose_move(current, rng)
-            candidate_value = evaluator.evaluate_move(candidate, touched + carry)
+            move = self.neighborhood.move(current, draws)
+            candidate_value = score_move(evaluator, current, move, rejected)
             if candidate_value > current_value:
-                current, current_value = candidate, candidate_value
+                current, current_value = current.with_move(move), candidate_value
                 stale = 0
-                carry = ()
+                rejected = []
             else:
-                carry = touched
+                rejected = move
                 stale += 1
                 if stale >= self.patience:
                     break

@@ -19,17 +19,40 @@ function, a proposal function and an initial state, so the ablation
 experiments can reuse it with alternative neighbourhoods or schedules and
 :class:`~repro.baselines.local_search.LocalSearchScheduler` shares its
 bookkeeping.
+
+In *move mode*, which every TSAJS solve runs, a proposal is a move drawn
+from the incumbent (Algorithm 2, :mod:`repro.core.neighborhood`) rather
+than a new state: the move is scored against the incumbent in place, and
+a new state is built only when the move is accepted.  The Metropolis
+uniform and the moves' draws go through one
+:class:`~repro.sim.rng.DirectDraws` bound per run, which returns what
+``rng.random()`` and ``rng.integers(n)`` would, on the same stream, so
+the trajectory is the one those calls walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
+from repro.core.decision import Move
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder, get_recorder
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.sim.rng import DirectDraws
 
 State = TypeVar("State")
 
@@ -130,15 +153,15 @@ class ThresholdTriggeredAnnealer:
         propose_move: Optional[
             Callable[[State, np.random.Generator], Tuple[State, Tuple[int, ...]]]
         ] = None,
-        move_objective: Optional[
-            Callable[[State, Tuple[int, ...]], float]
-        ] = None,
+        move_objective: Optional[Callable[[State, Move, Move], float]] = None,
         recorder: Optional[Recorder] = None,
         batch_objective: Optional[
             Callable[[Sequence[Tuple[State, Tuple[int, ...]]]], np.ndarray]
         ] = None,
         batch_commit: Optional[Callable[[State, Tuple[int, ...]], None]] = None,
         batch_size: int = 0,
+        draw_move: Optional[Callable[[State, "DirectDraws"], Move]] = None,
+        apply_move: Optional[Callable[[State, Move], State]] = None,
     ) -> AnnealingResult[State]:
         """Maximise ``objective`` from ``initial_state``.
 
@@ -158,19 +181,24 @@ class ThresholdTriggeredAnnealer:
             additionally emits one ``anneal.step`` event per proposal.
             Emission never touches the RNG stream, so traced and
             untraced runs walk bitwise-identical trajectories.
-        propose_move, move_objective:
-            Optional *delta-evaluation* pair (pass both or neither).
-            ``propose_move`` returns ``(candidate, touched)`` and
-            ``move_objective(candidate, touched)`` scores it from an
-            incremental cache.  The cache mirrors the last *evaluated*
-            candidate — accepted or not — so after a rejection the next
-            call passes the union of the new and the rejected touched
-            sets; ``propose`` is then unused (it must draw from the same
-            RNG stream as ``propose_move`` for the two modes to walk
-            identical chains, as :class:`NeighborhoodSampler` does).
-            ``objective`` still scores the initial state.
-        batch_objective, batch_commit, batch_size:
-            *Vectorized batch* mode (pass all three, plus ``propose_move``).
+        draw_move, move_objective, apply_move:
+            Optional *move mode* (pass all three or none).
+            ``draw_move(current, draws)`` draws a move from the incumbent
+            without changing it, ``move_objective(current, move,
+            rejected)`` scores the incumbent with the move applied, and
+            ``apply_move(current, move)`` returns the new state; it is
+            called only for accepted moves.  ``rejected`` is the last
+            scored move if it was not accepted, else an empty list: a
+            delta evaluator's cache mirrors the last *evaluated*
+            candidate, accepted or not, so the next score must also
+            cover that move's users.  ``propose`` is then unused (it
+            must draw from the same RNG stream as ``draw_move`` for the
+            two modes to walk identical chains, as
+            :class:`NeighborhoodSampler` does).  ``objective`` still
+            scores the initial state.
+        propose_move, batch_objective, batch_commit, batch_size:
+            *Vectorized batch* mode (pass all four).  ``propose_move``
+            returns ``(candidate, touched)`` for one proposal.
             Each round speculatively proposes up to ``batch_size`` moves
             from the incumbent (recording the RNG state after each
             proposal and drawing one speculative Metropolis uniform per
@@ -204,13 +232,16 @@ class ThresholdTriggeredAnnealer:
                 raise ConfigurationError(
                     "batch mode and move_objective are mutually exclusive"
                 )
-        elif batch_commit is not None or batch_size:
+        elif batch_commit is not None or batch_size or propose_move is not None:
             raise ConfigurationError(
-                "batch_commit/batch_size require batch_objective"
+                "propose_move/batch_commit/batch_size require batch_objective"
             )
-        elif (propose_move is None) != (move_objective is None):
+        hooks = (draw_move, move_objective, apply_move)
+        if any(hook is not None for hook in hooks) and not all(
+            hook is not None for hook in hooks
+        ):
             raise ConfigurationError(
-                "propose_move and move_objective must be provided together"
+                "draw_move, move_objective and apply_move must be provided together"
             )
         delta_mode = move_objective is not None
         temperature = (
@@ -224,6 +255,12 @@ class ThresholdTriggeredAnnealer:
                 f"{sched.min_temperature}"
             )
 
+        # Imported here: repro.sim imports this module at package-init
+        # time, so a top-level import would be circular.
+        from repro.sim.rng import DirectDraws
+
+        draws = DirectDraws(rng)
+        uniform = draws.random
         rec = recorder if recorder is not None else get_recorder()
         tracing = rec.enabled
         step_events = tracing and rec.iteration_detail
@@ -239,10 +276,10 @@ class ThresholdTriggeredAnnealer:
         level = 0
         prev_accepted = 0
         prev_worse = 0
-        # Touched set of the last *rejected* candidate: the delta cache
-        # still reflects that candidate, so the next evaluation must
-        # also cover its users to diff back correctly.
-        carry: Tuple[int, ...] = ()
+        # The last *rejected* move: the delta cache still reflects that
+        # candidate, so the next evaluation must also cover its users to
+        # diff back correctly.
+        rejected: Move = []
         result = AnnealingResult(
             best_state=best,
             best_value=best_value,
@@ -343,30 +380,35 @@ class ThresholdTriggeredAnnealer:
                         prev_worse = accepted_worse
                     iterations += 1
                     if delta_mode:
-                        assert propose_move is not None and move_objective is not None
-                        candidate, touched = propose_move(current, rng)
-                        candidate_value = move_objective(candidate, touched + carry)
+                        assert draw_move is not None and move_objective is not None
+                        move = draw_move(current, draws)
+                        candidate_value = move_objective(current, move, rejected)
                     else:
-                        touched = ()
                         candidate = propose(current, rng)
                         candidate_value = objective(candidate)
                     delta = candidate_value - current_value
                     if delta > 0:
-                        current, current_value = candidate, candidate_value
-                        accepted_moves += 1
-                        carry = ()
-                        if current_value > best_value:
-                            best, best_value = current, current_value
+                        accepted = True
                     else:
                         # Accept a worsened solution with probability
                         # exp(delta / T); count it toward the trigger.
-                        if delta > -np.inf and np.exp(delta / temperature) > rng.random():
-                            current, current_value = candidate, candidate_value
+                        accepted = (
+                            delta > -np.inf
+                            and np.exp(delta / temperature) > uniform()
+                        )
+                        if accepted:
                             accepted_worse += 1
-                            accepted_moves += 1
-                            carry = ()
-                        else:
-                            carry = touched
+                    if accepted:
+                        if delta_mode:
+                            assert apply_move is not None
+                            candidate = apply_move(current, move)
+                            rejected = []
+                        current, current_value = candidate, candidate_value
+                        accepted_moves += 1
+                        if current_value > best_value:
+                            best, best_value = current, current_value
+                    elif delta_mode:
+                        rejected = move
                     if step_events:
                         rec.event(
                             "anneal.step",

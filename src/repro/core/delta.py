@@ -295,7 +295,8 @@ class DeltaEvaluator(ObjectiveEvaluator):
             if interference <= 0.0:  # matches np.maximum(x, 0.0)
                 interference = 0.0
             sinr[i] = sig / (interference + noise)
-        se = np.log2(1.0 + np.array(sinr)).tolist()
+        # 1 + SINR is one IEEE add, the same in Python as in numpy.
+        se = np.log2([1.0 + value for value in sinr]).tolist()
         se_list = self._se
         net = self._net
         dead = self._dead

@@ -17,6 +17,7 @@ computing-resource allocation ``F`` and the achieved utility ``J``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.core.annealing import AnnealingSchedule, ThresholdTriggeredAnnealer
 from repro.core.batch import BatchEvaluator
 from repro.core.decision import OffloadingDecision
 from repro.core.delta import DeltaEvaluator
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.neighborhood import NeighborhoodSampler, score_move
 from repro.core.objective import ObjectiveEvaluator
 from repro.errors import ConfigurationError
 from repro.obs.clock import Stopwatch
@@ -237,8 +238,9 @@ class TsajsScheduler:
             else:
                 initial = initial.copy()
             annealer = ThresholdTriggeredAnnealer(self.schedule_params)
-            # Outside batch mode every evaluator scores moves through
-            # ``evaluate_move``; ``use_delta`` only picks the evaluator class.
+            # Outside batch mode every evaluator scores moves in place
+            # through ``evaluate_move``; ``use_delta`` only picks the
+            # evaluator class.
             scoring: Dict[str, Any]
             if self.use_batch:
                 if not hasattr(evaluator, "evaluate_batch"):
@@ -248,12 +250,17 @@ class TsajsScheduler:
                         "or a subclass as the evaluator_factory"
                     )
                 scoring = dict(
+                    propose_move=self.neighborhood.propose_move,
                     batch_objective=evaluator.evaluate_batch,
                     batch_commit=evaluator.commit,
                     batch_size=self.batch_size,
                 )
             else:
-                scoring = dict(move_objective=evaluator.evaluate_move)
+                scoring = dict(
+                    draw_move=self.neighborhood.move,
+                    move_objective=partial(score_move, evaluator),
+                    apply_move=OffloadingDecision.with_move,
+                )
             outcome = annealer.run(
                 initial_state=initial,
                 objective=evaluator.evaluate,
@@ -262,7 +269,6 @@ class TsajsScheduler:
                 default_initial_temperature=float(scenario.n_subbands),
                 record_trace=self.record_trace,
                 recorder=rec,
-                propose_move=self.neighborhood.propose_move,
                 **scoring,
             )
 

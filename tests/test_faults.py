@@ -10,6 +10,7 @@ leave every code path bit-for-bit identical to the fault-free one.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.core.degradation import (
     fallback_decision,
     restricted_sampler_for,
 )
+from repro.core.neighborhood import touched_users
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
 from repro.errors import ConfigurationError
@@ -39,7 +41,7 @@ from repro.faults import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.episodes import EpisodeConfig, run_episode
-from repro.sim.rng import child_rng
+from repro.sim.rng import DirectDraws, child_rng
 from repro.sim.scenario import Scenario
 from repro.tasks.server import MecServer
 
@@ -375,6 +377,53 @@ class TestRestrictedSampler:
         for _ in range(100):
             proposal, touched = sampler.propose_move(decision, rng)
             assert proposal.n_offloaded() == 0
+
+    def test_moves_equal_the_copy_and_mutate_proposals(self):
+        """Read-only moves rebuild the proposals of the copy-and-mutate sampler.
+
+        The digest covers 3000 proposals (assignment bytes and touched set)
+        of a walk on a faulted 8-user grid.  It was recorded with the
+        sampler that copied the incumbent and mutated the copy, before
+        moves were computed from the unmodified incumbent.  ``move`` must
+        leave the incumbent as it was, build the same proposal and slot
+        map, and draw the same stream as ``propose_move``.
+        """
+        faults = FaultSet(
+            3,
+            3,
+            failed_servers=frozenset({1}),
+            failed_bands=frozenset({(0, 1), (2, 2)}),
+            churned_users=frozenset({2}),
+        )
+        sampler = restricted_sampler_for(faults)
+        rng = np.random.default_rng(2025)
+        mirrored = np.random.default_rng(2025)
+        draws = DirectDraws(mirrored)
+        decision = OffloadingDecision.all_local(8, 3, 3)
+        digest = hashlib.sha256()
+        sizes = set()
+        for step in range(3000):
+            proposal, touched = sampler.propose_move(decision, rng)
+            before = (decision.server.tobytes(), decision.channel.tobytes())
+            move = sampler.move(decision, draws)
+            assert (decision.server.tobytes(), decision.channel.tobytes()) == before
+            rebuilt = decision.with_move(move)
+            assert rebuilt == proposal and touched_users(move) == touched
+            assert np.array_equal(rebuilt.free_slot_mask(), proposal.free_slot_mask())
+            assert proposal.is_feasible()
+            digest.update(
+                proposal.server.tobytes() + proposal.channel.tobytes() + bytes(touched)
+            )
+            sizes.add(len(touched))
+            if step % 3 != 2:
+                decision = proposal
+        assert digest.hexdigest() == (
+            "e7d9b0a3c916c9e0ad4a9318af642e4e0255ff22e5bb9586ab935cd687c14e76"
+        )
+        # No-ops (pinned target, no surviving slot), single-user moves and
+        # displacements or swaps all occur.
+        assert sizes == {0, 1, 2}
+        assert rng.bit_generator.state == mirrored.bit_generator.state
 
     def test_dispatch_matches_base_sampler_thresholds(self):
         sampler = SlotRestrictedSampler(alive_channels=((0, 1), (0, 1)))

@@ -45,7 +45,9 @@ from repro.obs.schema import span_pairs_balanced, validate_record
 from repro.obs.trace import TraceRecorder, events_named, read_trace
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
+from repro.sim.rng import child_rng
 from repro.sim.runner import run_schemes
+from repro.sim.scenario import Scenario
 from tests.test_resilience import assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
@@ -261,6 +263,25 @@ class TestPoolBackendTracing:
             tmp_path / "tel", ProcessPoolSweepExecutor(n_jobs=2)
         )
         assert_identical_metrics(untraced, traced)
+        # On this small instance an extra draw in a worker leaves every
+        # metric in place, so also compare what the stream moves: the
+        # evaluations and accepted moves each worker's solve reported,
+        # against the same solves run untraced on their streams.
+        reported = {
+            record["shard"]: (
+                record["attrs"]["evaluations"],
+                record["attrs"]["accepted_moves"],
+            )
+            for record in merge_trace_shards(tmp_path / "tel")
+            if record["kind"] == "event" and record["name"] == "scheduler.result"
+        }
+        expected = {}
+        for seed in SEEDS:
+            result = _annealer().schedule(
+                Scenario.build(CONFIG, seed=seed), child_rng(seed, 100)
+            )
+            expected[f"s{seed}"] = (result.evaluations, result.accepted_moves)
+        assert reported == expected
 
     def test_pool_shards_merge_into_one_tree(self, tmp_path):
         tel = tmp_path / "tel"

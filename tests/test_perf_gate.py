@@ -140,3 +140,31 @@ def test_bounds_come_from_the_base_checkout(tmp_path):
     first_odd = 2 * len(workloads)
     assert [c[0] for c in calls[first_odd : first_odd + 2]] == [change, base]
     assert {seed for _, _, seed in calls} == set(range(1, perf_gate.PAIRS + 1))
+
+
+def test_both_checkouts_hold_bytecode_before_the_first_run(tmp_path):
+    """A fresh worktree has no ``__pycache__``; the gate compiles both
+    sides before any pair, so neither pays for compiling in a run."""
+    base, change = tmp_path / "base", tmp_path / "change"
+    packages = ("src/pkg", "perfbench")
+    for checkout in (base, change):
+        checkout.mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", checkout / "BENCHMARK.json")
+        for package in packages:
+            (checkout / package).mkdir(parents=True)
+            (checkout / package / "mod.py").write_text("VALUE = 1\n", encoding="utf-8")
+
+    compiled_at_first_run = []
+
+    def fake_run(checkout, workload, seed):
+        if not compiled_at_first_run:
+            compiled_at_first_run.extend(
+                any((tree / package / "__pycache__").glob("mod.*.pyc"))
+                for tree in (base, change)
+                for package in packages
+            )
+        return 0, line()
+
+    checks = perf_gate.gate(base, change, run=fake_run)
+    assert compiled_at_first_run == [True] * 4
+    assert all(check.ok for check in checks)

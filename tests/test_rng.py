@@ -1,10 +1,12 @@
 """Tests for deterministic RNG helpers."""
 
 import itertools
+import json
 
 import numpy as np
+import pytest
 
-from repro.sim.rng import child_rng, make_rng, seed_stream
+from repro.sim.rng import DirectDraws, child_rng, make_rng, seed_stream
 
 
 class TestMakeRng:
@@ -54,3 +56,58 @@ class TestSeedStream:
     def test_range(self):
         for seed in itertools.islice(seed_stream(3), 50):
             assert 0 <= seed < 2**32
+
+
+def _state_key(generator: np.random.Generator) -> str:
+    """The bit generator's full state (some hold arrays) as one string."""
+    return json.dumps(
+        generator.bit_generator.state, sort_keys=True, default=lambda a: a.tolist()
+    )
+
+
+class TestDirectDraws:
+    #: Trivial, small, odd, the paper's U/N/S-sized, the signed and the
+    #: unsigned 32-bit edges, and two bounds >= 2**32 (the fallback).
+    BOUNDS = (1, 2, 3, 5, 20, 40, 160, 2**31, 2**32 - 1, 2**32, 2**40 + 7)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    def test_interleaved_draws_match_the_generator_methods(self, bit_generator):
+        """10^5 random interleavings of both draws over every bound: the
+        same values, the same Python types and, at the end, the same
+        bit-generator state as ``integers(n)`` and ``random()``."""
+        reference = np.random.Generator(bit_generator(20251018))
+        mirrored = np.random.Generator(bit_generator(20251018))
+        draws = DirectDraws(mirrored)
+        schedule = np.random.default_rng(7)
+        kinds = schedule.integers(len(self.BOUNDS) + 1, size=100_000)
+        for kind in kinds.tolist():
+            if kind == len(self.BOUNDS):
+                want, got = reference.random(), draws.random()
+                assert type(got) is float
+            else:
+                n = self.BOUNDS[kind]
+                want, got = int(reference.integers(n)), draws.integers(n)
+                assert type(got) is int
+            assert got == want
+        assert _state_key(mirrored) == _state_key(reference)
+
+    def test_bound_one_draws_nothing(self):
+        generator = make_rng(3)
+        before = _state_key(generator)
+        assert DirectDraws(generator).integers(1) == 0
+        assert _state_key(generator) == before
+
+    def test_invalid_bound_raises_like_numpy(self):
+        with pytest.raises(ValueError):
+            DirectDraws(make_rng(3)).integers(0)
+
+    def test_shares_the_stream_with_the_generator(self):
+        """Draws through the wrapper advance the generator itself."""
+        a, b = make_rng(11), make_rng(11)
+        draws = DirectDraws(b)
+        assert [draws.integers(20), b.random(), draws.random()] == [
+            int(a.integers(20)),
+            a.random(),
+            a.random(),
+        ]
+        assert int(b.integers(160)) == int(a.integers(160))
