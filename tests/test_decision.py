@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.neighborhood import displacing_move, swap_move, touched_users
 from repro.errors import ConfigurationError, InfeasibleDecisionError
 
 
@@ -123,37 +124,39 @@ class TestMutations:
 
     def test_displace_and_assign_free_slot(self):
         decision = fresh()
-        displaced = decision.displace_and_assign(0, 0, 0)
-        assert displaced is None
-        assert decision.occupant_of(0, 0) == 0
+        move = displacing_move(decision, 0, 0, 0)
+        assert touched_users(move) == (0,)  # nobody displaced
+        assert decision.with_move(move).occupant_of(0, 0) == 0
+        assert decision.occupant_of(0, 0) == LOCAL  # the input is unchanged
 
     def test_displace_and_assign_occupied_slot(self):
         decision = fresh()
         decision.assign(1, 0, 0)
-        displaced = decision.displace_and_assign(0, 0, 0)
-        assert displaced == 1
-        assert decision.occupant_of(0, 0) == 0
-        assert not decision.is_offloaded(1)
+        move = displacing_move(decision, 0, 0, 0)
+        assert touched_users(move) == (0, 1)
+        moved = decision.with_move(move)
+        assert moved.occupant_of(0, 0) == 0
+        assert not moved.is_offloaded(1)
+        assert decision.occupant_of(0, 0) == 1
 
     def test_swap_two_offloaded(self):
         decision = fresh()
         decision.assign(0, 0, 0)
         decision.assign(1, 1, 1)
-        decision.swap(0, 1)
-        assert decision.occupant_of(0, 0) == 1
-        assert decision.occupant_of(1, 1) == 0
+        swapped = decision.with_move(swap_move(decision, 0, 1))
+        assert swapped.occupant_of(0, 0) == 1
+        assert swapped.occupant_of(1, 1) == 0
 
     def test_swap_offloaded_with_local(self):
         decision = fresh()
         decision.assign(0, 0, 0)
-        decision.swap(0, 3)
-        assert not decision.is_offloaded(0)
-        assert decision.occupant_of(0, 0) == 3
+        swapped = decision.with_move(swap_move(decision, 0, 3))
+        assert not swapped.is_offloaded(0)
+        assert swapped.occupant_of(0, 0) == 3
 
     def test_swap_two_local_is_noop(self):
         decision = fresh()
-        decision.swap(0, 1)
-        assert decision.n_offloaded() == 0
+        assert decision.with_move(swap_move(decision, 0, 1)) == decision
 
     def test_mutations_preserve_feasibility(self, rng):
         decision = fresh(n_users=8, n_servers=3, n_channels=2)
@@ -161,13 +164,16 @@ class TestMutations:
             op = rng.integers(4)
             u = int(rng.integers(8))
             if op == 0:
-                decision.displace_and_assign(
-                    u, int(rng.integers(3)), int(rng.integers(2))
+                server, channel = int(rng.integers(3)), int(rng.integers(2))
+                decision = decision.with_move(
+                    displacing_move(decision, u, server, channel)
                 )
             elif op == 1:
                 decision.set_local(u)
             elif op == 2:
-                decision.swap(u, int(rng.integers(8)))
+                decision = decision.with_move(
+                    swap_move(decision, u, int(rng.integers(8)))
+                )
             else:
                 free = decision.free_channels(int(rng.integers(3)))
                 if free:

@@ -10,7 +10,7 @@ from repro.core.allocation import (
     optimal_allocation_cost,
 )
 from repro.core.decision import LOCAL, OffloadingDecision
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.neighborhood import NeighborhoodSampler, displacing_move, swap_move
 from repro.core.objective import ObjectiveEvaluator
 from repro.net.sinr import compute_link_stats
 from repro.sim.stats import summarize
@@ -77,11 +77,13 @@ def test_mutations_always_preserve_feasibility(script):
     decision = OffloadingDecision.all_local(n_users, n_servers, n_channels)
     for op, user, server, channel, other in ops:
         if op == 0:
-            decision.displace_and_assign(user, server, channel)
+            decision = decision.with_move(
+                displacing_move(decision, user, server, channel)
+            )
         elif op == 1:
             decision.set_local(user)
         elif op == 2:
-            decision.swap(user, other)
+            decision = decision.with_move(swap_move(decision, user, other))
         else:
             occupant = decision.occupant_of(server, channel)
             if occupant in (LOCAL, user):
@@ -102,7 +104,9 @@ def test_dense_roundtrip_after_mutations(script):
     decision = OffloadingDecision.all_local(n_users, n_servers, n_channels)
     for op, user, server, channel, other in ops:
         if op % 2 == 0:
-            decision.displace_and_assign(user, server, channel)
+            decision = decision.with_move(
+                displacing_move(decision, user, server, channel)
+            )
         else:
             decision.set_local(user)
     assert OffloadingDecision.from_dense(decision.to_dense()) == decision
