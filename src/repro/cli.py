@@ -37,10 +37,9 @@ Sub-commands
     and iterations after the final best, reconcile rounds and cache
     hits (see ``docs/observability.md``).
 
-Observability flags: ``solve --trace FILE`` records the solve,
+Observability flags: ``solve --trace FILE`` records the solve, and
 ``run --telemetry DIR`` writes ``trace.jsonl`` + ``metrics.json`` for a
-whole experiment, and ``run --profile`` adds per-seed cProfile hotspot
-sidecars.
+whole experiment.
 """
 
 from __future__ import annotations
@@ -149,14 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "record a schema-v2 span/event trace (trace.jsonl, plus "
             "per-worker trace-*.jsonl shards on the pool) and a "
             "metrics snapshot (metrics.json) into DIR"
-        ),
-    )
-    run_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "capture a cProfile hotspot summary per seed into the "
-            "--telemetry directory (requires --telemetry)"
         ),
     )
 
@@ -345,21 +336,16 @@ def _cmd_run(
     retries: Optional[int] = None,
     seed_timeout: Optional[float] = None,
     telemetry: Optional[str] = None,
-    profile: bool = False,
     cache: Optional[str] = None,
     no_resume: bool = False,
 ) -> int:
     if no_resume and cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
-    if profile and telemetry is None:
-        print("error: --profile requires --telemetry DIR", file=sys.stderr)
-        return 2
     sweep = _build_sweep(workers, retries, seed_timeout, cache, no_resume)
     if telemetry is not None:
         from pathlib import Path
 
-        from repro.obs.profile import set_profiling
         from repro.obs.recorder import set_recorder
         from repro.obs.trace import TraceRecorder
 
@@ -373,14 +359,10 @@ def _cmd_run(
             shard_dir=telemetry_dir,
         )
         set_recorder(recorder)
-        if profile:
-            set_profiling(telemetry_dir)
         try:
             status = _cmd_run_body(experiment_id, quick, out, json_out, sweep)
         finally:
             set_recorder(None)
-            if profile:
-                set_profiling(None)
             recorder.close()
         from repro.atomicio import atomic_write_json
 
@@ -446,7 +428,8 @@ def _cmd_run_body(
     sweep: Sweep,
 ) -> int:
     spec = get_experiment(experiment_id)
-    output = spec.run_quick(sweep) if quick else spec.run_full(sweep)
+    settings = spec.settings.quick() if quick else spec.settings()
+    output = spec.run(settings, sweep)
     text = render_text(output)
     print(text)
     if out:
@@ -679,7 +662,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             seed_timeout=args.seed_timeout,
             telemetry=args.telemetry,
-            profile=args.profile,
             cache=args.cache,
             no_resume=args.no_resume,
         )

@@ -44,6 +44,10 @@ class AblationBudgetSettings:
     def quick(cls) -> "AblationBudgetSettings":
         return cls(min_temperatures=(1e-1, 1e-3), n_users=15, n_seeds=2)
 
+    @classmethod
+    def reference(cls) -> "AblationBudgetSettings":
+        return cls(n_seeds=3)
+
 
 def run(
     settings: AblationBudgetSettings = AblationBudgetSettings(), sweep: Sweep = Sweep()

@@ -52,6 +52,10 @@ class AblationCoolingSettings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "AblationCoolingSettings":
+        return cls(n_seeds=3, min_temperature=1e-6)
+
 
 def run(
     settings: AblationCoolingSettings = AblationCoolingSettings(),

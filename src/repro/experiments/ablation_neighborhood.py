@@ -65,6 +65,10 @@ class AblationNeighborhoodSettings:
     def quick(cls) -> "AblationNeighborhoodSettings":
         return cls(n_users=15, n_seeds=2, min_temperature=1e-2)
 
+    @classmethod
+    def reference(cls) -> "AblationNeighborhoodSettings":
+        return cls(n_seeds=3, min_temperature=1e-6)
+
 
 def run(
     settings: AblationNeighborhoodSettings = AblationNeighborhoodSettings(),

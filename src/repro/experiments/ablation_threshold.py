@@ -54,6 +54,10 @@ class AblationThresholdSettings:
     def quick(cls) -> "AblationThresholdSettings":
         return cls(n_users=15, n_seeds=2, min_temperature=1e-2)
 
+    @classmethod
+    def reference(cls) -> "AblationThresholdSettings":
+        return cls(n_seeds=3, min_temperature=1e-6)
+
 
 def schedulers(settings: AblationThresholdSettings) -> List[TsajsScheduler]:
     """The three compared variants: TTSA, Vanilla-slow and Vanilla-fast."""

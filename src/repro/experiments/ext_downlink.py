@@ -45,6 +45,10 @@ class ExtDownlinkSettings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtDownlinkSettings":
+        return cls(n_seeds=3)
+
 
 def run(
     settings: ExtDownlinkSettings = ExtDownlinkSettings(), sweep: Sweep = Sweep()

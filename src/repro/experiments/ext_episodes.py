@@ -50,6 +50,10 @@ class ExtEpisodesSettings:
             min_temperature=1e-1,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtEpisodesSettings":
+        return cls(n_seeds=3)
+
 
 def _schedulers(settings: ExtEpisodesSettings) -> List[Scheduler]:
     return [

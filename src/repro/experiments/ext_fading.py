@@ -52,6 +52,10 @@ class ExtFadingSettings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtFadingSettings":
+        return cls()
+
 
 def run(
     settings: ExtFadingSettings = ExtFadingSettings(), sweep: Sweep = Sweep()

@@ -81,6 +81,10 @@ class ExtFaultsSettings:
             n_seeds=2,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtFaultsSettings":
+        return cls()
+
 
 def _fault_config(settings: ExtFaultsSettings, outage: float) -> FaultConfig:
     return FaultConfig(

@@ -45,6 +45,10 @@ class ExtMetaheuristicsSettings:
             ga_generations=30,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtMetaheuristicsSettings":
+        return cls(n_seeds=3)
+
 
 def run(
     settings: ExtMetaheuristicsSettings = ExtMetaheuristicsSettings(),

@@ -44,6 +44,10 @@ class ExtPartialSettings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtPartialSettings":
+        return cls(n_seeds=3)
+
 
 def run(
     settings: ExtPartialSettings = ExtPartialSettings(), sweep: Sweep = Sweep()

@@ -40,6 +40,10 @@ class ExtPowerControlSettings:
     def quick(cls) -> "ExtPowerControlSettings":
         return cls(user_counts=(10,), n_seeds=2, min_temperature=1e-2)
 
+    @classmethod
+    def reference(cls) -> "ExtPowerControlSettings":
+        return cls(n_seeds=3)
+
 
 def run(
     settings: ExtPowerControlSettings = ExtPowerControlSettings(),

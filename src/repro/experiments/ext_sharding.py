@@ -65,6 +65,10 @@ class ExtShardingSettings:
             n_seeds=2,
         )
 
+    @classmethod
+    def reference(cls) -> "ExtShardingSettings":
+        return cls()
+
 
 def run(
     settings: ExtShardingSettings = ExtShardingSettings(), sweep: Sweep = Sweep()

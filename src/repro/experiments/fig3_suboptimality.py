@@ -35,12 +35,17 @@ class Fig3Settings:
 
     @classmethod
     def quick(cls) -> "Fig3Settings":
-        """Reduced preset for CI / benchmarking runs."""
+        """Reduced preset for CI and smoke runs."""
         return cls(
             workloads_megacycles=(1000.0, 4000.0),
             n_seeds=2,
             min_temperature=1e-2,
         )
+
+    @classmethod
+    def reference(cls) -> "Fig3Settings":
+        """Denser than quick(), lighter than the paper: the results/ scale."""
+        return cls(n_seeds=5, min_temperature=1e-6)
 
 
 def run(

@@ -42,6 +42,16 @@ class Fig4Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig4Settings":
+        return cls(
+            user_counts=(10, 30, 50, 70, 90),
+            workloads_megacycles=(1000.0, 2000.0, 3000.0),
+            chain_lengths=(10, 30),
+            n_seeds=3,
+            min_temperature=1e-6,
+        )
+
 
 def run(
     settings: Fig4Settings = Fig4Settings(), sweep: Sweep = Sweep()

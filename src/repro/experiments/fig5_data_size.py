@@ -40,6 +40,10 @@ class Fig5Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig5Settings":
+        return cls(n_seeds=3, min_temperature=1e-4)
+
 
 def run(
     settings: Fig5Settings = Fig5Settings(), sweep: Sweep = Sweep()

@@ -39,6 +39,10 @@ class Fig6Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig6Settings":
+        return cls(n_seeds=3, min_temperature=1e-4)
+
 
 def run(
     settings: Fig6Settings = Fig6Settings(), sweep: Sweep = Sweep()

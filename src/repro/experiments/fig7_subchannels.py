@@ -43,6 +43,16 @@ class Fig7Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig7Settings":
+        return cls(
+            subchannel_counts=(1, 2, 3, 5, 10, 20, 30),
+            chain_lengths=(30,),
+            n_users=40,
+            n_seeds=2,
+            min_temperature=1e-4,
+        )
+
 
 def run(
     settings: Fig7Settings = Fig7Settings(), sweep: Sweep = Sweep()

@@ -54,6 +54,18 @@ class Fig8Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig8Settings":
+        return cls(
+            subchannel_counts=(1, 2, 5, 10, 20, 30),
+            chain_lengths=(10, 50),
+            n_users=40,
+            # Ten seeds per point: with two, each 95 % CI used t(1) = 12.7
+            # and many half-widths exceeded their means.
+            n_seeds=10,
+            min_temperature=1e-4,
+        )
+
 
 def run(
     settings: Fig8Settings = Fig8Settings(), sweep: Sweep = Sweep()

@@ -43,6 +43,10 @@ class Fig9Settings:
             min_temperature=1e-2,
         )
 
+    @classmethod
+    def reference(cls) -> "Fig9Settings":
+        return cls(n_seeds=3, min_temperature=1e-4)
+
 
 def run(
     settings: Fig9Settings = Fig9Settings(), sweep: Sweep = Sweep()

@@ -1,16 +1,23 @@
 """Registry mapping experiment ids to their drivers.
 
-Each entry couples the full (paper-scale) settings with a quick preset so
-both the CLI (``tsajs run fig3``) and the benchmark suite can launch any
-experiment by id.  Both entry points take the :class:`~repro.sim.runner.Sweep`
-the driver runs its experiment points through (serial, fail-fast and
-uncached by default).
+Each entry couples an experiment's driver with its settings class, which
+carries three scales: ``quick()`` for CI and smoke runs, ``reference()``
+for the tables under ``results/`` and the paper-scale defaults.  The CLI
+(``tsajs run fig3 [--quick]``) and ``scripts/generate_experiments_report.py``
+both launch experiments through it::
+
+    spec = get_experiment("fig3")
+    spec.run(spec.settings.quick(), sweep)
+    spec.run(spec.settings.reference())
+
+``sweep`` is the :class:`~repro.sim.runner.Sweep` the driver runs its
+experiment points through (serial, fail-fast and uncached by default).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -35,109 +42,135 @@ from repro.experiments import (
     fig9_preferences,
 )
 from repro.experiments.report import ExperimentOutput
-from repro.sim.runner import Sweep
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: id, description and two entry points."""
+    """One runnable experiment: id, description, driver and settings class."""
 
     experiment_id: str
     description: str
-    run_full: Callable[..., ExperimentOutput]
-    run_quick: Callable[..., ExperimentOutput]
-
-
-def _spec(experiment_id: str, description: str, module) -> ExperimentSpec:
-    settings_cls = getattr(
-        module,
-        next(
-            name
-            for name in dir(module)
-            if name.endswith("Settings") and not name.startswith("_")
-        ),
-    )
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        description=description,
-        run_full=lambda sweep=Sweep(): module.run(settings_cls(), sweep),
-        run_quick=lambda sweep=Sweep(): module.run(settings_cls.quick(), sweep),
-    )
+    run: Callable[..., ExperimentOutput]
+    #: The ``*Settings`` dataclass: ``quick()``, ``reference()`` or ``()``.
+    settings: Any
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
     spec.experiment_id: spec
     for spec in (
-        _spec(
+        ExperimentSpec(
             "fig3",
             "Suboptimality vs exhaustive optimum (small network)",
-            fig3_suboptimality,
+            fig3_suboptimality.run,
+            fig3_suboptimality.Fig3Settings,
         ),
-        _spec("fig4", "System utility vs user count", fig4_user_scale),
-        _spec("fig5", "System utility vs task data size", fig5_data_size),
-        _spec("fig6", "System utility vs task workload", fig6_workload),
-        _spec("fig7", "System utility vs sub-channel count", fig7_subchannels),
-        _spec("fig8", "Computation time vs sub-channel count", fig8_runtime),
-        _spec("fig9", "User-preference trade-off (energy vs delay)", fig9_preferences),
-        _spec(
+        ExperimentSpec(
+            "fig4",
+            "System utility vs user count",
+            fig4_user_scale.run,
+            fig4_user_scale.Fig4Settings,
+        ),
+        ExperimentSpec(
+            "fig5",
+            "System utility vs task data size",
+            fig5_data_size.run,
+            fig5_data_size.Fig5Settings,
+        ),
+        ExperimentSpec(
+            "fig6",
+            "System utility vs task workload",
+            fig6_workload.run,
+            fig6_workload.Fig6Settings,
+        ),
+        ExperimentSpec(
+            "fig7",
+            "System utility vs sub-channel count",
+            fig7_subchannels.run,
+            fig7_subchannels.Fig7Settings,
+        ),
+        ExperimentSpec(
+            "fig8",
+            "Computation time vs sub-channel count",
+            fig8_runtime.run,
+            fig8_runtime.Fig8Settings,
+        ),
+        ExperimentSpec(
+            "fig9",
+            "User-preference trade-off (energy vs delay)",
+            fig9_preferences.run,
+            fig9_preferences.Fig9Settings,
+        ),
+        ExperimentSpec(
             "ablation_threshold",
             "Threshold-triggered vs single-rate cooling",
-            ablation_threshold,
+            ablation_threshold.run,
+            ablation_threshold.AblationThresholdSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ablation_neighborhood",
             "Algorithm 2 move-probability mix",
-            ablation_neighborhood,
+            ablation_neighborhood.run,
+            ablation_neighborhood.AblationNeighborhoodSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ablation_cooling",
             "Cooling-rate sweep",
-            ablation_cooling,
+            ablation_cooling.run,
+            ablation_cooling.AblationCoolingSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ablation_budget",
             "Utility vs annealing budget (T_min sweep)",
-            ablation_budget,
+            ablation_budget.run,
+            ablation_budget.AblationBudgetSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_power_control",
             "Extension: utility gain from uplink power control",
-            ext_power_control,
+            ext_power_control.run,
+            ext_power_control.ExtPowerControlSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_downlink",
             "Extension: downlink-aware scheduling vs output size",
-            ext_downlink,
+            ext_downlink.run,
+            ext_downlink.ExtDownlinkSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_metaheuristics",
             "Extension: TSAJS vs genetic-algorithm search",
-            ext_metaheuristics,
+            ext_metaheuristics.run,
+            ext_metaheuristics.ExtMetaheuristicsSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_partial",
             "Extension: atomic vs bit-level partial offloading",
-            ext_partial,
+            ext_partial.run,
+            ext_partial.ExtPartialSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_fading",
             "Extension: robustness of mean-channel plans to fast fading",
-            ext_fading,
+            ext_fading.run,
+            ext_fading.ExtFadingSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_episodes",
             "Extension: episodic operation under server outages",
-            ext_episodes,
+            ext_episodes.run,
+            ext_episodes.ExtEpisodesSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_faults",
             "Extension: graceful degradation under injected faults",
-            ext_faults,
+            ext_faults.run,
+            ext_faults.ExtFaultsSettings,
         ),
-        _spec(
+        ExperimentSpec(
             "ext_sharding",
             "Extension: sharded-vs-global utility gap vs cluster radius",
-            ext_sharding,
+            ext_sharding.run,
+            ext_sharding.ExtShardingSettings,
         ),
     )
 }

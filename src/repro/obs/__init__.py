@@ -1,4 +1,4 @@
-"""``repro.obs`` — tracing, metrics and profiling for the reproduction.
+"""``repro.obs`` — tracing and metrics for the reproduction.
 
 The observability layer makes the paper's *dynamic* claims inspectable:
 Fig. 3's near-optimality and Fig. 8's runtime advantage depend on how
@@ -13,8 +13,7 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.recorder` / :mod:`repro.obs.trace` — the
   :class:`Recorder` interface, the zero-overhead :class:`NullRecorder`
   default, and the JSONL schema-v2 :class:`TraceRecorder`;
-* :mod:`repro.obs.metrics` / :mod:`repro.obs.profile` — per-series
-  counters/gauges/histograms and opt-in cProfile hotspot capture;
+* :mod:`repro.obs.metrics` — per-series counters/gauges/histograms;
 * :mod:`repro.obs.dist` — distributed trace-context propagation and
   shard merging;
 * :mod:`repro.obs.analyze` — the ``tsajs obs explain`` report (span
@@ -45,14 +44,6 @@ from repro.obs.dist import (
     worker_trace,
 )
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
-from repro.obs.profile import (
-    Hotspot,
-    ProfileCapture,
-    extract_hotspots,
-    maybe_profile,
-    profiling_enabled,
-    set_profiling,
-)
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -90,12 +81,6 @@ __all__ = [
     "MetricsRegistry",
     "HistogramStats",
     "metric_key",
-    "Hotspot",
-    "ProfileCapture",
-    "extract_hotspots",
-    "maybe_profile",
-    "profiling_enabled",
-    "set_profiling",
     "Recorder",
     "NullRecorder",
     "NULL_RECORDER",

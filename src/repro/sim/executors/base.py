@@ -25,7 +25,6 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.scheduler import Scheduler
 from repro.obs.dist import TraceContext, worker_trace
-from repro.obs.profile import maybe_profile, profiling_enabled
 from repro.obs.recorder import get_recorder, use_recorder
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics, solution_metrics
@@ -133,22 +132,21 @@ def run_one_seed(
 ) -> List[SolutionMetrics]:
     """Dispatch one seed's work, instrumented when a recorder is enabled.
 
-    With the default :class:`~repro.obs.recorder.NullRecorder` and
-    profiling off, this is exactly :func:`seed_work` — no spans, no
-    metric touches, no profiler, so untraced runs stay on the bare hot
-    path.  A forked pool worker inherits the null recorder
-    (recorders are process-level state, never pickled with schedulers):
+    With the default :class:`~repro.obs.recorder.NullRecorder` this is
+    exactly :func:`seed_work` — no spans, no metric touches — so
+    untraced runs stay on the bare hot path.  A forked pool worker
+    inherits the null recorder (recorders are process-level state,
+    never pickled with schedulers):
     worker-side telemetry requires the coordinator to ship a
     :class:`~repro.obs.dist.TraceContext` (see :func:`run_one_seed_remote`),
     otherwise distributed runs record seed telemetry only parent-side
     and announce the loss with a ``worker_detached`` event.
     """
     rec = get_recorder()
-    if not rec.enabled and not profiling_enabled():
+    if not rec.enabled:
         return seed_work(config, schedulers, seed)
-    with maybe_profile(f"seed_{seed}"):
-        with rec.span("runner.seed", seed=seed, n_schemes=len(schedulers)):
-            metrics = seed_work(config, schedulers, seed)
+    with rec.span("runner.seed", seed=seed, n_schemes=len(schedulers)):
+        metrics = seed_work(config, schedulers, seed)
     for scheduler, entry in zip(schedulers, metrics):
         rec.count("runner.seeds_completed", scheme=scheduler.name)
         rec.count(

@@ -27,6 +27,7 @@ from repro.experiments.common import (
     scheme_names,
     standard_schedulers,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_text
 from repro.obs.clock import TickClock
 from repro.obs.recorder import use_recorder
@@ -108,6 +109,8 @@ class TestFig3:
         assert quick_output.headers[0] == "workload [Mc]"
         assert "Exhaustive" in quick_output.headers
         assert len(quick_output.rows) == 2  # two workloads in quick mode
+        for name, series in quick_output.raw["series"].items():
+            assert len(series) == 2, name
         assert render_text(quick_output)
 
     def test_tsajs_close_to_exhaustive(self):
@@ -136,6 +139,8 @@ class TestFig4:
         panel = output.raw["panels"][0]
         assert panel["user_counts"] == [10, 30]
         assert set(panel["series"]) == {"TSAJS", "hJTORA", "LocalSearch", "Greedy"}
+        for name, series in panel["series"].items():
+            assert len(series) == 2, name
 
     def test_utility_grows_when_slots_plentiful(self):
         # 10 -> 30 users on 27 slots: more offloaders, more utility.
@@ -166,16 +171,24 @@ class TestFig6:
 
     def test_structure(self):
         output = fig6_workload.run(fig6_workload.Fig6Settings.quick())
-        assert output.raw["panels"][0]["n_users"] == 50
+        panel = output.raw["panels"][0]
+        assert panel["n_users"] == 50
+        for name, series in panel["series"].items():
+            assert len(series) == len(panel["workloads"]), name
 
 
 @pytest.mark.slow
 class TestFig7:
     def test_structure(self):
-        output = fig7_subchannels.run(fig7_subchannels.Fig7Settings.quick())
+        settings = fig7_subchannels.Fig7Settings.quick()
+        output = fig7_subchannels.run(settings)
         panel = output.raw["panels"][0]
         assert panel["subchannel_counts"] == [2, 10]
         assert len(output.rows) == 2
+        # Each user contributes at most beta_t + beta_e = 1 to the utility.
+        for name, series in panel["series"].items():
+            for stat in series:
+                assert stat.mean <= settings.n_users, name
 
 
 @pytest.mark.slow
@@ -249,27 +262,15 @@ class TestAblations:
         assert len(output.raw["series"]) == 2
         for entry in output.raw["series"].values():
             assert entry["utility"].n == 2
+        # Slower cooling spends more objective evaluations.
+        evals = [entry["evaluations"].mean for entry in output.raw["series"].values()]
+        assert evals == sorted(evals)
 
 
 class TestSettingsValidation:
     def test_quick_presets_exist_for_all(self):
-        for module in (
-            fig3_suboptimality,
-            fig4_user_scale,
-            fig5_data_size,
-            fig6_workload,
-            fig7_subchannels,
-            fig8_runtime,
-            fig9_preferences,
-            ablation_threshold,
-            ablation_neighborhood,
-            ablation_cooling,
-        ):
-            settings_cls = next(
-                getattr(module, name)
-                for name in dir(module)
-                if name.endswith("Settings") and not name.startswith("_")
-            )
-            quick = settings_cls.quick()
-            full = settings_cls()
-            assert quick != full  # quick must actually reduce something
+        for spec in EXPERIMENTS.values():
+            quick = spec.settings.quick()
+            spec.settings.reference()
+            full = spec.settings()
+            assert quick != full, spec.experiment_id  # quick must reduce something

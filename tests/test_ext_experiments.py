@@ -59,8 +59,8 @@ class TestRegistration:
     def test_quick_entry_points_callable(self):
         for key in ("ext_power_control", "ext_downlink"):
             spec = EXPERIMENTS[key]
-            assert callable(spec.run_quick)
-            assert callable(spec.run_full)
+            assert callable(spec.run)
+            assert callable(spec.settings.quick)
 
 
 @pytest.mark.slow

@@ -2,11 +2,10 @@
 
 Covers the clock seam (including the deterministic :class:`TickClock`),
 the recorder protocol and its process-level installation, the schema-v1
-validator, the metrics registry, the JSONL trace recorder (byte
-determinism, non-finite sanitisation, fork safety), and the opt-in
-profiler.  Integration with the annealer/runner lives in
-``tests/test_obs_integration.py``; CLI round-trips in
-``tests/test_obs_cli.py``.
+validator, the metrics registry and the JSONL trace recorder (byte
+determinism, non-finite sanitisation, fork safety).  Integration with
+the annealer/runner lives in ``tests/test_obs_integration.py``; CLI
+round-trips in ``tests/test_obs_cli.py``.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ from repro.obs.clock import (
     sleep,
 )
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
-from repro.obs.profile import (
-    ProfileCapture,
-    extract_hotspots,
-    maybe_profile,
-    profiling_enabled,
-    set_profiling,
-)
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -55,11 +47,10 @@ from repro.obs.trace import TraceRecorder, events_named, read_trace
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Never leak recorder/clock/profiling state across tests."""
+    """Never leak recorder/clock state across tests."""
     yield
     set_recorder(None)
     set_default_clock(None)
-    set_profiling(None)
 
 
 def _event(**overrides):
@@ -364,62 +355,6 @@ class TestTraceRecorder:
         path.write_text('{"v": 1}\n', encoding="utf-8")
         with pytest.raises(TraceSchemaError, match="line 1"):
             read_trace(path)
-
-
-def _busy_work():
-    return sum(i * i for i in range(2000))
-
-
-class TestProfile:
-    def test_extract_hotspots_orders_by_cumulative_time(self):
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
-        _busy_work()
-        profile.disable()
-        hotspots = extract_hotspots(profile, top_n=5)
-        assert hotspots
-        assert len(hotspots) <= 5
-        cumulative = [h.cumulative_s for h in hotspots]
-        assert cumulative == sorted(cumulative, reverse=True)
-        payload = hotspots[0].as_dict()
-        assert set(payload) == {
-            "function", "file", "line", "calls", "internal_s", "cumulative_s",
-        }
-
-    def test_extract_hotspots_rejects_bad_top_n(self):
-        import cProfile
-
-        with pytest.raises(ConfigurationError):
-            extract_hotspots(cProfile.Profile(), top_n=0)
-
-    def test_profile_capture_populates_hotspots(self):
-        with ProfileCapture(top_n=3) as capture:
-            _busy_work()
-        assert capture.hotspots
-
-    def test_maybe_profile_disabled_yields_none(self):
-        assert not profiling_enabled()
-        with maybe_profile("x") as capture:
-            assert capture is None
-
-    def test_maybe_profile_writes_sidecar(self, tmp_path):
-        set_profiling(tmp_path / "profiles", top_n=4)
-        assert profiling_enabled()
-        with maybe_profile("seed_7") as capture:
-            _busy_work()
-        assert capture is not None
-        payload = json.loads(
-            (tmp_path / "profiles" / "profile_seed_7.json").read_text()
-        )
-        assert payload["tag"] == "seed_7"
-        assert payload["top_n"] == 4
-        assert payload["hotspots"]
-
-    def test_set_profiling_rejects_bad_top_n(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            set_profiling(tmp_path, top_n=0)
 
 
 class TestRecorderProtocol:

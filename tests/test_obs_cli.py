@@ -1,8 +1,7 @@
 """CLI round-trips for the observability layer.
 
-``tsajs solve --trace [--trace-iterations]`` and ``tsajs run --telemetry
-[--profile]`` produce schema-valid artefacts that ``tsajs obs explain``
-reads back.
+``tsajs solve --trace [--trace-iterations]`` and ``tsajs run --telemetry``
+produce schema-valid artefacts that ``tsajs obs explain`` reads back.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs.recorder import NULL_RECORDER, get_recorder, set_recorder
-from repro.obs.profile import profiling_enabled, set_profiling
 from repro.obs.schema import span_pairs_balanced
 from repro.obs.trace import read_trace
 
@@ -22,7 +20,6 @@ from repro.obs.trace import read_trace
 def _clean_obs_state():
     yield
     set_recorder(None)
-    set_profiling(None)
 
 
 SMALL = ["--users", "6", "--servers", "2", "--subbands", "2", "--quick"]
@@ -141,22 +138,6 @@ class TestRunTelemetry:
         shown = capsys.readouterr().out
         assert "schema valid, spans balanced: yes" in shown
         assert "computed seeds (runner.seed)" in shown
-
-    def test_run_profile_writes_hotspot_sidecars(self, tmp_path, capsys):
-        tel = tmp_path / "tel"
-        code = main(
-            ["run", "fig8", "--quick", "--telemetry", str(tel), "--profile"]
-        )
-        assert code == 0
-        sidecars = sorted(tel.glob("profile_seed_*.json"))
-        assert sidecars
-        payload = json.loads(sidecars[0].read_text())
-        assert payload["hotspots"]
-        assert not profiling_enabled()  # switched off after the run
-
-    def test_profile_requires_telemetry(self, capsys):
-        assert main(["run", "fig8", "--quick", "--profile"]) == 2
-        assert "--telemetry" in capsys.readouterr().err
 
     def test_recorder_restored_after_run(self, tmp_path, capsys):
         main(["run", "fig8", "--quick", "--telemetry", str(tmp_path / "t")])

@@ -76,8 +76,8 @@ class TestRegistry:
     def test_get_experiment(self):
         spec = get_experiment("fig3")
         assert spec.experiment_id == "fig3"
-        assert callable(spec.run_full)
-        assert callable(spec.run_quick)
+        assert callable(spec.run)
+        assert callable(spec.settings.reference)
 
     def test_get_unknown_raises(self):
         with pytest.raises(ConfigurationError):
