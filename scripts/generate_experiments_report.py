@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from repro.atomicio import atomic_write_text
+from repro.errors import raise_float_errors
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
 
@@ -32,6 +33,7 @@ def main(argv=None) -> int:
         "--out", default="results", help="output directory (default: results/)"
     )
     args = parser.parse_args(argv)
+    raise_float_errors()
 
     wanted = args.only.split(",") if args.only else list_experiments()
     # Look every id up first: a typo fails before minutes of runs.

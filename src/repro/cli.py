@@ -26,9 +26,6 @@ Sub-commands
     Inject a seeded fault set into one scheduled instance and print how
     the degradation policy (local fallback or restricted re-scheduling)
     recovers: utility retention, fallback count, repair time.
-``tsajs lint [PATHS ...] [--format text|json|sarif] [--rule R0xx,...]``
-    Run the project's static-analysis rules (determinism, unit
-    discipline, paper-equation traceability); exits 1 on findings.
 ``tsajs obs explain PATH``
     Explain a recorded trace (a ``.jsonl`` file, or a telemetry
     directory whose worker shards are merged in memory): time per
@@ -48,13 +45,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro import __version__
+from repro.errors import raise_float_errors
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
-from repro.lint import cli as lint
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.rng import child_rng
@@ -248,11 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(shards are merged in memory)"
         ),
     )
-
-    lint_parser = sub.add_parser(
-        "lint", help="run the project-specific static-analysis rules"
-    )
-    lint.add_arguments(lint_parser)
 
     episode_parser = sub.add_parser(
         "episode", help="run a slot-based episodic simulation"
@@ -649,7 +639,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``tsajs`` console script)."""
     args = _build_parser().parse_args(argv)
-    np.seterr(all="raise", under="ignore")
+    raise_float_errors()
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -675,8 +665,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_episode(args)
     if args.command == "faults":
         return _cmd_faults(args)
-    if args.command == "lint":
-        return lint.run(args, prog="tsajs lint")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -7,6 +7,8 @@ swallowing programming errors (``TypeError``, ``KeyError``, ...).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -27,3 +29,13 @@ class InfeasibleAllocationError(ReproError):
 class SolverError(ReproError):
     """A scheduling algorithm failed to produce a valid solution."""
 
+
+def raise_float_errors() -> None:
+    """Make numpy raise on overflow, division by zero and invalid results.
+
+    Underflow stays silent.  Every entry point that runs experiments
+    (``tsajs`` and ``scripts/generate_experiments_report.py``) calls this
+    once, so a table is never written from a value that the other entry
+    point would reject.  Library code leaves the error mode alone.
+    """
+    np.seterr(all="raise", under="ignore")

@@ -11,13 +11,15 @@ R001    no unseeded/global randomness outside ``repro/sim/rng.py``
 R002    determinism hazards in delta-contract modules (``core/``, ``net/``)
 R003    unit discipline — telecom magic constants must route via ``units.py``
 R004    paper traceability — model math must cite a registered equation
-R005    float accumulation order — no Python ``sum()`` in ``core/``
+R005    float accumulation order — no Python ``sum()`` or BLAS in ``core/``
 R006    config drift — every ``SimulationConfig`` field consumed + documented
+R007    exception hygiene — no bare ``except:``, no swallowed broad handler
+R008    telemetry discipline — no direct clock or ``print()``; atomic writes
+R011    no float reduction over a set / ``as_completed`` / directory listing
 ======  ==============================================================
 
-Run ``python -m repro.lint src/`` (or ``tsajs lint``).  Suppress a finding
-with an inline comment: ``# repro-lint: disable=R003`` (same line, or a
-standalone comment on the line above).  See ``docs/linting.md``.
+Run ``python -m repro.lint src/``.  There is no suppression comment: fix
+the finding.  See ``docs/linting.md``.
 """
 
 from __future__ import annotations

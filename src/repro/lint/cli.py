@@ -1,4 +1,4 @@
-"""Command-line entry point: ``python -m repro.lint`` / ``tsajs lint``.
+"""Command-line entry point: ``python -m repro.lint``.
 
 Exit codes: 0 — clean; 1 — findings; 2 — usage error (unknown rule id).
 """
@@ -11,11 +11,19 @@ from typing import List, Optional, Sequence
 
 from repro.lint.engine import lint_paths
 from repro.lint.registry import all_rules
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.reporters import render_json, render_text
+
+PROG = "repro.lint"
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint arguments (shared with the ``tsajs lint`` subcommand)."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description=(
+            "Project-specific static analysis: determinism, unit "
+            "discipline and paper-equation traceability."
+        ),
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -24,7 +32,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -40,22 +48,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        help="print R011's flow-analysis build time to stderr",
-    )
-
-
-def build_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description=(
-            "Project-specific static analysis: determinism, unit "
-            "discipline and paper-equation traceability."
-        ),
-    )
-    add_arguments(parser)
     return parser
 
 
@@ -67,14 +59,14 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def run(args: argparse.Namespace, prog: str = "repro.lint") -> int:
-    """Execute a parsed lint invocation (shared with ``tsajs lint``)."""
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         print(_list_rules())
         return 0
 
     requested: List[str] = []
-    for chunk in getattr(args, "rule", None) or []:
+    for chunk in args.rule or []:
         requested.extend(part.strip() for part in chunk.split(",") if part.strip())
 
     rule_ids: Optional[List[str]] = None
@@ -85,34 +77,17 @@ def run(args: argparse.Namespace, prog: str = "repro.lint") -> int:
         unknown = sorted(set(rule_ids) - known)
         if unknown:
             print(
-                f"{prog}: unknown rule id(s): {', '.join(unknown)}",
+                f"{PROG}: unknown rule id(s): {', '.join(unknown)}",
                 file=sys.stderr,
             )
             return 2
 
     result = lint_paths(args.paths, rule_ids=rule_ids)
-    if getattr(args, "timing", False):
-        if result.flow_build_seconds is not None:
-            print(
-                f"{prog}: flow analysis built in "
-                f"{result.flow_build_seconds:.3f}s "
-                f"({result.files_checked} files)",
-                file=sys.stderr,
-            )
-        else:
-            print(f"{prog}: R011 did not run", file=sys.stderr)
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result))
     return result.exit_code
-
-
-def main(argv: Optional[Sequence[str]] = None, prog: str = "repro.lint") -> int:
-    parser = build_parser(prog)
-    return run(parser.parse_args(argv), prog)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,4 +1,4 @@
-"""File collection, parsing, rule execution and suppression filtering."""
+"""File collection, parsing and rule execution."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Anything Path() accepts.
 PathInput = Union[str, "os.PathLike[str]"]
@@ -14,10 +14,8 @@ PathInput = Union[str, "os.PathLike[str]"]
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import all_rules, get_rule
 from repro.lint.rules_base import FileContext, Rule
-from repro.lint.suppressions import SuppressionIndex
 
-#: Pseudo-rule id attached to files that fail to parse.  Not suppressible
-#: (a broken file can't carry a trustworthy suppression comment).
+#: Pseudo-rule id attached to files that fail to parse.
 PARSE_ERROR = "E000"
 
 
@@ -26,11 +24,6 @@ class Project:
     """Everything the project-wide rules see: all parsed files, in order."""
 
     contexts: List[FileContext] = field(default_factory=list)
-    #: Cache slot for the whole-project flow analysis (built lazily by
-    #: ``repro.lint.flow.analyze_project``, at most once per
-    #: invocation).  Typed ``Any`` to keep the engine importable without
-    #: the flow package.
-    flow_cache: Optional[Any] = None
 
     def find_module(self, rel: str) -> Optional[FileContext]:
         """The context whose package-relative path matches, if scanned."""
@@ -46,12 +39,8 @@ class LintResult:
 
     diagnostics: List[Diagnostic]
     files_checked: int
-    suppressed: int
-    #: Rule ids that ran, in execution order (schema v2 reports them).
+    #: Rule ids that ran, in execution order.
     rule_ids: List[str] = field(default_factory=list)
-    #: Wall-clock seconds spent building the whole-project flow
-    #: analysis, or ``None`` when R011 did not run.
-    flow_build_seconds: Optional[float] = None
 
     @property
     def exit_code(self) -> int:
@@ -115,7 +104,6 @@ def _parse(path: Path, root: Path) -> Tuple[Optional[FileContext], Optional[Diag
         display_path=display,
         source=source,
         tree=tree,
-        suppressions=SuppressionIndex.from_source(source),
         module=_module_parts(path, root),
     )
     return ctx, None
@@ -126,7 +114,7 @@ def lint_paths(
     rule_ids: Optional[Sequence[str]] = None,
     root: Optional[PathInput] = None,
 ) -> LintResult:
-    """Lint files/directories and return sorted, suppression-filtered findings.
+    """Lint files/directories and return the sorted findings.
 
     Parameters
     ----------
@@ -146,39 +134,23 @@ def lint_paths(
         rules = [get_rule(rule_id) for rule_id in rule_ids]
 
     project = Project()
-    raw: List[Diagnostic] = []
+    diagnostics: List[Diagnostic] = []
     files = _collect_files([Path(p) for p in paths])
     for path in files:
         ctx, error = _parse(path, base)
         if error is not None:
-            raw.append(error)
+            diagnostics.append(error)
         if ctx is not None:
             project.contexts.append(ctx)
 
     for ctx in project.contexts:
         for rule in rules:
-            raw.extend(rule.check_file(ctx))
+            diagnostics.extend(rule.check_file(ctx))
     for rule in rules:
-        raw.extend(rule.check_project(project))
-
-    by_display = {ctx.display_path: ctx for ctx in project.contexts}
-    kept: List[Diagnostic] = []
-    suppressed = 0
-    for diag in raw:
-        ctx = by_display.get(diag.path)
-        if (
-            ctx is not None
-            and diag.rule_id != PARSE_ERROR
-            and ctx.suppressions.is_suppressed(diag.rule_id, diag.line)
-        ):
-            suppressed += 1
-            continue
-        kept.append(diag)
-    kept.sort()
+        diagnostics.extend(rule.check_project(project))
+    diagnostics.sort()
     return LintResult(
-        diagnostics=kept,
+        diagnostics=diagnostics,
         files_checked=len(files),
-        suppressed=suppressed,
         rule_ids=[rule.rule_id for rule in rules],
-        flow_build_seconds=getattr(project.flow_cache, "build_seconds", None),
     )

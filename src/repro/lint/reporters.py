@@ -1,34 +1,24 @@
-"""Text, JSON and SARIF rendering of a :class:`~repro.lint.engine.LintResult`."""
+"""Text and JSON rendering of a :class:`~repro.lint.engine.LintResult`."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.lint.engine import PARSE_ERROR, LintResult
+from repro.lint.engine import LintResult
 
 #: Schema version of the JSON report; bump on breaking shape changes.
-#: v2 added the ``rules`` key (ids that ran); the v1 keys are unchanged,
-#: so v1 consumers keep working field-for-field.
-JSON_SCHEMA_VERSION = 2
-
-#: SARIF version emitted by :func:`render_sarif`.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+#: v2 added the ``rules`` key (ids that ran); v3 dropped ``suppressed``.
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(result: LintResult) -> str:
     """Human-readable report: one finding per line plus a summary."""
     lines = [diag.render() for diag in result.diagnostics]
     noun = "finding" if len(result.diagnostics) == 1 else "findings"
-    summary = (
-        f"{len(result.diagnostics)} {noun} in {result.files_checked} "
-        f"file(s) ({result.suppressed} suppressed)"
+    lines.append(
+        f"{len(result.diagnostics)} {noun} in {result.files_checked} file(s)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -37,93 +27,7 @@ def render_json(result: LintResult) -> str:
     payload: Dict[str, Any] = {
         "version": JSON_SCHEMA_VERSION,
         "files_checked": result.files_checked,
-        "suppressed": result.suppressed,
         "rules": list(result.rule_ids),
         "findings": [diag.to_dict() for diag in result.diagnostics],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_rule_metadata(result: LintResult) -> List[Dict[str, Any]]:
-    """``tool.driver.rules`` entries for every rule that ran (plus E000)."""
-    from repro.lint.registry import get_rule
-
-    entries: List[Dict[str, Any]] = []
-    for rule_id in result.rule_ids:
-        try:
-            rule = get_rule(rule_id)
-        except KeyError:  # pragma: no cover - ids come from the registry
-            continue
-        entries.append(
-            {
-                "id": rule.rule_id,
-                "shortDescription": {"text": rule.title},
-                "fullDescription": {"text": rule.rationale},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    if any(diag.rule_id == PARSE_ERROR for diag in result.diagnostics):
-        entries.append(
-            {
-                "id": PARSE_ERROR,
-                "shortDescription": {"text": "file failed to parse"},
-                "fullDescription": {
-                    "text": (
-                        "The file could not be read or parsed; none of "
-                        "the rules ran on it."
-                    )
-                },
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    return entries
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF v2.1.0 report (GitHub code-scanning compatible).
-
-    Columns are emitted 1-based per the SARIF spec (the engine's
-    diagnostics are 0-based, matching CPython's ``col_offset``).
-    """
-    rules = _sarif_rule_metadata(result)
-    index_of = {entry["id"]: position for position, entry in enumerate(rules)}
-    results: List[Dict[str, Any]] = []
-    for diag in result.diagnostics:
-        entry: Dict[str, Any] = {
-            "ruleId": diag.rule_id,
-            "level": "error",
-            "message": {"text": diag.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": diag.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": diag.line,
-                            "startColumn": diag.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if diag.rule_id in index_of:
-            entry["ruleIndex"] = index_of[diag.rule_id]
-        results.append(entry)
-    payload: Dict[str, Any] = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

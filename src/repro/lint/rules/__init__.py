@@ -3,8 +3,8 @@
 Importing this package registers every rule with the global registry;
 each module calls :func:`repro.lint.registry.register` at import time.
 
-R001-R008 are per-file AST rules; R011 is built on the whole-project
-analysis in :mod:`repro.lint.flow`.
+Every rule but R006 (a cross-file config check) works on one file at a
+time.
 """
 
 from __future__ import annotations

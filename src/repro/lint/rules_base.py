@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.suppressions import SuppressionIndex
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.lint.engine import Project
@@ -29,7 +28,6 @@ class FileContext:
     display_path: str
     source: str
     tree: ast.Module
-    suppressions: SuppressionIndex
     module: Tuple[str, ...]
 
     @property

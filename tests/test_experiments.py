@@ -133,8 +133,11 @@ class TestFig3:
 
 @pytest.mark.slow
 class TestFig4:
-    def test_quick_run_structure(self):
-        output = fig4_user_scale.run(fig4_user_scale.Fig4Settings.quick())
+    @pytest.fixture(scope="class")
+    def output(self):
+        return fig4_user_scale.run(fig4_user_scale.Fig4Settings.quick())
+
+    def test_quick_run_structure(self, output):
         assert output.experiment_id == "fig4"
         panel = output.raw["panels"][0]
         assert panel["user_counts"] == [10, 30]
@@ -142,35 +145,38 @@ class TestFig4:
         for name, series in panel["series"].items():
             assert len(series) == 2, name
 
-    def test_utility_grows_when_slots_plentiful(self):
+    def test_utility_grows_when_slots_plentiful(self, output):
         # 10 -> 30 users on 27 slots: more offloaders, more utility.
-        output = fig4_user_scale.run(fig4_user_scale.Fig4Settings.quick())
         series = output.raw["panels"][0]["series"]["TSAJS"]
         assert series[1].mean > series[0].mean
 
 
 @pytest.mark.slow
 class TestFig5:
-    def test_utility_decreases_with_data_size(self):
-        output = fig5_data_size.run(fig5_data_size.Fig5Settings.quick())
+    @pytest.fixture(scope="class")
+    def output(self):
+        return fig5_data_size.run(fig5_data_size.Fig5Settings.quick())
+
+    def test_utility_decreases_with_data_size(self, output):
         series = output.raw["series"]["TSAJS"]
         assert series[-1].mean < series[0].mean
 
-    def test_structure(self):
-        output = fig5_data_size.run(fig5_data_size.Fig5Settings.quick())
+    def test_structure(self, output):
         assert output.raw["data_sizes_kb"] == [100.0, 1000.0]
         assert len(output.rows) == 2
 
 
 @pytest.mark.slow
 class TestFig6:
-    def test_utility_increases_with_workload(self):
-        output = fig6_workload.run(fig6_workload.Fig6Settings.quick())
+    @pytest.fixture(scope="class")
+    def output(self):
+        return fig6_workload.run(fig6_workload.Fig6Settings.quick())
+
+    def test_utility_increases_with_workload(self, output):
         series = output.raw["panels"][0]["series"]["TSAJS"]
         assert series[-1].mean > series[0].mean
 
-    def test_structure(self):
-        output = fig6_workload.run(fig6_workload.Fig6Settings.quick())
+    def test_structure(self, output):
         panel = output.raw["panels"][0]
         assert panel["n_users"] == 50
         for name, series in panel["series"].items():
@@ -193,15 +199,17 @@ class TestFig7:
 
 @pytest.mark.slow
 class TestFig8:
-    def test_reports_wall_times(self):
-        output = fig8_runtime.run(fig8_runtime.Fig8Settings.quick())
+    @pytest.fixture(scope="class")
+    def output(self):
+        return fig8_runtime.run(fig8_runtime.Fig8Settings.quick())
+
+    def test_reports_wall_times(self, output):
         panel = output.raw["panels"][0]
         for name, series in panel["series"].items():
             for stat in series:
                 assert stat.mean > 0.0, name
 
-    def test_hjtora_cost_grows_with_subchannels(self):
-        output = fig8_runtime.run(fig8_runtime.Fig8Settings.quick())
+    def test_hjtora_cost_grows_with_subchannels(self, output):
         series = output.raw["panels"][0]["series"]["hJTORA"]
         assert series[-1].mean > series[0].mean
 
@@ -231,17 +239,17 @@ class TestFig9:
 
 @pytest.mark.slow
 class TestAblations:
-    def test_threshold_ablation_structure(self):
-        output = ablation_threshold.run(
+    @pytest.fixture(scope="class")
+    def threshold_output(self):
+        return ablation_threshold.run(
             ablation_threshold.AblationThresholdSettings.quick()
         )
-        assert set(output.raw["series"]) == {"TTSA", "Vanilla-slow", "Vanilla-fast"}
 
-    def test_ttsa_cheaper_than_vanilla_slow(self):
-        output = ablation_threshold.run(
-            ablation_threshold.AblationThresholdSettings.quick()
-        )
-        series = output.raw["series"]
+    def test_threshold_ablation_structure(self, threshold_output):
+        assert set(threshold_output.raw["series"]) == {"TTSA", "Vanilla-slow", "Vanilla-fast"}
+
+    def test_ttsa_cheaper_than_vanilla_slow(self, threshold_output):
+        series = threshold_output.raw["series"]
         assert (
             series["TTSA"]["evaluations"].mean
             <= series["Vanilla-slow"]["evaluations"].mean

@@ -76,3 +76,14 @@ def test_checked_in_table_matches_the_rows_and_leaves_none_uncaught():
             assert runtime == "none", name
         else:
             assert (lint, runtime) != ("none", "none"), f"uncaught: {name}"
+
+
+def test_every_registered_rule_fires_on_some_row():
+    from repro.lint import all_rules
+
+    fired = set()
+    for row in gate_matrix.checked_in_table().splitlines()[2:]:
+        lint = row.strip("|").split(" | ")[3].strip()
+        fired.update(rule.strip() for rule in lint.split(","))
+    missing = [rule.rule_id for rule in all_rules() if rule.rule_id not in fired]
+    assert missing == []

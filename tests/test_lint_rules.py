@@ -1,4 +1,4 @@
-"""Positive and negative fixtures for every lint rule (R001-R008).
+"""Positive and negative fixtures for every lint rule (R001-R008, R011).
 
 Each rule is demonstrated by at least one *failing* fixture (the rule
 fires on code exhibiting the hazard) and one *passing* fixture (the
@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.lint import Diagnostic, lint_paths
+from repro.lint import Diagnostic, all_rules, lint_paths
 
 
 def _write_tree(root: Path, files: Dict[str, str]) -> Path:
@@ -603,15 +603,6 @@ class TestR008TelemetryDiscipline:
         })
         assert _lint(tmp_path, "R008") == []
 
-    def test_suppression_comment_is_honoured(self, tmp_path):
-        _write_tree(tmp_path, {
-            "repro/sim/x.py": (
-                "def debug():\n"
-                "    print('x')  # repro-lint: disable=R008\n"
-            ),
-        })
-        assert _lint(tmp_path, "R008") == []
-
     def test_time_variable_attribute_is_fine(self, tmp_path):
         # A local object that happens to be named `time` is not the module.
         # The AST rule cannot tell them apart, but names like
@@ -696,6 +687,140 @@ class TestR008TelemetryDiscipline:
         assert _lint(tmp_path, "R008") == []
 
 
+class TestR011UnorderedReduction:
+    def test_sum_over_set_fires(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/analysis/bad.py": (
+                "def f(values):\n"
+                "    return sum({v * 2.0 for v in values})\n"
+            ),
+        })
+        diags = _lint(tmp_path, "R011")
+        assert len(diags) == 1
+        assert "unordered iterable" in diags[0].message
+
+    def test_accumulation_over_as_completed_fires(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/analysis/gather.py": (
+                "from concurrent.futures import as_completed\n"
+                "def f(futures):\n"
+                "    total = 0.0\n"
+                "    for fut in as_completed(futures):\n"
+                "        total += fut.result()\n"
+                "    return total\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    def test_sorted_cleanses(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/analysis/good.py": (
+                "from concurrent.futures import as_completed\n"
+                "def f(values):\n"
+                "    return sum(sorted({v * 2.0 for v in values}))\n"
+                "def g(futures):\n"
+                "    results = []\n"
+                "    for fut in as_completed(futures):\n"
+                "        results.append(fut.result())\n"
+                "    return sum(sorted(results))\n"
+                "def h(values):\n"
+                "    pinned = sorted(set(values))\n"
+                "    return sum(pinned)\n"
+            ),
+        })
+        assert _lint(tmp_path, "R011") == []
+
+    def test_taint_survives_list_wrapper(self, tmp_path):
+        # list() preserves the unordered directory order.
+        _write_tree(tmp_path, {
+            "repro/analysis/wrapped.py": (
+                "import os\n"
+                "def f():\n"
+                "    names = list(os.listdir('.'))\n"
+                "    return sum(len(n) * 1.5 for n in names)\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    @pytest.mark.parametrize(
+        "imports, source",
+        [
+            ("", "{1.0, x}"),
+            ("", "{v for v in x}"),
+            ("", "set(x)"),
+            ("", "frozenset(x)"),
+            ("from concurrent.futures import as_completed", "as_completed(x)"),
+            ("import concurrent.futures as cf", "cf.as_completed(x)"),
+            ("import os", "os.listdir(x)"),
+            ("from os import scandir", "scandir(x)"),
+            ("import glob", "glob.glob(x)"),
+            ("from glob import iglob", "iglob(x)"),
+            ("", "x.iterdir()"),
+        ],
+    )
+    def test_each_unordered_source_fires(self, tmp_path, imports, source):
+        _write_tree(tmp_path, {
+            "repro/analysis/src.py": (
+                f"{imports}\n"
+                "def f(x):\n"
+                f"    items = {source}\n"
+                "    return sum(items)\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    def test_function_level_import_resolves(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/analysis/lazy.py": (
+                "def f(futures):\n"
+                "    from concurrent.futures import as_completed\n"
+                "    return sum(f.result() for f in as_completed(futures))\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    def test_marks_reach_earlier_statements(self, tmp_path):
+        # Flow-insensitive: a name is unordered if any assignment to it
+        # is, wherever that assignment sits in the function.
+        _write_tree(tmp_path, {
+            "repro/analysis/loop.py": (
+                "def f(batches):\n"
+                "    total = 0.0\n"
+                "    items = []\n"
+                "    for batch in batches:\n"
+                "        total += sum(items)\n"
+                "        items = list(pending)\n"
+                "        pending = set(batch)\n"
+                "    return total\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    def test_module_level_code_is_a_scope(self, tmp_path):
+        _write_tree(tmp_path, {
+            "repro/analysis/table.py": (
+                "WEIGHTS = {0.1, 0.2, 0.3}\n"
+                "TOTAL = sum(WEIGHTS)\n"
+            ),
+        })
+        assert len(_lint(tmp_path, "R011")) == 1
+
+    def test_marks_do_not_cross_functions(self, tmp_path):
+        # The rule works within one function: a set returned by a helper
+        # and reduced by its caller is out of its reach (R002 still bans
+        # all set iteration in core/ and net/).
+        _write_tree(tmp_path, {
+            "repro/analysis/split.py": (
+                "def derive(xs):\n"
+                "    return set(xs)\n"
+                "def use(xs):\n"
+                "    items = derive(xs)\n"
+                "    return sum(items)\n"
+            ),
+        })
+        assert _lint(tmp_path, "R011") == []
+
+
 class TestEveryRuleHasFailingFixture:
     """Meta-guarantee: each registered rule fires on at least one fixture."""
 
@@ -717,7 +842,14 @@ class TestEveryRuleHasFailingFixture:
             "repro/sim/x.py",
             "import time\ntime.sleep(1.0)\n",
         ),
+        "R011": (
+            "repro/sim/x.py",
+            "def f(xs):\n    return sum(set(xs))\n",
+        ),
     }
+
+    def test_every_registered_rule_has_a_fixture(self):
+        assert sorted(self.FIXTURES) == [rule.rule_id for rule in all_rules()]
 
     @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
     def test_rule_fires(self, rule_id, tmp_path):

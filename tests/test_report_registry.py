@@ -1,10 +1,16 @@
-"""Tests for the experiment report rendering and registry."""
+"""Tests for the experiment report rendering, the registry and the
+report script that regenerates ``results/``."""
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
     EXPERIMENTS,
+    ExperimentSpec,
     get_experiment,
     list_experiments,
 )
@@ -86,3 +92,38 @@ class TestRegistry:
     def test_descriptions_nonempty(self):
         for spec in EXPERIMENTS.values():
             assert spec.description
+
+
+def _load_report_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "generate_experiments_report.py"
+    spec = importlib.util.spec_from_file_location("generate_experiments_report", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _StubSettings:
+    @classmethod
+    def reference(cls):
+        return cls()
+
+
+class TestReportScript:
+    def test_runs_under_the_cli_float_error_mode(self, tmp_path, monkeypatch, capsys):
+        # An overflow that ``tsajs run`` raises must not merely warn while
+        # results/ is regenerated.
+        seen = []
+
+        def run(settings):
+            seen.append(np.geterr())
+            return ExperimentOutput("stub", "Stub", ["a"], [["1"]])
+
+        script = _load_report_script()
+        stub = ExperimentSpec("stub", "stub experiment", run, _StubSettings)
+        monkeypatch.setattr(script, "get_experiment", lambda experiment_id: stub)
+        with np.errstate():
+            assert script.main(["--only", "stub", "--out", str(tmp_path)]) == 0
+        assert [mode["over"] for mode in seen] == ["raise"]
+        assert seen[0]["under"] == "ignore"
+        assert (tmp_path / "stub.txt").read_text().startswith("Stub")
