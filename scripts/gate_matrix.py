@@ -220,10 +220,11 @@ def _solve_on_stream(stream, config, schedulers, seed):
     from repro.sim.scenario import Scenario
 
     scenario = Scenario.build(config, seed=seed)
-    return [
+    metrics = [
         solution_metrics(scenario, scheduler.schedule(scenario, stream))
         for scheduler in schedulers
     ]
+    return metrics, None
 ''',
     ),
     Hazard(
@@ -245,12 +246,13 @@ def _memo_seed_work(ctx, config, schedulers, seed):
     if config not in _SCENARIOS:
         _SCENARIOS[config] = Scenario.build(config, seed=seed)
     scenario = _SCENARIOS[config]
-    return [
+    metrics = [
         solution_metrics(
             scenario, scheduler.schedule(scenario, child_rng(seed, 100 + index))
         )
         for index, scheduler in enumerate(schedulers)
     ]
+    return metrics, None
 ''',
     ),
     Hazard(

@@ -1,6 +1,6 @@
 """Crash-safe filesystem primitives shared by caches, traces and reports.
 
-Every artifact this project persists — cache entries, trace shards,
+Every artifact this project persists — cache entries, trace files,
 experiment tables, JSON outputs — goes through the helpers here instead
 of plain ``write_text`` / ``open(..., "w")``.  The write protocol is the
 classic atomic-replace sequence:
@@ -117,7 +117,7 @@ class AtomicLineWriter:
     nothing.  :meth:`abort` (or an exception inside the ``with`` block)
     discards the temporary file instead, leaving any previous version of
     the destination untouched.  This is the sanctioned way to stream
-    JSONL (trace shards, journals) from code that lint rule R008 bars
+    JSONL (traces, journals) from code that lint rule R008 bars
     from calling ``open(..., "w")`` directly.
     """
 

@@ -28,7 +28,7 @@ Sub-commands
     recovers: utility retention, fallback count, repair time.
 ``tsajs obs explain PATH``
     Explain a recorded trace (a ``.jsonl`` file, or a telemetry
-    directory whose worker shards are merged in memory): time per
+    directory's ``trace.jsonl``): time per
     top-level span and the critical path, per annealing run the
     acceptance rate per level, phase-switch levels, best-so-far curve
     and iterations after the final best, reconcile rounds and cache
@@ -140,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         metavar="DIR",
         help=(
-            "record a schema-v2 span/event trace (trace.jsonl, plus "
-            "per-worker trace-*.jsonl shards on the pool) and a "
-            "metrics snapshot (metrics.json) into DIR"
+            "record a schema-v3 span/event trace (trace.jsonl, pool "
+            "workers included) and a metrics snapshot (metrics.json) "
+            "into DIR"
         ),
     )
 
@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument(
         "--trace",
         metavar="FILE",
-        help="record a schema-v2 span/event trace of the solve to FILE",
+        help="record a schema-v3 span/event trace of the solve to FILE",
     )
     solve_parser.add_argument(
         "--trace-iterations",
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "a trace .jsonl file, or a telemetry directory "
-            "(shards are merged in memory)"
+            "(reads its trace.jsonl)"
         ),
     )
 
@@ -340,14 +340,7 @@ def _cmd_run(
         from repro.obs.trace import TraceRecorder
 
         telemetry_dir = Path(telemetry)
-        # trace_id + shard_dir opt this run into distributed tracing:
-        # pool workers receive a TraceContext and publish their
-        # own trace-*.jsonl shards next to the coordinator's trace.
-        recorder = TraceRecorder(
-            telemetry_dir / "trace.jsonl",
-            trace_id=f"run-{experiment_id}",
-            shard_dir=telemetry_dir,
-        )
+        recorder = TraceRecorder(telemetry_dir / "trace.jsonl")
         set_recorder(recorder)
         try:
             status = _cmd_run_body(experiment_id, quick, out, json_out, sweep)
@@ -359,18 +352,9 @@ def _cmd_run(
         atomic_write_json(
             telemetry_dir / "metrics.json", recorder.snapshot(), indent=2
         )
-        from repro.obs.dist import find_shards
-
-        n_shards = len(find_shards(telemetry_dir))
-        shard_note = (
-            f", {n_shards} worker shards (read with "
-            f"'tsajs obs explain {telemetry_dir}')"
-            if n_shards
-            else ""
-        )
         print(
             f"[telemetry: {recorder.n_records} trace records and a metrics "
-            f"snapshot written to {telemetry_dir}{shard_note}]"
+            f"snapshot written to {telemetry_dir}]"
         )
         return status
     return _cmd_run_body(experiment_id, quick, out, json_out, sweep)
@@ -515,12 +499,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.errors import ReproError
     from repro.obs.analyze import explain
-    from repro.obs.dist import merge_trace_shards
     from repro.obs.trace import read_trace
 
     path = Path(args.path)
+    if path.is_dir():
+        path = path / "trace.jsonl"
     try:
-        records = merge_trace_shards(path) if path.is_dir() else read_trace(path)
+        records = read_trace(path)
     except (OSError, ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

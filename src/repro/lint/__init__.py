@@ -20,22 +20,10 @@ R011    no float reduction over a set / ``as_completed`` / directory listing
 
 Run ``python -m repro.lint src/``.  There is no suppression comment: fix
 the finding.  See ``docs/linting.md``.
+
+The package imports nothing eagerly: the cache key
+(:func:`repro.experiments.persistence.code_fingerprint`) reads
+:mod:`repro.lint.equations` and must not load the lint engine.  Import
+from the submodules (``repro.lint.engine``, ``repro.lint.registry``,
+``repro.lint.diagnostics``).
 """
-
-from __future__ import annotations
-
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import LintResult, Project, lint_paths
-from repro.lint.registry import all_rules, get_rule, register
-from repro.lint.rules_base import Rule
-
-__all__ = [
-    "Diagnostic",
-    "LintResult",
-    "Project",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "register",
-]

@@ -6,16 +6,15 @@ TTSA converges (acceptance rate, the Algorithm-2 phase switch at
 ``1.75·L`` accepted-worse moves, the α₁→α₂ cooling split), and this
 package records those trajectories instead of re-running them.
 
-Three cooperating pieces (see ``docs/observability.md``):
+The cooperating pieces (see ``docs/observability.md``):
 
 * :mod:`repro.obs.clock` — the injected monotonic clock every timed
   call site uses (lint rule R008 bans direct ``time.*`` elsewhere);
 * :mod:`repro.obs.recorder` / :mod:`repro.obs.trace` — the
   :class:`Recorder` interface, the zero-overhead :class:`NullRecorder`
-  default, and the JSONL schema-v2 :class:`TraceRecorder`;
+  default, and the JSONL schema-v3 :class:`TraceRecorder`, which also
+  takes in the records pool workers return with their results;
 * :mod:`repro.obs.metrics` — per-series counters/gauges/histograms;
-* :mod:`repro.obs.dist` — distributed trace-context propagation and
-  shard merging;
 * :mod:`repro.obs.analyze` — the ``tsajs obs explain`` report (span
   tree, critical path, annealing runs, reconcile rounds, cache hits).
   Import it directly: it is kept out of this package's eager imports.
@@ -36,13 +35,6 @@ from repro.obs.clock import (
     set_default_clock,
     sleep,
 )
-from repro.obs.dist import (
-    TraceContext,
-    find_shards,
-    merge_trace_shards,
-    propagated_context,
-    worker_trace,
-)
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -54,7 +46,6 @@ from repro.obs.recorder import (
 )
 from repro.obs.schema import (
     SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
     TraceSchemaError,
     iter_trace_lines,
     span_pairs_balanced,
@@ -64,7 +55,6 @@ from repro.obs.schema import (
 from repro.obs.trace import (
     Span,
     TraceRecorder,
-    emit_worker_detached,
     events_named,
     read_trace,
 )
@@ -88,7 +78,6 @@ __all__ = [
     "set_recorder",
     "use_recorder",
     "SCHEMA_VERSION",
-    "SUPPORTED_VERSIONS",
     "TraceSchemaError",
     "validate_record",
     "validate_trace",
@@ -98,10 +87,4 @@ __all__ = [
     "Span",
     "read_trace",
     "events_named",
-    "emit_worker_detached",
-    "TraceContext",
-    "propagated_context",
-    "worker_trace",
-    "find_shards",
-    "merge_trace_shards",
 ]

@@ -1,8 +1,8 @@
 """Trace analysis behind ``tsajs obs explain``.
 
-Consumes schema-v2 records (one file, or a telemetry directory merged by
-:func:`repro.obs.dist.merge_trace_shards`) and explains a run from the
-events the program already emits:
+Consumes schema-v3 records (one trace file; a pool sweep's workers are
+in it, labelled by ``shard``) and explains a run from the events the
+program already emits:
 
 * :func:`build_span_tree` — the reconstructed span hierarchy with
   per-span **total** (the span's own ``dur``) and **self** time (total
@@ -108,7 +108,7 @@ def _parent(node: SpanNode, nodes: Dict[int, SpanNode]) -> Optional[SpanNode]:
 def build_span_tree(records: List[Dict[str, Any]]) -> List[SpanNode]:
     """Reconstruct the span hierarchy from decoded trace records.
 
-    Children are linked through the schema-v2 ``parent`` field; spans
+    Children are linked through the schema's ``parent`` field; spans
     with no (or an unknown) parent become roots.  Record order is
     preserved among siblings, so deterministic traces yield
     deterministic trees.

@@ -63,11 +63,6 @@ class TickClock:
         self._next += self._step
         return value
 
-    @property
-    def step(self) -> float:
-        """The fixed advance per read (propagated to worker clocks)."""
-        return self._step
-
 
 #: Process-wide default clock; swap with :func:`set_default_clock` in tests.
 _DEFAULT_CLOCK: Clock = MonotonicClock()

@@ -92,6 +92,22 @@ class MetricsRegistry:
             stats = self._histograms[key] = HistogramStats()
         stats.observe(value)
 
+    def merge(self, snapshot: Mapping[str, Any]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add, gauges take the incoming value (last write wins),
+        and histograms combine count, total, min and max.
+        """
+        for key, value in snapshot["counters"].items():
+            self._counters[key] = self._counters.get(key, 0.0) + value
+        self._gauges.update(snapshot["gauges"])
+        for key, summary in snapshot["histograms"].items():
+            stats = self._histograms.setdefault(key, HistogramStats())
+            stats.count += summary["count"]
+            stats.total += summary["total"]
+            stats.min = min(stats.min, summary["min"])
+            stats.max = max(stats.max, summary["max"])
+
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 

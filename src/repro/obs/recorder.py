@@ -14,19 +14,23 @@ process-level decision:
   :func:`set_recorder` / :func:`use_recorder`) install a
   :class:`~repro.obs.trace.TraceRecorder` for the duration of the run.
 
-Recorders are process-local on purpose: a pool worker starts with the
-null recorder (and a forked recorder refuses to write from a foreign
-PID), so parallel sweeps record parent-side events only — spawning one
-writer per line is how interleaved trace files happen.
+Recorders are process-local on purpose: a forked recorder refuses to
+write from a foreign PID, since one file with several writers is how
+interleaved trace files happen.  A pool worker records into its own
+in-memory recorder built from the coordinator's :meth:`Recorder.worker_context`
+and hands the records back with its results (:meth:`Recorder.take_in`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from types import TracebackType
-from typing import Iterator, Optional, Sequence, Type, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Type, Union
 
-#: Values an event attribute or metric label may carry (schema v1 scalars).
+if TYPE_CHECKING:
+    from repro.obs.trace import Capture, WorkerContext
+
+#: Values an event attribute or metric label may carry (trace schema scalars).
 Scalar = Union[str, int, float, bool, None]
 AttrValue = Union[Scalar, Sequence[Scalar]]
 
@@ -84,6 +88,13 @@ class Recorder:
     def snapshot(self) -> Optional[dict]:
         """JSON-ready metrics snapshot, or ``None`` for the null recorder."""
         return None
+
+    def worker_context(self) -> Optional["WorkerContext"]:
+        """What pool workers record under, or ``None`` to run them untraced."""
+        return None
+
+    def take_in(self, capture: "Capture", shard: str) -> None:
+        """Adopt a pool worker's records and metrics (labelled ``shard``)."""
 
     def close(self) -> None:
         """Flush and release the sink (idempotent)."""

@@ -1,31 +1,24 @@
-"""Trace schema v2 — the JSONL record contract and its validator.
+"""Trace schema v3 — the JSONL record contract and its validator.
 
 Every line of a trace file is one JSON object with the fields
 
 ========== ==============================================================
 field      meaning
 ========== ==============================================================
-``v``      schema version (the integer ``1`` or ``2``)
+``v``      schema version (the integer ``3``)
 ``kind``   ``"event"``, ``"span_start"`` or ``"span_end"``
 ``name``   dotted event name (``"anneal.level"``, ``"runner.seed"``, ...)
-``t``      monotonic seconds since the recorder was created (>= 0)
+``t``      monotonic seconds since the recorder's epoch (>= 0)
 ``attrs``  flat JSON object of deterministic payload values
 ``id``     span identifier (spans only; pairs ``span_start``/``span_end``)
 ``dur``    span duration in seconds (``span_end`` only, >= 0)
-``trace``  distributed trace id the record belongs to (v2, optional)
-``parent`` span id of the enclosing span (v2, optional)
-``shard``  originating worker shard label (v2, optional; stamped by
-           :func:`repro.obs.dist.merge_trace_shards`)
+``parent`` span id of the enclosing span (optional)
+``shard``  pool worker cell the record came from, ``s<seed>`` (optional)
 ========== ==============================================================
 
-Schema v2 is a strict superset of v1: the three optional fields above
-carry the cross-process span topology (see ``docs/observability.md``,
-"Distributed tracing") and two new event names join the vocabulary —
-``worker_detached`` (a parallel wave ran without trace-context
-propagation, so worker-side telemetry was dropped) and
-``shard_truncated`` (a worker shard was torn mid-write and quarantined
-by the merge).  v1 documents remain readable: the validator accepts
-both versions, but rejects the v2-only fields on a v1 record.
+Any other version is refused: one recorder writes the file and one
+reader (``tsajs obs explain``) reads it, so there is nothing older to
+stay compatible with (see ``docs/observability.md``).
 
 Two invariants keep traces reproducible and diffable:
 
@@ -45,11 +38,8 @@ from typing import Any, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from repro.errors import ReproError
 
-#: Current trace schema version (written by every recorder).
-SCHEMA_VERSION = 2
-
-#: Versions the validator accepts (v2 is a strict superset of v1).
-SUPPORTED_VERSIONS: Tuple[int, ...] = (1, 2)
+#: The trace schema version (written by every recorder, and the only one read).
+SCHEMA_VERSION = 3
 
 #: The record kinds the schema defines.
 KINDS: Tuple[str, ...] = ("event", "span_start", "span_end")
@@ -81,7 +71,7 @@ def _check_scalar(key: str, value: Any, line: Union[int, None]) -> None:
 
 
 def validate_record(record: Any, line: Union[int, None] = None) -> None:
-    """Check one decoded record against the trace schema (v1 or v2).
+    """Check one decoded record against the trace schema.
 
     Raises :class:`TraceSchemaError` with the offending field (and the
     1-based ``line`` number when given); returns ``None`` on success.
@@ -89,9 +79,8 @@ def validate_record(record: Any, line: Union[int, None] = None) -> None:
     if not isinstance(record, dict):
         raise _fail(f"record must be a JSON object, got {type(record).__name__}", line)
     version = record.get("v")
-    if version not in SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
-        raise _fail(f"unsupported schema version {version!r} (expected one of {supported})", line)
+    if version != SCHEMA_VERSION:
+        raise _fail(f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})", line)
     kind = record.get("kind")
     if kind not in KINDS:
         raise _fail(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})", line)
@@ -122,23 +111,16 @@ def validate_record(record: Any, line: Union[int, None] = None) -> None:
         if isinstance(dur, bool) or not isinstance(dur, (int, float)) or dur < 0:
             raise _fail(f"dur must be a number >= 0, got {dur!r}", line)
         allowed.add("dur")
-    if version >= 2:
-        # The v2 distributed-tracing fields are optional on every kind.
-        if "trace" in record:
-            trace = record["trace"]
-            if not isinstance(trace, str) or not trace:
-                raise _fail(f"trace must be a non-empty string, got {trace!r}", line)
-            allowed.add("trace")
-        if "parent" in record:
-            parent = record["parent"]
-            if isinstance(parent, bool) or not isinstance(parent, int) or parent < 0:
-                raise _fail(f"parent must be an integer >= 0, got {parent!r}", line)
-            allowed.add("parent")
-        if "shard" in record:
-            shard = record["shard"]
-            if not isinstance(shard, str) or not shard:
-                raise _fail(f"shard must be a non-empty string, got {shard!r}", line)
-            allowed.add("shard")
+    if "parent" in record:
+        parent = record["parent"]
+        if isinstance(parent, bool) or not isinstance(parent, int) or parent < 0:
+            raise _fail(f"parent must be an integer >= 0, got {parent!r}", line)
+        allowed.add("parent")
+    if "shard" in record:
+        shard = record["shard"]
+        if not isinstance(shard, str) or not shard:
+            raise _fail(f"shard must be a non-empty string, got {shard!r}", line)
+        allowed.add("shard")
     extra = sorted(set(record) - allowed)
     if extra:
         raise _fail(f"unexpected field(s): {', '.join(extra)}", line)

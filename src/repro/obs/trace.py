@@ -1,10 +1,10 @@
-"""Span/event trace recording to JSONL (schema v2) plus in-memory capture.
+"""Span/event trace recording to JSONL (schema v3) plus in-memory capture.
 
 :class:`TraceRecorder` is the concrete recorder behind ``tsajs solve
 --trace`` and ``tsajs run --telemetry``.  Design constraints, in order:
 
 * **Determinism.**  Records carry monotonic deltas (``t`` relative to
-  recorder creation, ``dur`` per span) from an injected
+  the recorder's epoch, ``dur`` per span) from an injected
   :class:`~repro.obs.clock.Clock` — never wall-clock timestamps — and
   attrs carry only algorithm state, so a :class:`~repro.obs.clock.TickClock`
   makes the whole file a pure function of the event sequence.
@@ -14,20 +14,15 @@
   (a crashed process leaves no torn trace, only a stale temp file).
 * **Fork safety.**  A recorder inherited by a forked pool worker would
   interleave half-written lines with its parent; emissions from any PID
-  other than the creating one are dropped.  Historically (schema v1)
-  this drop was silent — distributed runs simply lost all worker-side
-  telemetry.  Since schema v2 the executors detect the situation in the
-  *parent* and emit a ``worker_detached`` event (see
-  :func:`emit_worker_detached`); propagating a
-  :class:`~repro.obs.dist.TraceContext` instead gives each worker its
-  own shard recorder and loses nothing.
+  other than the creating one are dropped.  A pool worker records into
+  its own in-memory recorder instead, built from the coordinator's
+  :meth:`~TraceRecorder.worker_context`, and returns its
+  :meth:`~TraceRecorder.capture` with the cell's results; the
+  coordinator adopts it with :meth:`~TraceRecorder.take_in`.
 
-Each record also carries the recorder's span *topology*: ``span_start``
-and ``event`` records are stamped with the ``parent`` span id of the
-innermost open span, and every record with the recorder's ``trace`` id
-when one was assigned — that is what lets
-:func:`repro.obs.dist.merge_trace_shards` stitch per-worker shards into
-one tree.
+``span_start`` and ``event`` records carry the ``parent`` span id of the
+innermost open span; records taken in from a worker also carry its
+``shard`` label (``s<seed>``).
 
 Metrics (:meth:`Recorder.count` & friends) accumulate in an attached
 :class:`~repro.obs.metrics.MetricsRegistry` rather than the trace file:
@@ -36,18 +31,24 @@ aggregates belong in one snapshot, not smeared over thousands of lines.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Type, Union
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.atomicio import AtomicLineWriter
 from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import AttrValue, Recorder, get_recorder
+from repro.obs.recorder import AttrValue, Recorder
 from repro.obs.schema import SCHEMA_VERSION, validate_trace
+
+#: A worker recorder's records and metrics snapshot (see
+#: :meth:`TraceRecorder.capture`), returned over the pool's result channel.
+Capture = Tuple[List[Dict[str, Any]], Dict[str, Any]]
 
 
 def _clean_scalar(value: object) -> object:
@@ -93,8 +94,33 @@ class Span:
         return False
 
 
+@dataclass(frozen=True)
+class WorkerContext:
+    """What a pool worker needs to record on its coordinator's timeline.
+
+    Picklable: the executor ships it with every task.  ``clock`` is a
+    copy taken inside the coordinator's wave span, so a
+    :class:`~repro.obs.clock.TickClock` worker continues from the
+    coordinator's next tick, and a :class:`~repro.obs.clock.MonotonicClock`
+    worker reads the same system-wide ``perf_counter``; with the shared
+    ``epoch`` every worker ``t`` lies on the coordinator's time axis.
+    """
+
+    clock: Clock
+    epoch: float
+    iteration_detail: bool
+
+    def recorder(self) -> "TraceRecorder":
+        """An in-memory recorder on this context's clock and epoch."""
+        return TraceRecorder(
+            clock=self.clock,
+            iteration_detail=self.iteration_detail,
+            epoch=self.epoch,
+        )
+
+
 class TraceRecorder(Recorder):
-    """Schema-v2 recorder writing JSONL to a file and/or an in-memory list.
+    """Schema-v3 recorder writing JSONL to a file or an in-memory list.
 
     Parameters
     ----------
@@ -108,16 +134,9 @@ class TraceRecorder(Recorder):
     iteration_detail:
         Ask the annealer for per-iteration ``anneal.step`` events (orders
         of magnitude more lines; off by default).
-    keep_records:
-        Also retain decoded records in memory when writing to a file.
-    trace_id:
-        Distributed trace id stamped on every record (``trace`` field).
-        Required for cross-process propagation; ``None`` omits the field.
-    shard_dir:
-        Directory workers should write their trace shards into.  Setting
-        it opts this recorder into distributed propagation: the executors
-        build a :class:`~repro.obs.dist.TraceContext` from it (see
-        :func:`repro.obs.dist.propagated_context`).
+    epoch:
+        Clock reading that ``t = 0`` stands for; defaults to the clock's
+        reading at construction.  Pool workers pass the coordinator's.
     """
 
     enabled = True
@@ -127,63 +146,53 @@ class TraceRecorder(Recorder):
         path: Optional[Union[str, Path]] = None,
         clock: Optional[Clock] = None,
         iteration_detail: bool = False,
-        keep_records: bool = False,
-        trace_id: Optional[str] = None,
-        shard_dir: Optional[Union[str, Path]] = None,
+        epoch: Optional[float] = None,
     ) -> None:
         self._clock: Clock = clock if clock is not None else MonotonicClock()
-        self._epoch = self._clock.now()
+        self._epoch = self._clock.now() if epoch is None else epoch
         self._pid = os.getpid()
         self.iteration_detail = iteration_detail
         self.metrics = MetricsRegistry()
-        self.trace_id = trace_id
-        self.shard_dir: Optional[Path] = (
-            Path(shard_dir) if shard_dir is not None else None
-        )
         self._next_span_id = 0
         self._n_records = 0
+        #: Latest ``t`` taken in from a worker; no later read goes below it.
+        self._floor = 0.0
         self._stack: List[int] = []
         self.path: Optional[Path] = Path(path) if path is not None else None
         self._writer: Optional[AtomicLineWriter] = None
         if self.path is not None:
             self._writer = AtomicLineWriter(self.path)
         self._records: Optional[List[Dict[str, Any]]] = (
-            [] if (self.path is None or keep_records) else None
+            [] if self.path is None else None
         )
 
     # --- Emission ----------------------------------------------------------
 
     @property
     def records(self) -> List[Dict[str, Any]]:
-        """In-memory records (empty when writing to a file without capture)."""
+        """In-memory records (empty when writing to a file)."""
         return list(self._records) if self._records is not None else []
 
     @property
     def n_records(self) -> int:
         return self._n_records
 
-    @property
-    def clock(self) -> Clock:
-        """The injected timing source (read by trace-context propagation)."""
-        return self._clock
-
-    def current_span_id(self) -> Optional[int]:
-        """Id of the innermost open span, or ``None`` at the root."""
-        return self._stack[-1] if self._stack else None
-
     def _now(self) -> float:
-        return self._clock.now() - self._epoch
+        t = self._clock.now() - self._epoch
+        if t < self._floor:
+            # Workers' clock copies ran ahead of this one (a TickClock
+            # advances per read): continue from their latest record, so
+            # the open wave span ends after all of its children.
+            self._epoch -= self._floor - t
+            t = self._floor
+        return t
 
     def _emit(self, record: Dict[str, Any]) -> None:
         if os.getpid() != self._pid:
             # Inherited by a forked worker: writing would interleave with
-            # the parent, so the record is dropped here.  The executors
-            # surface this in the parent as a ``worker_detached`` event
-            # (schema v2); propagate a TraceContext to capture worker
-            # telemetry in per-worker shards instead.
+            # the parent, so the record is dropped here.  Pool workers
+            # record through a WorkerContext instead.
             return
-        if self.trace_id is not None:
-            record["trace"] = self.trace_id
         self._n_records += 1
         if self._records is not None:
             self._records.append(record)
@@ -205,22 +214,6 @@ class TraceRecorder(Recorder):
         self._emit(record)
 
     def span(self, name: str, **attrs: AttrValue) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        return self._open_span(name, parent, attrs)
-
-    def _open_span(
-        self,
-        name: str,
-        parent: Optional[int],
-        attrs: Dict[str, AttrValue],
-    ) -> Span:
-        """Emit a ``span_start`` with an explicit parent id and push it.
-
-        ``span()`` derives the parent from the recorder's own open-span
-        stack; :mod:`repro.obs.dist` uses this hook directly to attach a
-        worker shard's root span under a *foreign* (coordinator-side)
-        span id.
-        """
         span_id = self._next_span_id
         self._next_span_id += 1
         t0 = self._now()
@@ -232,8 +225,8 @@ class TraceRecorder(Recorder):
             "id": span_id,
             "attrs": _clean_attrs(attrs),
         }
-        if parent is not None:
-            record["parent"] = parent
+        if self._stack:
+            record["parent"] = self._stack[-1]
         self._emit(record)
         self._stack.append(span_id)
         return Span(self, name, span_id, t0)
@@ -270,6 +263,44 @@ class TraceRecorder(Recorder):
     def snapshot(self) -> Dict[str, Any]:
         return self.metrics.snapshot()
 
+    # --- Pool workers ------------------------------------------------------
+
+    def worker_context(self) -> WorkerContext:
+        """The context pool workers record under; take it inside the span
+        their records belong to (the pool's ``pool.wave``)."""
+        return WorkerContext(
+            copy.copy(self._clock), self._epoch, self.iteration_detail
+        )
+
+    def capture(self) -> Capture:
+        """This in-memory recorder's records and metrics, for :meth:`take_in`."""
+        return self.records, self.snapshot()
+
+    def take_in(self, capture: Capture, shard: str) -> None:
+        """Adopt a worker's capture under the innermost open span.
+
+        Span ids are renumbered past this recorder's own, the worker's
+        root records are parented to the open span, every record is
+        stamped with ``shard``, and the worker's metrics merge into
+        :attr:`metrics`.  Later clock reads never go below the latest
+        ``t`` taken in.
+        """
+        records, metrics = capture
+        offset = self._next_span_id
+        parent = self._stack[-1] if self._stack else None
+        for record in records:
+            adopted = dict(record, shard=shard)
+            if "id" in adopted:
+                adopted["id"] += offset
+                self._next_span_id = max(self._next_span_id, adopted["id"] + 1)
+            if "parent" in adopted:
+                adopted["parent"] += offset
+            elif parent is not None and adopted["kind"] != "span_end":
+                adopted["parent"] = parent
+            self._floor = max(self._floor, adopted["t"])
+            self._emit(adopted)
+        self.metrics.merge(metrics)
+
     # --- Lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -293,29 +324,6 @@ class TraceRecorder(Recorder):
     ) -> bool:
         self.close()
         return False
-
-
-def emit_worker_detached(backend: str, n_cells: int) -> None:
-    """Record, parent-side, that a parallel wave ran without propagation.
-
-    Called by the pool executor when telemetry is enabled but the
-    installed recorder has no ``shard_dir`` to build a
-    :class:`~repro.obs.dist.TraceContext` from: every worker in the wave
-    inherits a recorder that drops its records, so the
-    per-seed telemetry for these cells is lost.  The schema-v2
-    ``worker_detached`` event makes that loss visible in the parent
-    trace instead of silent (the schema-v1 legacy behavior).
-    """
-    rec = get_recorder()
-    if not rec.enabled:
-        return
-    rec.event(
-        "worker_detached",
-        backend=backend,
-        n_cells=n_cells,
-        reason="no trace context propagated (recorder has no shard_dir)",
-    )
-    rec.count("obs.workers_detached", n_cells, backend=backend)
 
 
 def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:

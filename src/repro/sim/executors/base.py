@@ -21,11 +21,11 @@ byte-identical results on every backend, which the chaos tests in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.core.scheduler import Scheduler
-from repro.obs.dist import TraceContext, worker_trace
 from repro.obs.recorder import get_recorder, use_recorder
+from repro.obs.trace import Capture, WorkerContext
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SolutionMetrics, solution_metrics
 from repro.sim.rng import child_rng
@@ -134,13 +134,8 @@ def run_one_seed(
 
     With the default :class:`~repro.obs.recorder.NullRecorder` this is
     exactly :func:`seed_work` — no spans, no metric touches — so
-    untraced runs stay on the bare hot path.  A forked pool worker
-    inherits the null recorder (recorders are process-level state,
-    never pickled with schedulers):
-    worker-side telemetry requires the coordinator to ship a
-    :class:`~repro.obs.dist.TraceContext` (see :func:`run_one_seed_remote`),
-    otherwise distributed runs record seed telemetry only parent-side
-    and announce the loss with a ``worker_detached`` event.
+    untraced runs stay on the bare hot path.  In a pool worker the
+    recorder is the one :func:`run_one_seed_remote` installs.
     """
     rec = get_recorder()
     if not rec.enabled:
@@ -165,24 +160,30 @@ def run_one_seed(
 
 
 def run_one_seed_remote(
-    ctx: Optional[TraceContext],
+    ctx: Optional[WorkerContext],
     config: SimulationConfig,
     schedulers: Sequence[Scheduler],
     seed: int,
-) -> List[SolutionMetrics]:
-    """:func:`run_one_seed` inside a propagated trace context, if any.
+) -> Tuple[Union[List[SolutionMetrics], Exception], Optional[Capture]]:
+    """:func:`run_one_seed` in a pool worker; returns ``(metrics, capture)``.
 
-    The pool executor submits this wrapper instead of :func:`run_one_seed`
-    directly; ``ctx`` is the coordinator's pickled
-    :class:`~repro.obs.dist.TraceContext` (or ``None`` for the untraced
-    fast path, which adds nothing but one ``is None`` check).  With a
-    context, the worker opens its own shard recorder for the duration of
-    the seed so annealer spans land in ``trace-<pid>-s<seed>.jsonl``
-    under the coordinator's wave span.  Telemetry must never perturb
-    results: the seed's work is identical either way.
+    ``ctx`` is the coordinator's pickled
+    :class:`~repro.obs.trace.WorkerContext`, or ``None`` when untraced:
+    then the capture is ``None`` and a failing cell raises as usual.
+    With a context the worker records the seed under a ``worker.task``
+    span on the coordinator's clock and epoch and returns the records
+    and its metrics snapshot as the capture; a cell that raises returns
+    its exception in place of the metrics, so its records still reach
+    the coordinator.  Telemetry never perturbs results: the seed's work
+    is identical either way.
     """
     if ctx is None:
-        return run_one_seed(config, schedulers, seed)
-    with worker_trace(ctx, task=f"s{seed}") as recorder:
-        with use_recorder(recorder):
-            return run_one_seed(config, schedulers, seed)
+        return run_one_seed(config, schedulers, seed), None
+    recorder = ctx.recorder()
+    result: Union[List[SolutionMetrics], Exception]
+    with use_recorder(recorder), recorder.span("worker.task", task=f"s{seed}"):
+        try:
+            result = run_one_seed(config, schedulers, seed)
+        except Exception as exc:
+            result = exc
+    return result, recorder.capture()

@@ -13,11 +13,13 @@ pool, where a death or timeout can only be that cell's, and counts only
 those toward poison-cell quarantine.
 
 When telemetry is on, each wave opens a ``pool.wave`` span and pickles
-the coordinator's :class:`~repro.obs.dist.TraceContext` into every task,
-so every worker records its seed's spans into its own shard
-(``trace-<pid>-s<seed>.jsonl``) under the wave span; without a
-propagable context the wave emits ``worker_detached`` instead of
-silently losing worker telemetry.
+the recorder's :class:`~repro.obs.trace.WorkerContext` into every task.
+Each worker records its seed in memory on the coordinator's clock and
+returns the records and metrics with the cell's results; the
+coordinator takes them in, in cell order, under the wave span and
+labelled ``s<seed>``, so a pool sweep writes the same one trace file
+and metrics snapshot as a serial one.  A worker that dies or times out
+loses its records.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from typing import Optional, Sequence
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
-from repro.obs.dist import propagated_context
 from repro.obs.recorder import get_recorder
-from repro.obs.trace import emit_worker_detached
 from repro.sim.config import SimulationConfig
 from repro.sim.executors.base import (
     Cell,
@@ -63,10 +63,8 @@ class ProcessPoolSweepExecutor:
         outcome = WaveOutcome()
         rec = get_recorder()
         with rec.span("pool.wave", n_cells=len(cells), n_jobs=self.n_jobs):
-            # Derived inside the wave span so worker shards nest under it.
-            ctx = propagated_context()
-            if rec.enabled and ctx is None:
-                emit_worker_detached("pool", len(cells))
+            # Taken inside the wave span so worker records nest under it.
+            ctx = rec.worker_context()
             pool = ProcessPoolExecutor(max_workers=min(self.n_jobs, len(cells)))
             try:
                 futures = [
@@ -81,7 +79,11 @@ class ProcessPoolSweepExecutor:
                 ]
                 for position, seed, future in futures:
                     try:
-                        metrics = future.result(timeout=timeout_s)
+                        metrics, capture = future.result(timeout=timeout_s)
+                        if capture is not None:
+                            rec.take_in(capture, shard=f"s{seed}")
+                        if isinstance(metrics, Exception):
+                            raise metrics
                     except FuturesTimeoutError as exc:
                         outcome.broken = True
                         outcome.failed.append(

@@ -9,9 +9,8 @@ left to break.  A cell that has killed a worker never runs here: it
 could kill the coordinator itself, so the runner retries it only in a
 single-worker pool (see ``docs/robustness.md``).
 
-Serial waves need no trace propagation (:mod:`repro.obs.dist`): cells
-run in the coordinator's own process, so seed spans land directly in
-the parent trace and nothing can detach.
+Serial waves need no worker context: cells run in the coordinator's
+own process, so seed spans land directly in its trace.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, get_rule, lint_paths
-from repro.lint.engine import PARSE_ERROR
+from repro.lint.engine import PARSE_ERROR, lint_paths
+from repro.lint.registry import all_rules, get_rule
 from repro.lint.reporters import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

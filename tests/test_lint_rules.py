@@ -14,7 +14,9 @@ from typing import Dict, List
 
 import pytest
 
-from repro.lint import Diagnostic, all_rules, lint_paths
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.engine import lint_paths
+from repro.lint.registry import all_rules
 
 
 def _write_tree(root: Path, files: Dict[str, str]) -> Path:

@@ -1,7 +1,7 @@
 """Unit tests for the ``repro.obs`` observability layer.
 
 Covers the clock seam (including the deterministic :class:`TickClock`),
-the recorder protocol and its process-level installation, the schema-v1
+the recorder protocol and its process-level installation, the trace schema
 validator, the metrics registry and the JSONL trace recorder (byte
 determinism, non-finite sanitisation, fork safety).  Integration with
 the annealer/runner lives in ``tests/test_obs_integration.py``; CLI
@@ -159,7 +159,7 @@ class TestSchema:
     @pytest.mark.parametrize(
         "overrides, fragment",
         [
-            ({"v": 3}, "schema version"),
+            ({"v": 2}, "schema version"),
             ({"kind": "metric"}, "unknown kind"),
             ({"name": ""}, "name"),
             ({"name": 7}, "name"),
@@ -247,6 +247,25 @@ class TestMetrics:
         assert list(snap["histograms"]) == ["h{a=1}", "h{z=1}"]
         assert len(registry) == 4
 
+    def test_merge_adds_counters_and_combines_histograms(self):
+        registry = MetricsRegistry()
+        registry.count("evals", 2)
+        registry.gauge_set("utility", 1.0)
+        registry.observe("wall", 3.0)
+        other = MetricsRegistry()
+        other.count("evals", 3)
+        other.count("seeds")
+        other.gauge_set("utility", 2.5)
+        other.observe("wall", 1.0)
+        other.observe("wall", 5.0)
+        registry.merge(other.snapshot())
+        snap = registry.snapshot()
+        assert snap["counters"] == {"evals": 5.0, "seeds": 1.0}
+        assert snap["gauges"] == {"utility": 2.5}
+        wall = snap["histograms"]["wall"]
+        assert (wall["count"], wall["total"]) == (3, 9.0)
+        assert (wall["min"], wall["max"]) == (1.0, 5.0)
+
     def test_empty_histogram_mean_is_zero(self):
         assert HistogramStats().mean == 0.0
 
@@ -270,14 +289,7 @@ class TestTraceRecorder:
                 pass
         records = read_trace(path)
         assert [r["name"] for r in records] == ["a", "b", "b"]
-        assert recorder.records == []  # not kept unless keep_records
-
-    def test_keep_records_with_file(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with TraceRecorder(path, clock=TickClock(), keep_records=True) as rec:
-            rec.event("a")
-        assert len(rec.records) == 1
-        assert len(read_trace(path)) == 1
+        assert recorder.records == []  # a file recorder keeps none in memory
 
     def test_tick_clock_output_is_byte_deterministic(self, tmp_path):
         def run(path):

@@ -1,27 +1,27 @@
-"""Distributed tracing and trace analysis.
+"""Pool-sweep tracing and trace analysis.
 
-The load-bearing guarantees of ``repro.obs.dist`` and friends:
+The load-bearing guarantees of the pool's telemetry path:
 
-* **Propagation.**  Pool sweeps run with telemetry produce
-  per-worker trace shards whose spans (including the annealer's, from
-  inside the workers) merge into one schema-v2-valid tree under the
-  coordinator's spans.
+* **One trace.**  A pool worker records its cell in memory and returns
+  the records and its metrics snapshot with the cell's results; the
+  coordinator takes them in under its ``pool.wave`` span, so the
+  annealer's spans from inside the workers land in the coordinator's
+  one trace file, each labelled with its seed's ``shard``.
+* **One timeline.**  Workers record on the coordinator's clock and
+  epoch, so every span lies inside its parent on a
+  :class:`~repro.obs.clock.TickClock` and on the real monotonic clock.
 * **Determinism.**  Telemetry on or off never perturbs metrics on any
-  backend, and on a :class:`~repro.obs.clock.TickClock` the merged
-  trace is byte-identical across two runs (worker PIDs never reach
-  record bodies).
-* **Degradation.**  A torn shard is quarantined and replaced by a
-  ``shard_truncated`` event; an unpropagable context is announced with
-  ``worker_detached`` instead of silently dropping worker telemetry.
+  backend, the pool's metrics snapshot equals the serial run's, and on a
+  ``TickClock`` the trace is byte-identical across two runs.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.baselines import GreedyScheduler
 from repro.cli import main as cli_main
 from repro.core.annealing import AnnealingSchedule
 from repro.core.scheduler import TsajsScheduler
@@ -32,22 +32,15 @@ from repro.obs.analyze import (
     render_critical_path,
 )
 from repro.obs.clock import TickClock
-from repro.obs.dist import (
-    TraceContext,
-    find_shards,
-    merge_trace_shards,
-    propagated_context,
-    render_trace_lines,
-    worker_trace,
-)
 from repro.obs.recorder import set_recorder, use_recorder
-from repro.obs.schema import span_pairs_balanced, validate_record
+from repro.obs.schema import span_pairs_balanced
 from repro.obs.trace import TraceRecorder, events_named, read_trace
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
 from repro.sim.rng import child_rng
 from repro.sim.runner import run_schemes
 from repro.sim.scenario import Scenario
+from tests.test_executors import RaisingScheduler
 from tests.test_resilience import assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
@@ -65,14 +58,12 @@ def _annealer() -> TsajsScheduler:
     return TsajsScheduler(schedule=SCHEDULE)
 
 
-def _traced_sweep(telemetry_dir: Path, executor):
-    """One annealer sweep with full distributed telemetry into ``telemetry_dir``."""
-    telemetry_dir.mkdir(parents=True, exist_ok=True)
+def _traced_sweep(telemetry_dir: Path, executor, clock=None):
+    """One annealer sweep traced into ``telemetry_dir`` as ``run --telemetry``
+    records it (on a TickClock unless ``clock`` is given)."""
     recorder = TraceRecorder(
         telemetry_dir / "trace.jsonl",
-        clock=TickClock(step=0.5),
-        trace_id="run-test",
-        shard_dir=telemetry_dir,
+        clock=clock if clock is not None else TickClock(step=0.5),
     )
     try:
         with use_recorder(recorder):
@@ -85,173 +76,51 @@ def _traced_sweep(telemetry_dir: Path, executor):
     return result
 
 
-def _ctx(tmp_path: Path, **overrides) -> TraceContext:
-    fields = {
-        "trace_id": "run-test",
-        "parent_span_id": 0,
-        "shard_dir": str(tmp_path),
-        "iteration_detail": False,
-        "tick": 0.5,
-    }
-    fields.update(overrides)
-    return TraceContext(**fields)
+def _spans_outside_their_parent(records):
+    """Each span (by name) whose ``[start, end]`` is not inside its parent's."""
+    spans = {}
+    for record in records:
+        if record["kind"] == "span_start":
+            spans[record["id"]] = [record["t"], None, record.get("parent"), record["name"]]
+        elif record["kind"] == "span_end":
+            spans[record["id"]][1] = record["t"]
+    return [
+        name
+        for start, end, parent, name in spans.values()
+        if parent is not None
+        and not (spans[parent][0] <= start and end <= spans[parent][1])
+    ]
 
 
-class TestTraceContext:
-    def test_no_context_from_null_recorder(self):
-        assert propagated_context() is None
-
-    def test_no_context_without_distributed_opt_in(self, tmp_path):
-        # trace_id alone (or neither) is not enough: shard_dir is the
-        # distributed opt-in.
-        with use_recorder(TraceRecorder(trace_id="run-x")):
-            assert propagated_context() is None
-        with use_recorder(TraceRecorder()):
-            assert propagated_context() is None
-
-    def test_context_captures_recorder_state(self, tmp_path):
-        recorder = TraceRecorder(
-            clock=TickClock(step=0.25),
-            iteration_detail=True,
-            trace_id="run-x",
-            shard_dir=tmp_path,
-        )
-        with use_recorder(recorder):
-            assert propagated_context().parent_span_id is None
-            with recorder.span("outer"):
-                ctx = propagated_context()
-        assert ctx.trace_id == "run-x"
-        assert ctx.parent_span_id == 0
-        assert ctx.shard_dir == str(tmp_path)
-        assert ctx.iteration_detail is True
-        assert ctx.tick == 0.25
-
-    def test_monotonic_recorder_propagates_no_tick(self, tmp_path):
-        recorder = TraceRecorder(trace_id="run-x", shard_dir=tmp_path)
-        with use_recorder(recorder):
-            assert propagated_context().tick is None
-
-
-class TestWorkerTrace:
-    def test_shard_records_nest_under_foreign_parent(self, tmp_path):
-        ctx = _ctx(tmp_path, parent_span_id=41)
-        with worker_trace(ctx, task="s7") as recorder:
-            with use_recorder(recorder):
-                recorder.event("anneal.finish", best=1.0)
-        shards = find_shards(tmp_path)
-        assert len(shards) == 1
-        assert shards[0].name.endswith("-s7.jsonl")
-        records = read_trace(shards[0])
-        root = records[0]
-        assert root["kind"] == "span_start"
-        assert root["name"] == "worker.task"
-        assert root["parent"] == 41
-        assert root["attrs"]["task"] == "s7"
-        assert all(record["trace"] == "run-test" for record in records)
+class TestTakeIn:
+    def test_worker_records_nest_under_the_open_span(self):
+        coordinator = TraceRecorder(clock=TickClock(step=0.5))
+        with coordinator.span("pool.wave", n_cells=2):
+            ctx = coordinator.worker_context()
+            captures = []
+            for seed in (1, 2):
+                worker = ctx.recorder()
+                with worker.span("worker.task", task=f"s{seed}"):
+                    with worker.span("runner.seed", seed=seed):
+                        worker.event("anneal.finish", best=1.0)
+                    worker.count("runner.seeds_completed", scheme="X")
+                captures.append(worker.capture())
+            for seed, capture in zip((1, 2), captures):
+                coordinator.take_in(capture, shard=f"s{seed}")
+        records = coordinator.records
         assert span_pairs_balanced(records)
-        # The propagated tick makes shard timing deterministic: the
-        # worker's TickClock starts fresh, so t is exactly one step.
-        assert records[0]["t"] == 0.5
-
-    def test_unreachable_shard_dir_never_fails_the_task(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file, not directory", encoding="utf-8")
-        ctx = _ctx(tmp_path, shard_dir=str(blocker / "nested"))
-        with worker_trace(ctx, task="s7") as recorder:
-            with use_recorder(recorder):
-                recorder.event("anneal.finish", best=1.0)
-        assert find_shards(tmp_path) == []
-
-
-class TestMergeShards:
-    def _telemetry(self, tmp_path: Path) -> Path:
-        """A hand-built coordinator trace plus two worker shards."""
-        tel = tmp_path / "tel"
-        tel.mkdir()
-        coordinator = TraceRecorder(
-            tel / "trace.jsonl",
-            clock=TickClock(step=0.5),
-            trace_id="run-test",
-            shard_dir=tel,
-        )
-        with use_recorder(coordinator):
-            with coordinator.span("pool.wave", n_cells=2):
-                ctx = propagated_context()
-        coordinator.close()
-        for task in ("s1", "s2"):
-            with worker_trace(ctx, task=task) as recorder:
-                with use_recorder(recorder):
-                    with recorder.span("runner.seed", seed=int(task[1:])):
-                        recorder.event("anneal.finish", best=1.0)
-        return tel
-
-    def test_merge_renumbers_and_stamps(self, tmp_path):
-        tel = self._telemetry(tmp_path)
-        records = merge_trace_shards(tel)
-        for number, record in enumerate(records, start=1):
-            validate_record(record, line=number)
-        # Coordinator records come first with their ids preserved.
-        assert records[0]["name"] == "pool.wave"
-        assert records[0]["id"] == 0
-        # Shard roots keep their coordinator-side parent; shard-local
-        # span ids are renumbered into one collision-free namespace.
-        roots = [
-            record
-            for record in records
-            if record["kind"] == "span_start"
-            and record["name"] == "worker.task"
-        ]
-        assert len(roots) == 2
-        assert all(root["parent"] == 0 for root in roots)
-        ids = [
-            record["id"] for record in records if record["kind"] == "span_start"
-        ]
+        assert _spans_outside_their_parent(records) == []
+        ids = [r["id"] for r in records if r["kind"] == "span_start"]
         assert len(ids) == len(set(ids))
-        shard_labels = {
-            record["shard"] for record in records if "shard" in record
+        assert {r["shard"] for r in records if "shard" in r} == {"s1", "s2"}
+        (wave,) = build_span_tree(records)
+        assert [node.name for node in wave.children] == ["worker.task"] * 2
+        assert [g.name for n in wave.children for g in n.children] == [
+            "runner.seed"
+        ] * 2
+        assert coordinator.snapshot()["counters"] == {
+            "runner.seeds_completed{scheme=X}": 2.0
         }
-        assert shard_labels == {"s1", "s2"}
-        # Shard-internal parent links survive the renumbering.
-        tree = build_span_tree(records)
-        (wave,) = tree
-        assert [node.name for node in wave.children] == [
-            "worker.task",
-            "worker.task",
-        ]
-        assert [grand.name for node in wave.children for grand in node.children] == [
-            "runner.seed",
-            "runner.seed",
-        ]
-
-    def test_merged_write_is_deterministic(self, tmp_path):
-        # Merging reads the directory without changing it: a second merge
-        # renders the same document.
-        tel = self._telemetry(tmp_path)
-        first = render_trace_lines(merge_trace_shards(tel))
-        assert render_trace_lines(merge_trace_shards(tel)) == first
-        assert sorted(path.name for path in tel.iterdir()) == sorted(
-            ["trace.jsonl"] + [path.name for path in find_shards(tel)]
-        )
-
-    def test_torn_shard_is_quarantined_not_fatal(self, tmp_path):
-        tel = self._telemetry(tmp_path)
-        victim = sorted(find_shards(tel))[0]
-        blob = victim.read_bytes()
-        victim.write_bytes(blob[: len(blob) // 2])  # torn mid-record
-        records = merge_trace_shards(tel)
-        for number, record in enumerate(records, start=1):
-            validate_record(record, line=number)
-        truncations = events_named(records, "shard_truncated")
-        assert len(truncations) == 1
-        assert truncations[0]["shard"] == truncations[0]["attrs"]["task"]
-        # The torn file was moved aside, not destroyed, and the healthy
-        # shard still merged normally.
-        quarantined = list((tel / "corrupt").iterdir())
-        assert [path.name for path in quarantined] == [victim.name]
-        assert any(
-            record.get("shard") and record["name"] == "worker.task"
-            for record in records
-        )
 
 
 class TestPoolBackendTracing:
@@ -272,7 +141,7 @@ class TestPoolBackendTracing:
                 record["attrs"]["evaluations"],
                 record["attrs"]["accepted_moves"],
             )
-            for record in merge_trace_shards(tmp_path / "tel")
+            for record in read_trace(tmp_path / "tel" / "trace.jsonl")
             if record["kind"] == "event" and record["name"] == "scheduler.result"
         }
         expected = {}
@@ -286,12 +155,10 @@ class TestPoolBackendTracing:
     def test_pool_shards_merge_into_one_tree(self, tmp_path):
         tel = tmp_path / "tel"
         _traced_sweep(tel, ProcessPoolSweepExecutor(n_jobs=2))
-        assert len(find_shards(tel)) == len(SEEDS)
-        records = merge_trace_shards(tel)
-        for number, record in enumerate(records, start=1):
-            validate_record(record, line=number)
-        # Worker-side annealer spans made it into the merged tree, each
-        # attributed to its seed's shard.
+        assert sorted(path.name for path in tel.iterdir()) == ["trace.jsonl"]
+        records = read_trace(tel / "trace.jsonl")
+        # Worker-side annealer spans made it into the coordinator's
+        # trace, each attributed to its seed's shard.
         anneal_runs = [
             record
             for record in records
@@ -310,26 +177,53 @@ class TestPoolBackendTracing:
             "runner.seed",
         ]
 
+    @pytest.mark.parametrize("clock", ["tick", "monotonic"])
+    def test_every_span_lies_inside_its_parent(self, tmp_path, clock):
+        _traced_sweep(
+            tmp_path,
+            ProcessPoolSweepExecutor(n_jobs=2),
+            clock=TickClock(step=0.5) if clock == "tick" else None,
+        )
+        records = read_trace(tmp_path / "trace.jsonl")
+        assert span_pairs_balanced(records)
+        assert any(r["name"] == "worker.task" for r in records)
+        assert _spans_outside_their_parent(records) == []
+
     def test_merged_trace_is_byte_identical_across_runs(self, tmp_path):
-        # Different worker PIDs each run; on a TickClock the merged
-        # document must not notice.
-        merged, reports = [], []
+        # Different worker PIDs and completion orders each run; on a
+        # TickClock the trace must not notice.
+        traces = []
         for name in ("a", "b"):
-            tel = tmp_path / name
-            _traced_sweep(tel, ProcessPoolSweepExecutor(n_jobs=2))
-            records = merge_trace_shards(tel)
-            merged.append(render_trace_lines(records))
-            reports.append(explain(records))
-        assert merged[0] == merged[1]
-        assert reports[0] == reports[1]
+            _traced_sweep(tmp_path / name, ProcessPoolSweepExecutor(n_jobs=2))
+            traces.append((tmp_path / name / "trace.jsonl").read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_raising_seed_keeps_its_worker_task_span(self):
+        recorder = TraceRecorder(clock=TickClock())
+        executor = ProcessPoolSweepExecutor(n_jobs=2)
+        with use_recorder(recorder):
+            outcome = executor.run_wave(
+                CONFIG, [RaisingScheduler()], [(0, 2025)], timeout_s=None
+            )
+        (failure,) = outcome.failed
+        assert isinstance(failure.exception, RuntimeError)
+        assert not failure.fatal
+        records = recorder.records
+        assert span_pairs_balanced(records)
+        (task,) = [
+            r for r in records
+            if r["kind"] == "span_start" and r["name"] == "worker.task"
+        ]
+        assert task["shard"] == "s2025"
+        assert events_named(records, "runner.seed")
 
     def test_obs_cli_analyzes_a_real_sweep_trace(self, tmp_path, capsys):
         tel = tmp_path / "tel"
         _traced_sweep(tel, ProcessPoolSweepExecutor(n_jobs=2))
         assert cli_main(["obs", "explain", str(tel)]) == 0
         out = capsys.readouterr().out
-        assert out == explain(merge_trace_shards(tel)) + "\n"
-        # The critical path descends into a worker shard, and each seed's
+        assert out == explain(read_trace(tel / "trace.jsonl")) + "\n"
+        # The critical path descends into a worker, and each seed's
         # annealing run is reported with its shard attribution.
         path_lines = out.split("critical path:\n")[1].split("\n\n")[0]
         assert "worker.task task=s" in path_lines
@@ -341,28 +235,24 @@ class TestPoolBackendTracing:
             ) in out
         assert f"{len(SEEDS)} computed seeds (runner.seed)" in out
 
-    def test_wave_without_context_emits_worker_detached(self, tmp_path):
-        # Telemetry on, but no shard_dir: the legacy lossy situation,
-        # now announced instead of silent.
-        recorder = TraceRecorder(clock=TickClock())
-        executor = ProcessPoolSweepExecutor(n_jobs=2)
-        try:
-            with use_recorder(recorder):
-                executor.run_wave(
-                    CONFIG,
-                    [GreedyScheduler()],
-                    [(0, 2025), (1, 2026)],
-                    timeout_s=None,
-                )
-        finally:
-            executor.close()
-        (detached,) = events_named(recorder.records, "worker_detached")
-        assert detached["attrs"]["backend"] == "pool"
-        assert detached["attrs"]["n_cells"] == 2
-        snapshot = recorder.snapshot()
-        assert (
-            snapshot["counters"]["obs.workers_detached{backend=pool}"] == 2.0
-        )
+    def test_run_telemetry_on_the_pool_writes_the_serial_files(self, tmp_path, capsys):
+        metrics = []
+        for workers in ("1", "2"):
+            tel = tmp_path / f"w{workers}"
+            args = ["run", "fig7", "--quick", "--workers", workers]
+            assert cli_main(args + ["--telemetry", str(tel)]) == 0
+            assert sorted(p.name for p in tel.iterdir()) == [
+                "metrics.json",
+                "trace.jsonl",
+            ]
+            metrics.append(json.loads((tel / "metrics.json").read_text()))
+        serial, pool = metrics
+        assert serial["counters"] and serial["gauges"]
+        assert pool["counters"] == serial["counters"]
+        assert pool["gauges"] == serial["gauges"]
+        assert {k: v["count"] for k, v in pool["histograms"].items()} == {
+            k: v["count"] for k, v in serial["histograms"].items()
+        }
 
 
 class TestAnalysis:

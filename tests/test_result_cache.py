@@ -10,11 +10,15 @@ not have drawn: it recomputes only the cells it is missing.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.baselines import GreedyScheduler
 from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.persistence import code_fingerprint
@@ -64,6 +68,22 @@ class TestCellKey:
     def test_includes_current_code_fingerprint(self):
         explicit = cell_key(CONFIG, GreedyScheduler(), 7, code=code_fingerprint())
         assert explicit == cell_key(CONFIG, GreedyScheduler(), 7)
+
+    def test_code_fingerprint_does_not_load_the_lint_engine(self):
+        # The fingerprint reads the equation registry; a cached run must
+        # not pay for importing the lint engine, registry and rules.
+        probe = (
+            "import sys\n"
+            "from repro.experiments.persistence import code_fingerprint\n"
+            "code_fingerprint()\n"
+            "assert 'repro.lint.equations' in sys.modules\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.lint.'))\n"
+            "assert 'repro.lint.engine' not in sys.modules, loaded\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
 
 class TestRoundTrip:
