@@ -9,7 +9,7 @@ contract:
 
 * every backend's metrics are byte-identical to the serial run's
   (modulo the measured ``wall_time_s``),
-* a poison cell is quarantined after ``quarantine_after`` isolated
+* a poison cell is quarantined after ``QUARANTINE_AFTER`` isolated
   deaths while the coordinator survives and every other seed completes,
 * corruption is quarantined (evidence kept) and recomputed, never
   trusted,
@@ -35,7 +35,7 @@ from repro.baselines import GreedyScheduler  # noqa: E402
 from repro.experiments.cache import ResultCache, cell_key  # noqa: E402
 from repro.sim.config import SimulationConfig  # noqa: E402
 from repro.sim.executors import ProcessPoolSweepExecutor  # noqa: E402
-from repro.sim.runner import RetryPolicy, run_schemes  # noqa: E402
+from repro.sim.runner import QUARANTINE_AFTER, RetryPolicy, run_schemes  # noqa: E402
 from repro.sim.scenario import Scenario  # noqa: E402
 from tests.test_executors import (  # noqa: E402
     CrashOnceScheduler,
@@ -83,7 +83,7 @@ def main() -> int:
             CONFIG,
             [CrashOnceScheduler(tmp)],
             SEEDS,
-            retry=RetryPolicy(backoff_s=0.0),
+            retry=RetryPolicy(),
             executor=ProcessPoolSweepExecutor(n_jobs=2),
         )
         check(not result.failures, "pool: chaos sweep completed")
@@ -98,12 +98,11 @@ def main() -> int:
     # the scheduler's exit status instead of reaching the checks.
     poison_seed = SEEDS[0]
     poison = float(Scenario.build(CONFIG, seed=poison_seed).gains[0, 0, 0])
-    policy = RetryPolicy()
     result = run_schemes(
         CONFIG,
         [CrashOnSeedScheduler(poison)],
         SEEDS,
-        retry=policy,
+        retry=RetryPolicy(),
         executor=ProcessPoolSweepExecutor(n_jobs=2),
     )
     check(
@@ -111,8 +110,8 @@ def main() -> int:
         "poison: only the poison seed failed",
     )
     check(
-        result.failures[0].attempts == policy.quarantine_after,
-        "poison: quarantined after quarantine_after isolated deaths",
+        result.failures[0].attempts == QUARANTINE_AFTER,
+        "poison: quarantined after QUARANTINE_AFTER isolated deaths",
     )
     healthy = run_schemes(CONFIG, [GreedyScheduler()], SEEDS[1:])
     poison_text = canonical(result).replace("CrashOnSeed", "Greedy")

@@ -39,6 +39,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.scenario import Scenario
 
+#: Density of the random feasible initial solution: all-local.  A
+#: first-improvement climber cannot escape the deeply negative region a
+#: dense random start lands in on large sub-channel grids, whereas
+#: growing the offload set move by move matches the baseline's intended
+#: "gradually improve" behaviour.
+INITIAL_OFFLOAD_PROBABILITY = 0.0
+
 
 class LocalSearchScheduler:
     """Hill climbing over Algorithm 2's neighbourhood.
@@ -50,12 +57,6 @@ class LocalSearchScheduler:
     patience:
         Stop after this many consecutive non-improving proposals (the
         "converged" criterion).
-    initial_offload_probability:
-        Density of the random feasible initial solution.  Defaults to 0
-        (start from all-local): a first-improvement climber cannot escape
-        the deeply negative region a dense random start lands in on large
-        sub-channel grids, whereas growing the offload set move by move
-        matches the baseline's intended "gradually improve" behaviour.
     """
 
     name = "LocalSearch"
@@ -64,7 +65,6 @@ class LocalSearchScheduler:
         self,
         max_iterations: int = 5000,
         patience: int = 300,
-        initial_offload_probability: float = 0.0,
         neighborhood: Optional[NeighborhoodSampler] = None,
         evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
@@ -74,14 +74,8 @@ class LocalSearchScheduler:
             )
         if patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {patience}")
-        if not 0.0 <= initial_offload_probability <= 1.0:
-            raise ConfigurationError(
-                "initial_offload_probability must lie in [0, 1], got "
-                f"{initial_offload_probability}"
-            )
         self.max_iterations = max_iterations
         self.patience = patience
-        self.initial_offload_probability = initial_offload_probability
         self.neighborhood = (
             neighborhood if neighborhood is not None else NeighborhoodSampler()
         )
@@ -112,7 +106,7 @@ class LocalSearchScheduler:
             scenario.n_servers,
             scenario.n_subbands,
             rng,
-            offload_probability=self.initial_offload_probability,
+            offload_probability=INITIAL_OFFLOAD_PROBABILITY,
         )
         current_value = evaluator.evaluate(current)
         stale = 0

@@ -17,6 +17,9 @@ Sub-commands
     TSAJS scores moves with the incremental (delta) evaluator;
     ``--batch [--batch-size B]`` switches it to the vectorized batch
     path (both are bit-identical to the scalar oracle).
+    ``--cluster-radius``, ``--interference-radius`` and
+    ``--reconcile-rounds`` configure the sharded ``TSAJS-Shard`` scheme,
+    whose radii are checked against the path-loss model first.
 ``tsajs schemes``
     List the scheme names accepted by ``solve --schemes``.
 ``tsajs episode [--pool P --slots T --outage q ...]``
@@ -37,6 +40,9 @@ Sub-commands
 Observability flags: ``solve --trace FILE`` records the solve, and
 ``run --telemetry DIR`` writes ``trace.jsonl`` + ``metrics.json`` for a
 whole experiment.
+
+An invalid setting (a :class:`~repro.errors.ConfigurationError`) prints
+one ``error:`` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.errors import raise_float_errors
+from repro.core.scheduler import DEFAULT_BATCH_SIZE
+from repro.core.sharding import DEFAULT_CLUSTER_RADIUS_KM, DEFAULT_RECONCILE_ROUNDS
+from repro.errors import ConfigurationError, raise_float_errors
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
@@ -120,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "retry crashed or hung seeds up to N times (exponential "
-            "backoff; failed seeds are recorded, not fatal); without it "
-            "the first failed seed aborts the run"
+            "backoff; failed seeds are recorded, not fatal; 0 records "
+            "failures without retrying); without it the first failed "
+            "seed aborts the run"
         ),
     )
     run_parser.add_argument(
@@ -177,25 +186,19 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument(
         "--batch-size",
         type=int,
-        default=64,
+        default=DEFAULT_BATCH_SIZE,
         metavar="B",
-        help="moves per vectorized round with --batch (default 64)",
-    )
-    solve_parser.add_argument(
-        "--shard",
-        action="store_true",
-        help=(
-            "solve via spatial sharding: partition the topology into "
-            "cell clusters, solve each independently, then reconcile "
-            "boundary users (see docs/sharding.md)"
-        ),
+        help="moves per vectorized round with --batch (default %(default)s)",
     )
     solve_parser.add_argument(
         "--cluster-radius",
         type=float,
-        default=2.0,
+        default=DEFAULT_CLUSTER_RADIUS_KM,
         metavar="KM",
-        help="grid-tile side for the station partition with --shard (km)",
+        help=(
+            "TSAJS-Shard grid-tile side for the station partition "
+            "(km, default %(default)s; see docs/sharding.md)"
+        ),
     )
     solve_parser.add_argument(
         "--interference-radius",
@@ -203,16 +206,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KM",
         help=(
-            "far-field cutoff distance with --shard (km); defaults to "
+            "TSAJS-Shard far-field cutoff distance (km); defaults to "
             "the inter-site distance"
         ),
     )
     solve_parser.add_argument(
         "--reconcile-rounds",
         type=int,
-        default=2,
+        default=DEFAULT_RECONCILE_ROUNDS,
         metavar="R",
-        help="boundary-reconciliation fixed-point cap with --shard",
+        help=(
+            "TSAJS-Shard boundary-reconciliation fixed-point cap "
+            "(default %(default)s; 0 disables it)"
+        ),
     )
     solve_parser.add_argument(
         "--trace",
@@ -317,33 +323,24 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(
-    experiment_id: str,
-    quick: bool,
-    out: Optional[str],
-    json_out: Optional[str],
-    workers: int = 1,
-    retries: Optional[int] = None,
-    seed_timeout: Optional[float] = None,
-    telemetry: Optional[str] = None,
-    cache: Optional[str] = None,
-    no_resume: bool = False,
-) -> int:
-    if no_resume and cache is None:
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.no_resume and args.cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
-    sweep = _build_sweep(workers, retries, seed_timeout, cache, no_resume)
-    if telemetry is not None:
+    sweep = _build_sweep(
+        args.workers, args.retries, args.seed_timeout, args.cache, args.no_resume
+    )
+    if args.telemetry is not None:
         from pathlib import Path
 
         from repro.obs.recorder import set_recorder
         from repro.obs.trace import TraceRecorder
 
-        telemetry_dir = Path(telemetry)
+        telemetry_dir = Path(args.telemetry)
         recorder = TraceRecorder(telemetry_dir / "trace.jsonl")
         set_recorder(recorder)
         try:
-            status = _cmd_run_body(experiment_id, quick, out, json_out, sweep)
+            status = _cmd_run_body(args, sweep)
         finally:
             set_recorder(None)
             recorder.close()
@@ -357,7 +354,7 @@ def _cmd_run(
             f"snapshot written to {telemetry_dir}]"
         )
         return status
-    return _cmd_run_body(experiment_id, quick, out, json_out, sweep)
+    return _cmd_run_body(args, sweep)
 
 
 def _build_sweep(
@@ -371,16 +368,15 @@ def _build_sweep(
 
     More than one worker means the pool, and so does a seed timeout:
     in-process work cannot be pre-empted.  Otherwise the sweep runs
-    serially.
+    serially.  ``--retries N`` allows ``N`` retries after the first
+    attempt; ``--seed-timeout`` alone keeps the policy's default
+    attempts.
     """
-    retry = (
-        RetryPolicy(
-            max_attempts=retries if retries is not None else 3,
-            seed_timeout_s=seed_timeout,
-        )
-        if retries is not None or seed_timeout is not None
-        else None
-    )
+    retry: Optional[RetryPolicy] = None
+    if retries is not None:
+        retry = RetryPolicy(max_attempts=retries + 1, seed_timeout_s=seed_timeout)
+    elif seed_timeout is not None:
+        retry = RetryPolicy(seed_timeout_s=seed_timeout)
     return Sweep(
         executor=(
             ProcessPoolSweepExecutor(n_jobs=workers)
@@ -394,28 +390,22 @@ def _build_sweep(
     )
 
 
-def _cmd_run_body(
-    experiment_id: str,
-    quick: bool,
-    out: Optional[str],
-    json_out: Optional[str],
-    sweep: Sweep,
-) -> int:
-    spec = get_experiment(experiment_id)
-    settings = spec.settings.quick() if quick else spec.settings()
+def _cmd_run_body(args: argparse.Namespace, sweep: Sweep) -> int:
+    spec = get_experiment(args.experiment)
+    settings = spec.settings.quick() if args.quick else spec.settings()
     output = spec.run(settings, sweep)
     text = render_text(output)
     print(text)
-    if out:
+    if args.out:
         from repro.atomicio import atomic_write_text
 
-        atomic_write_text(out, text + "\n")
-        print(f"\n[written to {out}]")
-    if json_out:
+        atomic_write_text(args.out, text + "\n")
+        print(f"\n[written to {args.out}]")
+    if args.json:
         from repro.experiments.persistence import save_output
 
-        save_output(output, json_out)
-        print(f"[structured result written to {json_out}]")
+        save_output(output, args.json)
+        print(f"[structured result written to {args.json}]")
     return 0
 
 
@@ -454,34 +444,38 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
         n_subbands=args.subbands,
         workload_megacycles=args.workload_mc,
         input_kb=args.input_kb,
-        use_batch=args.batch,
-        batch_size=args.batch_size,
-        use_sharding=args.shard,
-        cluster_radius_km=args.cluster_radius,
-        interference_radius_km=args.interference_radius,
-        max_reconcile_rounds=args.reconcile_rounds,
     )
     scenario = Scenario.build(config, seed=args.seed)
-    if config.use_sharding:
-        from repro.sim.validation import validate_sharding_config
+    names = [name.strip() for name in args.schemes.split(",") if name.strip()]
+    if "TSAJS-Shard" in names:
+        from repro.net.pathloss import UrbanMacroPathLoss
+        from repro.sim.validation import validate_sharding_geometry
 
-        validate_sharding_config(config, scenario.topology)
+        validate_sharding_geometry(
+            args.cluster_radius,
+            args.interference_radius
+            if args.interference_radius is not None
+            else config.inter_site_distance_km,
+            tx_power_watts=config.tx_power_watts,
+            noise_watts=config.noise_watts,
+            pathloss=UrbanMacroPathLoss(
+                intercept_db=config.pathloss_intercept_db,
+                slope_db=config.pathloss_slope_db,
+            ),
+            topology=scenario.topology,
+        )
     print(
         f"instance: U={args.users} S={args.servers} N={args.subbands} "
         f"w={args.workload_mc:.0f} Mc d={args.input_kb:.0f} KB seed={args.seed}"
-        + (" [sharded]" if config.use_sharding else "")
     )
-    names = [name.strip() for name in args.schemes.split(",") if name.strip()]
     schedulers = build_schemes(
         names,
         quick=args.quick,
-        use_delta=config.use_delta,
-        use_batch=config.use_batch,
-        batch_size=config.batch_size,
-        use_sharding=config.use_sharding,
-        cluster_radius_km=config.cluster_radius_km,
-        interference_radius_km=config.interference_radius_km,
-        max_reconcile_rounds=config.max_reconcile_rounds,
+        use_batch=args.batch,
+        batch_size=args.batch_size,
+        cluster_radius_km=args.cluster_radius,
+        interference_radius_km=args.interference_radius,
+        max_reconcile_rounds=args.reconcile_rounds,
     )
     for index, scheduler in enumerate(schedulers):
         rng = child_rng(args.seed, 100 + index)
@@ -625,21 +619,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``tsajs`` console script)."""
     args = _build_parser().parse_args(argv)
     raise_float_errors()
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
-        return _cmd_run(
-            args.experiment,
-            args.quick,
-            args.out,
-            args.json,
-            args.workers,
-            retries=args.retries,
-            seed_timeout=args.seed_timeout,
-            telemetry=args.telemetry,
-            cache=args.cache,
-            no_resume=args.no_resume,
-        )
+        return _cmd_run(args)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "schemes":

@@ -120,7 +120,7 @@ class AnnealingSchedule:
 class AnnealingResult(Generic[State]):
     """Outcome of one annealing run.
 
-    ``temperature_trace`` / ``best_trace`` record one point per outer
+    ``best_trace`` records the best value after every outer
     (temperature) iteration — useful for convergence plots and the
     threshold-trigger ablation.
     """
@@ -129,7 +129,6 @@ class AnnealingResult(Generic[State]):
     best_value: float
     iterations: int
     fast_coolings: int
-    temperature_trace: List[float] = field(default_factory=list)
     best_trace: List[float] = field(default_factory=list)
     #: Total accepted moves (improving + accepted-worse), for the golden
     #: trajectory regressions and acceptance-ratio diagnostics.
@@ -287,7 +286,7 @@ class ThresholdTriggeredAnnealer:
             fast_coolings=0,
         )
 
-        run_span = rec.span(
+        with rec.span(
             "anneal.run",
             initial_temperature=temperature,
             min_temperature=sched.min_temperature,
@@ -298,67 +297,117 @@ class ThresholdTriggeredAnnealer:
             delta_mode=delta_mode,
             batch_mode=batch_mode,
             batch_size=batch_size,
-        )
-        while temperature > sched.min_temperature:
-            if batch_mode:
-                assert propose_move is not None  # validated above
-                assert batch_objective is not None and batch_commit is not None
-                steps_left = sched.chain_length
-                while steps_left > 0:
-                    count = min(batch_size, steps_left)
-                    proposals: List[Tuple[State, Tuple[int, ...]]] = []
-                    pre_uniform_states: List[Any] = []
-                    post_uniform_states: List[Any] = []
-                    uniforms: List[float] = []
-                    for _ in range(count):
-                        proposals.append(propose_move(current, rng))
-                        pre_uniform_states.append(rng.bit_generator.state)
-                        uniforms.append(rng.random())
-                        post_uniform_states.append(rng.bit_generator.state)
-                    values = batch_objective(proposals)
-                    consumed = count
-                    for i in range(count):
+        ):
+            while temperature > sched.min_temperature:
+                if batch_mode:
+                    assert propose_move is not None  # validated above
+                    assert batch_objective is not None and batch_commit is not None
+                    steps_left = sched.chain_length
+                    while steps_left > 0:
+                        count = min(batch_size, steps_left)
+                        proposals: List[Tuple[State, Tuple[int, ...]]] = []
+                        pre_uniform_states: List[Any] = []
+                        post_uniform_states: List[Any] = []
+                        uniforms: List[float] = []
+                        for _ in range(count):
+                            proposals.append(propose_move(current, rng))
+                            pre_uniform_states.append(rng.bit_generator.state)
+                            uniforms.append(rng.random())
+                            post_uniform_states.append(rng.bit_generator.state)
+                        values = batch_objective(proposals)
+                        consumed = count
+                        for i in range(count):
+                            if step_events:
+                                prev_accepted = accepted_moves
+                                prev_worse = accepted_worse
+                            iterations += 1
+                            candidate, touched = proposals[i]
+                            candidate_value = float(values[i])
+                            delta = candidate_value - current_value
+                            accepted = False
+                            stop = False
+                            if delta > 0:
+                                # The scalar path consumes no Metropolis
+                                # uniform for an improving move: rewind to the
+                                # recorded post-proposal state, discarding the
+                                # speculative uniform and the stale tail.
+                                rng.bit_generator.state = pre_uniform_states[i]
+                                accepted = True
+                                stop = True
+                            elif delta > -np.inf:
+                                if np.exp(delta / temperature) > uniforms[i]:
+                                    # The uniform was legitimately consumed,
+                                    # but the tail proposals were drawn from
+                                    # the pre-acceptance incumbent: rewind to
+                                    # just after this move's uniform.
+                                    rng.bit_generator.state = post_uniform_states[i]
+                                    accepted = True
+                                    accepted_worse += 1
+                                    stop = True
+                                # else: a rejected worsened move — exactly the
+                                # speculation template; the stream stays valid.
+                            else:
+                                # -inf (or NaN) delta short-circuits the
+                                # scalar acceptance test before the uniform;
+                                # rewind and discard the stale tail.
+                                rng.bit_generator.state = pre_uniform_states[i]
+                                stop = True
+                            if accepted:
+                                current, current_value = candidate, candidate_value
+                                accepted_moves += 1
+                                batch_commit(candidate, touched)
+                                if current_value > best_value:
+                                    best, best_value = current, current_value
+                            if step_events:
+                                rec.event(
+                                    "anneal.step",
+                                    iteration=iterations,
+                                    temperature=temperature,
+                                    delta=float(delta),
+                                    accepted=accepted_moves != prev_accepted,
+                                    worse=accepted_worse != prev_worse,
+                                    accepted_worse=accepted_worse,
+                                )
+                            if stop:
+                                consumed = i + 1
+                                break
+                        steps_left -= consumed
+                else:
+                    for _ in range(sched.chain_length):
                         if step_events:
                             prev_accepted = accepted_moves
                             prev_worse = accepted_worse
                         iterations += 1
-                        candidate, touched = proposals[i]
-                        candidate_value = float(values[i])
-                        delta = candidate_value - current_value
-                        accepted = False
-                        stop = False
-                        if delta > 0:
-                            # The scalar path consumes no Metropolis
-                            # uniform for an improving move: rewind to the
-                            # recorded post-proposal state, discarding the
-                            # speculative uniform and the stale tail.
-                            rng.bit_generator.state = pre_uniform_states[i]
-                            accepted = True
-                            stop = True
-                        elif delta > -np.inf:
-                            if np.exp(delta / temperature) > uniforms[i]:
-                                # The uniform was legitimately consumed,
-                                # but the tail proposals were drawn from
-                                # the pre-acceptance incumbent: rewind to
-                                # just after this move's uniform.
-                                rng.bit_generator.state = post_uniform_states[i]
-                                accepted = True
-                                accepted_worse += 1
-                                stop = True
-                            # else: a rejected worsened move — exactly the
-                            # speculation template; the stream stays valid.
+                        if delta_mode:
+                            assert draw_move is not None and move_objective is not None
+                            move = draw_move(current, draws)
+                            candidate_value = move_objective(current, move, rejected)
                         else:
-                            # -inf (or NaN) delta short-circuits the
-                            # scalar acceptance test before the uniform;
-                            # rewind and discard the stale tail.
-                            rng.bit_generator.state = pre_uniform_states[i]
-                            stop = True
+                            candidate = propose(current, rng)
+                            candidate_value = objective(candidate)
+                        delta = candidate_value - current_value
+                        if delta > 0:
+                            accepted = True
+                        else:
+                            # Accept a worsened solution with probability
+                            # exp(delta / T); count it toward the trigger.
+                            accepted = (
+                                delta > -np.inf
+                                and np.exp(delta / temperature) > uniform()
+                            )
+                            if accepted:
+                                accepted_worse += 1
                         if accepted:
+                            if delta_mode:
+                                assert apply_move is not None
+                                candidate = apply_move(current, move)
+                                rejected = []
                             current, current_value = candidate, candidate_value
                             accepted_moves += 1
-                            batch_commit(candidate, touched)
                             if current_value > best_value:
                                 best, best_value = current, current_value
+                        elif delta_mode:
+                            rejected = move
                         if step_events:
                             rec.event(
                                 "anneal.step",
@@ -369,99 +418,47 @@ class ThresholdTriggeredAnnealer:
                                 worse=accepted_worse != prev_worse,
                                 accepted_worse=accepted_worse,
                             )
-                        if stop:
-                            consumed = i + 1
-                            break
-                    steps_left -= consumed
-            else:
-                for _ in range(sched.chain_length):
-                    if step_events:
-                        prev_accepted = accepted_moves
-                        prev_worse = accepted_worse
-                    iterations += 1
-                    if delta_mode:
-                        assert draw_move is not None and move_objective is not None
-                        move = draw_move(current, draws)
-                        candidate_value = move_objective(current, move, rejected)
-                    else:
-                        candidate = propose(current, rng)
-                        candidate_value = objective(candidate)
-                    delta = candidate_value - current_value
-                    if delta > 0:
-                        accepted = True
-                    else:
-                        # Accept a worsened solution with probability
-                        # exp(delta / T); count it toward the trigger.
-                        accepted = (
-                            delta > -np.inf
-                            and np.exp(delta / temperature) > uniform()
-                        )
-                        if accepted:
-                            accepted_worse += 1
-                    if accepted:
-                        if delta_mode:
-                            assert apply_move is not None
-                            candidate = apply_move(current, move)
-                            rejected = []
-                        current, current_value = candidate, candidate_value
-                        accepted_moves += 1
-                        if current_value > best_value:
-                            best, best_value = current, current_value
-                    elif delta_mode:
-                        rejected = move
-                    if step_events:
-                        rec.event(
-                            "anneal.step",
-                            iteration=iterations,
-                            temperature=temperature,
-                            delta=float(delta),
-                            accepted=accepted_moves != prev_accepted,
-                            worse=accepted_worse != prev_worse,
-                            accepted_worse=accepted_worse,
-                        )
-            if record_trace:
-                result.temperature_trace.append(temperature)
-                result.best_trace.append(best_value)
-            if tracing:
-                rec.event(
-                    "anneal.level",
-                    level=level,
-                    temperature=temperature,
-                    best=float(best_value),
-                    current=float(current_value),
-                    accepted_moves=accepted_moves,
-                    accepted_worse=accepted_worse,
-                    iterations=iterations,
-                )
-            if accepted_worse < sched.max_count:
-                temperature *= sched.alpha_slow
-            else:
-                # Algorithm 2's trigger: the accepted-worse count reached
-                # maxCount at an end-of-chain check, so the schedule
-                # switches to one fast cooling step (alpha_fast).
+                if record_trace:
+                    result.best_trace.append(best_value)
                 if tracing:
                     rec.event(
-                        "anneal.phase_switch",
+                        "anneal.level",
                         level=level,
                         temperature=temperature,
+                        best=float(best_value),
+                        current=float(current_value),
+                        accepted_moves=accepted_moves,
                         accepted_worse=accepted_worse,
-                        max_count=sched.max_count,
-                        fast_coolings=fast_coolings + 1,
+                        iterations=iterations,
                     )
-                temperature *= sched.alpha_fast
-                fast_coolings += 1
-                accepted_worse = 0
-            level += 1
-        if tracing:
-            rec.event(
-                "anneal.finish",
-                levels=level,
-                iterations=iterations,
-                accepted_moves=accepted_moves,
-                fast_coolings=fast_coolings,
-                best=float(best_value),
-            )
-        run_span.__exit__(None, None, None)
+                if accepted_worse < sched.max_count:
+                    temperature *= sched.alpha_slow
+                else:
+                    # Algorithm 2's trigger: the accepted-worse count reached
+                    # maxCount at an end-of-chain check, so the schedule
+                    # switches to one fast cooling step (alpha_fast).
+                    if tracing:
+                        rec.event(
+                            "anneal.phase_switch",
+                            level=level,
+                            temperature=temperature,
+                            accepted_worse=accepted_worse,
+                            max_count=sched.max_count,
+                            fast_coolings=fast_coolings + 1,
+                        )
+                    temperature *= sched.alpha_fast
+                    fast_coolings += 1
+                    accepted_worse = 0
+                level += 1
+            if tracing:
+                rec.event(
+                    "anneal.finish",
+                    levels=level,
+                    iterations=iterations,
+                    accepted_moves=accepted_moves,
+                    fast_coolings=fast_coolings,
+                    best=float(best_value),
+                )
 
         result.best_state = best
         result.best_value = best_value

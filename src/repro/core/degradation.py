@@ -273,7 +273,6 @@ def degrade(
     *,
     rng: Optional[np.random.Generator] = None,
     schedule: Optional[AnnealingSchedule] = None,
-    use_delta: Optional[bool] = None,
 ) -> DegradedPlan:
     """Repair a fault-free plan for the faulted system and score it.
 
@@ -294,9 +293,7 @@ def degrade(
         its own seed stream for reproducibility.
     schedule:
         Annealing schedule for the repair (defaults to Alg. 1 constants).
-    use_delta:
-        Score repair moves incrementally (the default; bitwise-equal to
-        the scalar oracle selected by ``False``, and faster).
+        Repair moves are scored on the default delta path.
 
     The repair never returns a worse utility than the pure fallback
     plan: the annealer's best-tracking starts at its warm-start state.
@@ -308,71 +305,69 @@ def degrade(
         )
     rec = get_recorder()
     watch = Stopwatch()
-    degrade_span = rec.span("degrade.run", policy=policy)
-    repaired, n_fallback, n_churned = fallback_decision(planned.decision, faults)
-    if rec.enabled:
-        rec.event(
-            "degrade.fallback",
-            policy=policy,
-            n_fallback=n_fallback,
-            n_churned=n_churned,
+    with rec.span("degrade.run", policy=policy):
+        repaired, n_fallback, n_churned = fallback_decision(
+            planned.decision, faults
         )
-    evaluator = ObjectiveEvaluator(scenario)
+        if rec.enabled:
+            rec.event(
+                "degrade.fallback",
+                policy=policy,
+                n_fallback=n_fallback,
+                n_churned=n_churned,
+            )
+        evaluator = ObjectiveEvaluator(scenario)
 
-    if policy == "reschedule":
-        sampler = restricted_sampler_for(faults)
-        scheduler = TsajsScheduler(
-            schedule=schedule,
-            neighborhood=sampler,
-            use_delta=use_delta,
-        )
-        outcome = scheduler.schedule(scenario, rng, initial=repaired)
-        final, changed = _enforce_feasibility(outcome.decision, faults)
-        if changed:
-            outcome = ScheduleResult(
-                decision=final,
-                allocation=kkt_allocation(scenario, final),
-                utility=evaluator.evaluate(final),
-                evaluations=outcome.evaluations + evaluator.evaluations,
-                wall_time_s=outcome.wall_time_s,
-                trace=outcome.trace,
-                accepted_moves=outcome.accepted_moves,
-            )
-        degraded_utility = outcome.utility
-        evaluations = outcome.evaluations
-        accepted = outcome.accepted_moves
-        final_decision = outcome.decision
-        allocation = outcome.allocation
-    else:
-        degraded_utility = evaluator.evaluate(repaired)
-        if degraded_utility < 0.0:
-            # A negative plan is dominated by full local execution, which
-            # is always available (Sec. III-A); take the zero-utility plan.
-            repaired = OffloadingDecision.all_local(
-                scenario.n_users, scenario.n_servers, scenario.n_subbands
-            )
+        if policy == "reschedule":
+            sampler = restricted_sampler_for(faults)
+            scheduler = TsajsScheduler(schedule=schedule, neighborhood=sampler)
+            outcome = scheduler.schedule(scenario, rng, initial=repaired)
+            final, changed = _enforce_feasibility(outcome.decision, faults)
+            if changed:
+                outcome = ScheduleResult(
+                    decision=final,
+                    allocation=kkt_allocation(scenario, final),
+                    utility=evaluator.evaluate(final),
+                    evaluations=outcome.evaluations + evaluator.evaluations,
+                    wall_time_s=outcome.wall_time_s,
+                    trace=outcome.trace,
+                    accepted_moves=outcome.accepted_moves,
+                )
+            degraded_utility = outcome.utility
+            evaluations = outcome.evaluations
+            accepted = outcome.accepted_moves
+            final_decision = outcome.decision
+            allocation = outcome.allocation
+        else:
             degraded_utility = evaluator.evaluate(repaired)
-        evaluations = evaluator.evaluations
-        accepted = 0
-        final_decision = repaired
-        allocation = kkt_allocation(scenario, final_decision)
+            if degraded_utility < 0.0:
+                # A negative plan is dominated by full local execution,
+                # which is always available (Sec. III-A); take the
+                # zero-utility plan.
+                repaired = OffloadingDecision.all_local(
+                    scenario.n_users, scenario.n_servers, scenario.n_subbands
+                )
+                degraded_utility = evaluator.evaluate(repaired)
+            evaluations = evaluator.evaluations
+            accepted = 0
+            final_decision = repaired
+            allocation = kkt_allocation(scenario, final_decision)
 
-    elapsed = watch.elapsed()
-    if planned.utility > 0.0:
-        retention = degraded_utility / planned.utility
-    else:
-        retention = 1.0
-    if rec.enabled:
-        rec.event(
-            "degrade.result",
-            policy=policy,
-            degraded_utility=float(degraded_utility),
-            utility_retention=float(retention),
-            n_fallback=n_fallback,
-            n_churned=n_churned,
-            evaluations=evaluations,
-        )
-    degrade_span.__exit__(None, None, None)
+        elapsed = watch.elapsed()
+        if planned.utility > 0.0:
+            retention = degraded_utility / planned.utility
+        else:
+            retention = 1.0
+        if rec.enabled:
+            rec.event(
+                "degrade.result",
+                policy=policy,
+                degraded_utility=float(degraded_utility),
+                utility_retention=float(retention),
+                n_fallback=n_fallback,
+                n_churned=n_churned,
+                evaluations=evaluations,
+            )
     result = ScheduleResult(
         decision=final_decision,
         allocation=allocation,

@@ -28,7 +28,7 @@ construction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,12 +113,19 @@ class Partition:
         return tuple(sorted(out))
 
 
-def _validate_radii(cluster_radius_km: float, interference_radius_km: float) -> None:
+def validate_radii(
+    cluster_radius_km: float, interference_radius_km: Optional[float] = None
+) -> None:
+    """Raise :class:`ConfigurationError` unless both radii are positive.
+
+    ``interference_radius_km=None`` (resolved later to the inter-site
+    distance) passes.  The one home of the sharding radius checks.
+    """
     if not cluster_radius_km > 0.0:
         raise ConfigurationError(
             f"cluster_radius_km must be positive, got {cluster_radius_km}"
         )
-    if not interference_radius_km > 0.0:
+    if interference_radius_km is not None and not interference_radius_km > 0.0:
         raise ConfigurationError(
             "interference_radius_km must be positive, got "
             f"{interference_radius_km}"
@@ -142,10 +149,7 @@ def partition_stations(
         raise ConfigurationError(
             f"bs_positions must have shape (S, 2), got {positions.shape}"
         )
-    if not cluster_radius_km > 0.0:
-        raise ConfigurationError(
-            f"cluster_radius_km must be positive, got {cluster_radius_km}"
-        )
+    validate_radii(cluster_radius_km)
     origin = positions.min(axis=0)
     tiles = np.floor((positions - origin[None, :]) / cluster_radius_km).astype(
         np.int64
@@ -175,7 +179,7 @@ def partition_topology(
     field cutoff assumption ``repro.sim.validation`` checks against the
     radio parameters.
     """
-    _validate_radii(cluster_radius_km, interference_radius_km)
+    validate_radii(cluster_radius_km, interference_radius_km)
     stations = np.asarray(bs_positions, dtype=float)
     users = np.asarray(user_positions, dtype=float)
     if users.ndim != 2 or users.shape[1] != 2:

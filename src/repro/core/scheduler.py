@@ -73,6 +73,13 @@ class ScheduleResult:
     fast_coolings: int = 0
 
 
+#: Density of Alg. 1 line 5's random feasible initial decision.
+INITIAL_OFFLOAD_PROBABILITY = 0.5
+
+#: Default number of moves per vectorized round on the batch path.
+DEFAULT_BATCH_SIZE = 64
+
+
 def resolve_use_delta(use_delta: Optional[bool], use_batch: bool) -> bool:
     """The effective ``use_delta`` setting: ``None`` means "delta unless batch".
 
@@ -110,8 +117,6 @@ class TsajsScheduler:
         initial temperature resolving to the sub-channel count ``N``.
     neighborhood:
         Move generator; defaults to Algorithm 2's probabilities.
-    initial_offload_probability:
-        Density of the random feasible initial solution.
     record_trace:
         Keep a per-temperature best-utility trace in the result.
     use_delta:
@@ -144,20 +149,14 @@ class TsajsScheduler:
         self,
         schedule: Optional[AnnealingSchedule] = None,
         neighborhood: Optional[NeighborhoodSampler] = None,
-        initial_offload_probability: float = 0.5,
         record_trace: bool = False,
         use_delta: Optional[bool] = None,
         use_batch: bool = False,
-        batch_size: int = 64,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         evaluator_factory: Optional[
             Callable[["Scenario"], ObjectiveEvaluator]
         ] = None,
     ) -> None:
-        if not 0.0 <= initial_offload_probability <= 1.0:
-            raise ConfigurationError(
-                "initial_offload_probability must lie in [0, 1], got "
-                f"{initial_offload_probability}"
-            )
         use_delta = resolve_use_delta(use_delta, use_batch)
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
@@ -165,7 +164,6 @@ class TsajsScheduler:
         self.neighborhood = (
             neighborhood if neighborhood is not None else NeighborhoodSampler()
         )
-        self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
         self.use_delta = use_delta
         self.use_batch = use_batch
@@ -233,7 +231,7 @@ class TsajsScheduler:
                     scenario.n_servers,
                     scenario.n_subbands,
                     rng,
-                    offload_probability=self.initial_offload_probability,
+                    offload_probability=INITIAL_OFFLOAD_PROBABILITY,
                 )
             else:
                 initial = initial.copy()

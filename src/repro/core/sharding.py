@@ -55,8 +55,10 @@ from repro.core.partition import (
     partition_scenario,
     restrict_decision,
     scatter_decision,
+    validate_radii,
 )
 from repro.core.scheduler import (
+    DEFAULT_BATCH_SIZE,
     ScheduleResult,
     TsajsScheduler,
     resolve_use_delta,
@@ -72,6 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: Upper bound (exclusive) for the per-cluster sub-seeds drawn from the
 #: caller's generator; any value representable as a non-negative int64.
 _SEED_BOUND = 2**63 - 1
+
+#: Default grid-tile side (km) of the station partition.
+DEFAULT_CLUSTER_RADIUS_KM = 2.0
+#: Default fixed-point cap of the boundary reconciliation.
+DEFAULT_RECONCILE_ROUNDS = 2
 
 
 class ShardedScheduler:
@@ -90,8 +97,7 @@ class ShardedScheduler:
     max_reconcile_rounds:
         Fixed-point iteration cap for the boundary pass; ``0`` disables
         reconciliation entirely.
-    schedule, neighborhood, initial_offload_probability, record_trace,
-    use_delta, use_batch, batch_size:
+    schedule, neighborhood, record_trace, use_delta, use_batch, batch_size:
         Forwarded to the inner per-cluster
         :class:`~repro.core.scheduler.TsajsScheduler` instances.  With
         ``record_trace`` the result's trace is the concatenation of the
@@ -104,26 +110,17 @@ class ShardedScheduler:
 
     def __init__(
         self,
-        cluster_radius_km: float = 2.0,
+        cluster_radius_km: float = DEFAULT_CLUSTER_RADIUS_KM,
         interference_radius_km: Optional[float] = None,
-        max_reconcile_rounds: int = 2,
+        max_reconcile_rounds: int = DEFAULT_RECONCILE_ROUNDS,
         schedule: Optional[AnnealingSchedule] = None,
         neighborhood: Optional[NeighborhoodSampler] = None,
-        initial_offload_probability: float = 0.5,
         record_trace: bool = False,
         use_delta: Optional[bool] = None,
         use_batch: bool = False,
-        batch_size: int = 64,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if not cluster_radius_km > 0.0:
-            raise ConfigurationError(
-                f"cluster_radius_km must be positive, got {cluster_radius_km}"
-            )
-        if interference_radius_km is not None and not interference_radius_km > 0.0:
-            raise ConfigurationError(
-                "interference_radius_km must be positive, got "
-                f"{interference_radius_km}"
-            )
+        validate_radii(cluster_radius_km, interference_radius_km)
         if max_reconcile_rounds < 0:
             raise ConfigurationError(
                 "max_reconcile_rounds must be non-negative, got "
@@ -136,7 +133,6 @@ class ShardedScheduler:
         self.neighborhood = (
             neighborhood if neighborhood is not None else NeighborhoodSampler()
         )
-        self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
         self.use_delta = resolve_use_delta(use_delta, use_batch)
         self.use_batch = use_batch
@@ -149,7 +145,6 @@ class ShardedScheduler:
         return TsajsScheduler(
             schedule=self.schedule_params,
             neighborhood=self.neighborhood,
-            initial_offload_probability=self.initial_offload_probability,
             record_trace=self.record_trace,
             use_delta=self.use_delta,
             use_batch=self.use_batch,
@@ -174,7 +169,6 @@ class ShardedScheduler:
         return TsajsScheduler(
             schedule=self.schedule_params,
             neighborhood=self.neighborhood,
-            initial_offload_probability=self.initial_offload_probability,
             use_delta=use_delta,
             evaluator_factory=factory,
         )

@@ -47,7 +47,6 @@ def standard_schedulers(
     chain_length: int = 30,
     min_temperature: float = 1e-9,
     include_exhaustive: bool = False,
-    local_search_iterations: int = 5000,
     use_delta: Optional[bool] = None,
 ) -> List[Scheduler]:
     """The paper's comparison set, in :data:`SCHEME_ORDER`."""
@@ -58,7 +57,7 @@ def standard_schedulers(
         [
             make_tsajs(chain_length, min_temperature, use_delta=use_delta),
             HJtoraScheduler(),
-            LocalSearchScheduler(max_iterations=local_search_iterations),
+            LocalSearchScheduler(),
             GreedyScheduler(),
         ]
     )

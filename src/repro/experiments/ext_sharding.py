@@ -84,8 +84,6 @@ def run(
         n_users=settings.n_users,
         n_servers=settings.n_servers,
         n_subbands=settings.n_subbands,
-        interference_radius_km=settings.interference_radius_km,
-        max_reconcile_rounds=settings.max_reconcile_rounds,
     )
     planner = TsajsScheduler(schedule=schedule)
 

@@ -10,7 +10,7 @@ oracle with ``use_delta=False``; all bitwise-equal).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.baselines import (
     AllLocalScheduler,
@@ -22,8 +22,12 @@ from repro.baselines import (
     RandomScheduler,
 )
 from repro.core.annealing import AnnealingSchedule
-from repro.core.scheduler import Scheduler, TsajsScheduler, resolve_use_delta
-from repro.core.sharding import ShardedScheduler
+from repro.core.scheduler import DEFAULT_BATCH_SIZE, Scheduler, TsajsScheduler
+from repro.core.sharding import (
+    DEFAULT_CLUSTER_RADIUS_KM,
+    DEFAULT_RECONCILE_ROUNDS,
+    ShardedScheduler,
+)
 from repro.errors import ConfigurationError
 from repro.extensions.power_control import TsajsWithPowerControl
 
@@ -35,35 +39,22 @@ QUICK_MIN_TEMPERATURE = 1e-2
 class SchemeOptions:
     """Construction knobs shared by every scheme factory.
 
-    ``quick`` shortens the annealing schedule; ``use_delta`` and
-    ``use_batch`` pick the evaluation path for the TSAJS variants
-    (``use_delta=None`` means delta unless ``use_batch``; ``False`` is the
-    scalar oracle; all bitwise-equal, and ``use_delta=True`` excludes
-    ``use_batch``); ``batch_size`` sizes the speculative batches of
-    the vectorized path and the parallel-tempering scheme.  Baselines
-    without an annealer inner loop ignore the evaluation knobs.
-
-    ``use_sharding`` swaps the TSAJS factory for the spatially sharded
-    solver (``TSAJS-Shard`` always builds it); ``cluster_radius_km``,
-    ``interference_radius_km`` and ``max_reconcile_rounds`` forward to
-    :class:`~repro.core.sharding.ShardedScheduler`.
+    ``quick`` shortens the annealing schedule; ``use_delta``,
+    ``use_batch`` and ``batch_size`` pick the evaluation path of the
+    TSAJS variants (see :class:`~repro.core.scheduler.TsajsScheduler`,
+    which checks them); ``cluster_radius_km``,
+    ``interference_radius_km`` and ``max_reconcile_rounds`` configure
+    ``TSAJS-Shard`` (see :class:`~repro.core.sharding.ShardedScheduler`).
+    Schemes that do not use a knob ignore it.
     """
 
     quick: bool = False
     use_delta: Optional[bool] = None
     use_batch: bool = False
-    batch_size: int = 64
-    use_sharding: bool = False
-    cluster_radius_km: float = 2.0
+    batch_size: int = DEFAULT_BATCH_SIZE
+    cluster_radius_km: float = DEFAULT_CLUSTER_RADIUS_KM
     interference_radius_km: Optional[float] = None
-    max_reconcile_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        resolve_use_delta(self.use_delta, self.use_batch)
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
+    max_reconcile_rounds: int = DEFAULT_RECONCILE_ROUNDS
 
 
 def _annealing(quick: bool) -> AnnealingSchedule:
@@ -72,8 +63,15 @@ def _annealing(quick: bool) -> AnnealingSchedule:
     )
 
 
-def _sharded(opts: SchemeOptions) -> ShardedScheduler:
-    return ShardedScheduler(
+#: Scheme name -> factory taking a :class:`SchemeOptions`.
+SCHEME_FACTORIES: Dict[str, Callable[[SchemeOptions], Scheduler]] = {
+    "TSAJS": lambda opts: TsajsScheduler(
+        schedule=_annealing(opts.quick),
+        use_delta=opts.use_delta,
+        use_batch=opts.use_batch,
+        batch_size=opts.batch_size,
+    ),
+    "TSAJS-Shard": lambda opts: ShardedScheduler(
         cluster_radius_km=opts.cluster_radius_km,
         interference_radius_km=opts.interference_radius_km,
         max_reconcile_rounds=opts.max_reconcile_rounds,
@@ -81,20 +79,7 @@ def _sharded(opts: SchemeOptions) -> ShardedScheduler:
         use_delta=opts.use_delta,
         use_batch=opts.use_batch,
         batch_size=opts.batch_size,
-    )
-
-
-#: Scheme name -> factory taking a :class:`SchemeOptions`.
-SCHEME_FACTORIES: Dict[str, Callable[[SchemeOptions], Scheduler]] = {
-    "TSAJS": lambda opts: _sharded(opts)
-    if opts.use_sharding
-    else TsajsScheduler(
-        schedule=_annealing(opts.quick),
-        use_delta=opts.use_delta,
-        use_batch=opts.use_batch,
-        batch_size=opts.batch_size,
     ),
-    "TSAJS-Shard": _sharded,
     "hJTORA": lambda opts: HJtoraScheduler(),
     "LocalSearch": lambda opts: LocalSearchScheduler(),
     "Greedy": lambda opts: GreedyScheduler(),
@@ -116,33 +101,15 @@ def available_schemes() -> List[str]:
     return list(SCHEME_FACTORIES.keys())
 
 
-def build_schemes(
-    names: List[str],
-    quick: bool = False,
-    use_delta: Optional[bool] = None,
-    use_batch: bool = False,
-    batch_size: int = 64,
-    use_sharding: bool = False,
-    cluster_radius_km: float = 2.0,
-    interference_radius_km: Optional[float] = None,
-    max_reconcile_rounds: int = 2,
-) -> List[Scheduler]:
+def build_schemes(names: List[str], **options: Any) -> List[Scheduler]:
     """Instantiate schedulers for the given scheme names.
 
-    Raises :class:`ConfigurationError` for unknown or duplicate names.
+    ``options`` are :class:`SchemeOptions` fields.  Raises
+    :class:`ConfigurationError` for unknown or duplicate names.
     """
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate scheme names: {names}")
-    opts = SchemeOptions(
-        quick=quick,
-        use_delta=use_delta,
-        use_batch=use_batch,
-        batch_size=batch_size,
-        use_sharding=use_sharding,
-        cluster_radius_km=cluster_radius_km,
-        interference_radius_km=interference_radius_km,
-        max_reconcile_rounds=max_reconcile_rounds,
-    )
+    opts = SchemeOptions(**options)
     schedulers = []
     for name in names:
         try:

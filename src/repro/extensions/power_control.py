@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.annealing import AnnealingSchedule
 from repro.core.decision import OffloadingDecision
-from repro.core.scheduler import ScheduleResult, TsajsScheduler
+from repro.core.scheduler import DEFAULT_BATCH_SIZE, ScheduleResult, TsajsScheduler
 from repro.errors import ConfigurationError
 from repro.net.sinr import compute_link_stats
 from repro.sim.rng import make_rng
@@ -260,7 +260,7 @@ class TsajsWithPowerControl:
         p_max_watts: float = 0.1,
         use_delta: Optional[bool] = None,
         use_batch: bool = False,
-        batch_size: int = 64,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-from repro.core.scheduler import resolve_use_delta
 from repro.errors import ConfigurationError
 from repro.units import dbm_to_watts, ghz_to_hz, kb_to_bits, megacycles_to_cycles, mhz_to_hz
 
@@ -30,7 +29,8 @@ class SimulationConfig:
     """Declarative description of one simulated MEC deployment.
 
     All quantities are given in the paper's units and converted to SI by
-    the accessor properties.
+    the accessor properties.  Solver settings (evaluation path, sharding
+    radii) are not part of it: they live on the schedulers that use them.
     """
 
     # Population / geometry.
@@ -58,38 +58,6 @@ class SimulationConfig:
     workload_megacycles: float = 1000.0
     beta_time: float = 0.5
     operator_weight: float = 1.0
-
-    # Execution knobs (wall-clock only: none changes any result bit).
-    #: Score annealer moves with the incremental
-    #: :class:`~repro.core.delta.DeltaEvaluator` (bitwise-equal fast path).
-    #: ``None`` means delta unless ``use_batch``; ``False`` selects the
-    #: scalar :class:`~repro.core.objective.ObjectiveEvaluator` oracle.
-    use_delta: Optional[bool] = None
-    #: Score speculative move batches with the vectorized
-    #: :class:`~repro.core.batch.BatchEvaluator` (bitwise-equal fast path;
-    #: mutually exclusive with ``use_delta=True``).
-    use_batch: bool = False
-    #: Moves speculatively proposed per vectorized round when
-    #: ``use_batch`` is set.
-    batch_size: int = 64
-
-    # Spatial sharding (metro-scale decomposition; see docs/sharding.md).
-    #: Solve via :class:`~repro.core.sharding.ShardedScheduler`: partition
-    #: the topology into cell clusters, solve each independently, then
-    #: reconcile boundary users.  Exact (bitwise-identical) when the
-    #: partition yields one cluster; a bounded approximation otherwise.
-    use_sharding: bool = False
-    #: Grid-tile side for the station partition, in km.  Larger tiles
-    #: mean fewer cut interference edges (smaller utility gap) but
-    #: costlier per-cluster solves.
-    cluster_radius_km: float = 2.0
-    #: Far-field cutoff: stations beyond this distance are treated as
-    #: non-interfering when computing boundary sets.  ``None`` resolves
-    #: to the inter-site distance at solve time.
-    interference_radius_km: Optional[float] = None
-    #: Fixed-point iteration cap for the boundary-reconciliation pass
-    #: (0 disables reconciliation).
-    max_reconcile_rounds: int = 2
 
     def __post_init__(self) -> None:
         if self.n_users < 0:
@@ -127,25 +95,6 @@ class SimulationConfig:
         if not 0.0 < self.operator_weight <= 1.0:
             raise ConfigurationError(
                 f"operator_weight must lie in (0, 1], got {self.operator_weight}"
-            )
-        resolve_use_delta(self.use_delta, self.use_batch)
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.cluster_radius_km <= 0:
-            raise ConfigurationError(
-                f"cluster_radius_km must be positive, got {self.cluster_radius_km}"
-            )
-        if self.interference_radius_km is not None and self.interference_radius_km <= 0:
-            raise ConfigurationError(
-                "interference_radius_km must be positive, got "
-                f"{self.interference_radius_km}"
-            )
-        if self.max_reconcile_rounds < 0:
-            raise ConfigurationError(
-                "max_reconcile_rounds must be non-negative, got "
-                f"{self.max_reconcile_rounds}"
             )
 
     # --- SI accessors -----------------------------------------------------

@@ -67,6 +67,24 @@ class SeedFailure:
     error: str
 
 
+#: Sleep before the second attempt's wave, in seconds; it doubles
+#: before every later wave (exponential backoff gives a transiently
+#: sick machine room to recover).  Tests that must not wait monkeypatch
+#: :func:`sleep`.
+BACKOFF_S = 0.5
+BACKOFF_FACTOR = 2.0
+
+#: A cell whose failures are *fatal* — they killed or lost the worker
+#: (dead process, tripped timeout) — this many times while it ran alone
+#: in a single-worker pool is quarantined: recorded as a
+#: :class:`SeedFailure` at once and never scheduled again, so one poison
+#: cell cannot keep taking workers down for the rest of the retry
+#: budget.  Fatal failures in a pool shared with other cells do not
+#: count: they cannot be pinned on one cell, so each such cell is re-run
+#: alone in the same attempt.
+QUARANTINE_AFTER = 2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How :func:`run_schemes` survives crashed or hung seed workers.
@@ -75,41 +93,24 @@ class RetryPolicy:
     ----------
     max_attempts:
         Waves a failing seed is attempted before it is recorded as a
-        :class:`SeedFailure` (>= 1).
+        :class:`SeedFailure` (>= 1; 1 records failures without retry).
     seed_timeout_s:
         Wall-clock budget for one seed's work unit on the pool; a seed
         exceeding it is treated as hung (a fatal failure).  ``None``
         disables the timeout.  Serial execution cannot be timed out and
         ignores this knob, which is why ``tsajs run --seed-timeout``
         always runs on the pool.
-    backoff_s / backoff_factor:
-        Sleep between retry waves: ``backoff_s * backoff_factor**k``
-        after wave ``k`` (exponential backoff; gives a transiently
-        sick machine room to recover).
-    serial_fallback:
-        Once the pool broke (worker crash or hang), run later waves
-        serially in-process instead of rebuilding it — slower but
-        immune to executor-level failures.  A cell that has itself
-        failed fatally is still retried only in a single-worker pool,
-        never in-process.
-    quarantine_after:
-        A cell whose failures are *fatal* — they killed or lost the
-        worker (dead process, tripped timeout) — this many times while
-        it ran alone in a single-worker pool is quarantined: recorded
-        as a :class:`SeedFailure` immediately and never scheduled
-        again, so one poison cell cannot keep taking workers down for
-        the rest of the retry budget (>= 1).  Fatal failures in a pool
-        shared with other cells do not count: they cannot be pinned on
-        one cell, so each such cell is re-run alone in the same
-        attempt.
+
+    Retry waves are spaced by :data:`BACKOFF_S` (doubling each wave).
+    Once the pool broke (worker crash or hang), later waves run serially
+    in-process — slower but immune to executor-level failures — except
+    that a cell that has itself failed fatally is retried only alone in
+    a single-worker pool, and quarantined after
+    :data:`QUARANTINE_AFTER` such isolated fatal failures.
     """
 
     max_attempts: int = 3
     seed_timeout_s: Optional[float] = None
-    backoff_s: float = 0.5
-    backoff_factor: float = 2.0
-    serial_fallback: bool = True
-    quarantine_after: int = 2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -119,18 +120,6 @@ class RetryPolicy:
         if self.seed_timeout_s is not None and self.seed_timeout_s <= 0:
             raise ConfigurationError(
                 f"seed_timeout_s must be positive, got {self.seed_timeout_s}"
-            )
-        if self.backoff_s < 0:
-            raise ConfigurationError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.quarantine_after < 1:
-            raise ConfigurationError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
 
 
@@ -275,7 +264,7 @@ def _run_resilient(
     whole pool, so every pending sibling fails with it.  Each such cell
     is therefore re-run at once, in the same attempt, alone in a
     single-worker pool, and only these *isolated* fatal failures count
-    toward ``policy.quarantine_after``.  A cell that has failed fatally
+    toward :data:`QUARANTINE_AFTER`.  A cell that has failed fatally
     never runs in-process again, since it could take the coordinator
     down with it: every later attempt on it is isolated as well.
     """
@@ -286,7 +275,7 @@ def _run_resilient(
     fatal_counts: Dict[int, int] = {}
     suspects: Set[int] = set()
     failures: List[SeedFailure] = []
-    delay = policy.backoff_s
+    delay = BACKOFF_S
 
     def run_wave(
         wave_executor: SweepExecutor, wave: List[Cell]
@@ -315,7 +304,7 @@ def _run_resilient(
     for attempt in range(1, policy.max_attempts + 1):
         if not pending:
             break
-        if attempt > 1 and delay > 0:
+        if attempt > 1:
             if rec.enabled:
                 rec.event(
                     "runner.backoff",
@@ -325,7 +314,7 @@ def _run_resilient(
                 )
                 rec.count("runner.retry_waves")
             sleep(delay)
-            delay *= policy.backoff_factor
+            delay *= BACKOFF_FACTOR
         shared = [cell for cell in pending if cell[0] not in suspects]
         isolate = [cell for cell in pending if cell[0] in suspects]
         failed: List[CellFailure] = []
@@ -338,10 +327,9 @@ def _run_resilient(
                         attempt=attempt,
                         backend=executor.name,
                         n_failed=len(outcome.failed),
-                        serial_fallback=policy.serial_fallback,
                     )
                     rec.count("runner.pool_breaks")
-                if policy.serial_fallback and executor.name != "serial":
+                if executor.name != "serial":
                     if rec.enabled:
                         rec.event(
                             "runner.serial_fallback",
@@ -369,7 +357,7 @@ def _run_resilient(
                 suspects.add(failure.position)
                 count = fatal_counts.get(failure.position, 0) + 1
                 fatal_counts[failure.position] = count
-                if count >= policy.quarantine_after:
+                if count >= QUARANTINE_AFTER:
                     failures.append(
                         SeedFailure(
                             seed=failure.seed,

@@ -14,11 +14,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.decision import OffloadingDecision
+from repro.core.partition import validate_radii
 from repro.core.scheduler import ScheduleResult
-from repro.errors import ConfigurationError, InfeasibleAllocationError, InfeasibleDecisionError
+from repro.errors import InfeasibleAllocationError, InfeasibleDecisionError
 from repro.net.pathloss import UrbanMacroPathLoss
 from repro.net.topology import Topology
-from repro.sim.config import SimulationConfig
 from repro.sim.scenario import Scenario
 
 #: Relative tolerance for the capacity constraint (12f).
@@ -128,15 +128,7 @@ def validate_sharding_geometry(
     deployment fits inside one interference radius (sharding then buys
     nothing: every pair of cells couples).
     """
-    if cluster_radius_km <= 0:
-        raise ConfigurationError(
-            f"cluster_radius_km must be positive, got {cluster_radius_km}"
-        )
-    if interference_radius_km <= 0:
-        raise ConfigurationError(
-            "interference_radius_km must be positive, got "
-            f"{interference_radius_km}"
-        )
+    validate_radii(cluster_radius_km, interference_radius_km)
     messages: List[str] = []
     cutoff_rx = tx_power_watts * pathloss.gain_linear(interference_radius_km)
     if cutoff_rx > noise_watts * _FARFIELD_MARGIN:
@@ -166,29 +158,3 @@ def validate_sharding_geometry(
     for message in messages:
         warnings.warn(message, stacklevel=2)
     return messages
-
-
-def validate_sharding_config(
-    config: SimulationConfig, topology: Optional[Topology] = None
-) -> List[str]:
-    """:func:`validate_sharding_geometry` driven by a config's fields.
-
-    Resolves ``interference_radius_km=None`` to the inter-site distance,
-    matching :class:`~repro.core.sharding.ShardedScheduler`.
-    """
-    interference_radius = (
-        config.interference_radius_km
-        if config.interference_radius_km is not None
-        else config.inter_site_distance_km
-    )
-    return validate_sharding_geometry(
-        config.cluster_radius_km,
-        interference_radius,
-        tx_power_watts=config.tx_power_watts,
-        noise_watts=config.noise_watts,
-        pathloss=UrbanMacroPathLoss(
-            intercept_db=config.pathloss_intercept_db,
-            slope_db=config.pathloss_slope_db,
-        ),
-        topology=topology,
-    )

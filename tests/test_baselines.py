@@ -191,8 +191,6 @@ class TestLocalSearch:
             LocalSearchScheduler(max_iterations=0)
         with pytest.raises(ConfigurationError):
             LocalSearchScheduler(patience=0)
-        with pytest.raises(ConfigurationError):
-            LocalSearchScheduler(initial_offload_probability=2.0)
 
     def test_deterministic_given_seed(self, small_random_scenario):
         a = LocalSearchScheduler().schedule(

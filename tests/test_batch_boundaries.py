@@ -258,7 +258,3 @@ class TestBatchModeValidation:
     def test_use_delta_and_use_batch_conflict(self):
         with pytest.raises(ConfigurationError):
             TsajsScheduler(use_delta=True, use_batch=True)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(use_delta=True, use_batch=True)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(batch_size=0)

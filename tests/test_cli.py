@@ -73,7 +73,21 @@ class TestBuildSweep:
         assert isinstance(sweep.executor, ProcessPoolSweepExecutor)
         assert sweep.executor.n_jobs == 1
         assert sweep.retry.seed_timeout_s == 0.001
-        assert sweep.retry.max_attempts == 1
+        assert sweep.retry.max_attempts == 2
+
+    @pytest.mark.parametrize(
+        "retries, seed_timeout, attempts",
+        [(0, None, 1), (1, None, 2), (4, 2.0, 5), (None, 2.0, 3)],
+    )
+    def test_retries_count_after_the_first_attempt(
+        self, retries, seed_timeout, attempts
+    ):
+        """``--retries N`` allows N retries after the first attempt, so
+        0 records failures without retrying; ``--seed-timeout`` alone
+        keeps the default three attempts."""
+        sweep = _build_sweep(1, retries, seed_timeout, None, False)
+        assert sweep.retry.max_attempts == attempts
+        assert sweep.retry.seed_timeout_s == seed_timeout
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError, match="n_jobs"):
@@ -87,6 +101,32 @@ class TestBuildSweep:
         ):
             with pytest.raises(SystemExit):
                 main(argv)
+
+
+class TestInvalidSettings:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig3", "--quick", "--workers", "0"], "n_jobs must be >= 1"),
+            (["run", "fig3", "--quick", "--retries", "-1"], "max_attempts must be >= 1"),
+            (
+                ["run", "fig3", "--quick", "--seed-timeout", "-1"],
+                "seed_timeout_s must be positive",
+            ),
+            (
+                ["solve", "--schemes", "TSAJS-Shard", "--cluster-radius", "-1"],
+                "cluster_radius_km must be positive",
+            ),
+            (["solve", "--users", "-5"], "n_users must be non-negative"),
+        ],
+    )
+    def test_prints_one_error_line_and_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
 
 
 class TestVersion:

@@ -26,6 +26,7 @@ from repro.baselines import GreedyScheduler
 from repro.errors import ConfigurationError
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
+import repro.sim.runner as runner
 from repro.sim.runner import RetryPolicy, run_schemes
 from tests.test_resilience import assert_identical_metrics
 
@@ -173,42 +174,40 @@ class TestPoolExecutor:
                 assert x.n_offloaded == y.n_offloaded
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestPoisonCellAttribution:
-    @pytest.mark.parametrize("serial_fallback", [True, False])
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_poison_cell_is_quarantined(self, n_jobs, serial_fallback):
+    def test_poison_cell_is_quarantined(self, n_jobs):
         """A cell that kills every worker that touches it is quarantined
-        after ``quarantine_after`` isolated deaths; the coordinator
+        after ``QUARANTINE_AFTER`` isolated deaths; the coordinator
         survives and the innocent seed completes, bit-identical to a
         serial run."""
         poison_seed, good_seed = 1, 2
         scheduler = CrashOnSeedScheduler(_poison_value(poison_seed))
-        policy = RetryPolicy(
-            backoff_s=0.0, quarantine_after=2, serial_fallback=serial_fallback
-        )
         result = _sweep_in_coordinator(
-            [scheduler], [poison_seed, good_seed], policy, n_jobs
+            [scheduler], [poison_seed, good_seed], RetryPolicy(), n_jobs
         )
         [failure] = result.failures
         assert failure.seed == poison_seed
         assert "quarantined" in failure.error
-        assert failure.attempts == policy.quarantine_after
+        assert failure.attempts == runner.QUARANTINE_AFTER == 2
         assert result.completed_seeds == [good_seed]
         serial = run_schemes(CONFIG, [scheduler], [good_seed])
         assert_identical_metrics(serial, result)
 
-    def test_shared_pool_death_is_not_counted_against_siblings(self, tmp_path):
+    def test_shared_pool_death_is_not_counted_against_siblings(
+        self, tmp_path, monkeypatch
+    ):
         """One worker death in a shared pool fails every pending sibling
-        with it.  With ``quarantine_after=1`` counting those deaths would
-        quarantine innocent cells; re-run alone, each cell proves itself
-        healthy and the sweep completes."""
+        with it.  With quarantine after one death, counting those deaths
+        would quarantine innocent cells; re-run alone, each cell proves
+        itself healthy and the sweep completes."""
+        # The forked coordinator inherits the patched threshold.
+        monkeypatch.setattr(runner, "QUARANTINE_AFTER", 1)
         scheduler = CrashOnceScheduler(str(tmp_path))
         seeds = [1, 2, 3]
         result = _sweep_in_coordinator(
-            [scheduler],
-            seeds,
-            RetryPolicy(max_attempts=1, backoff_s=0.0, quarantine_after=1),
-            n_jobs=1,
+            [scheduler], seeds, RetryPolicy(max_attempts=1), n_jobs=1
         )
         assert (tmp_path / "crashed").exists()
         assert result.failures == []
@@ -222,9 +221,7 @@ class TestPoisonCellAttribution:
             CONFIG,
             [scheduler],
             [poison_seed, good_seed],
-            retry=RetryPolicy(
-                seed_timeout_s=0.25, backoff_s=0.0, quarantine_after=2
-            ),
+            retry=RetryPolicy(seed_timeout_s=0.25),
             executor=ProcessPoolSweepExecutor(n_jobs=2),
         )
         [failure] = result.failures

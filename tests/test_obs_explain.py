@@ -114,7 +114,7 @@ def test_explain_reads_a_sharded_solve(tmp_path, capsys, tick_clock):
     for name in ("a", "b"):
         out = tmp_path / f"{name}.jsonl"
         assert main(
-            ["solve", "--users", "12", "--seed", "1", "--quick", "--shard",
+            ["solve", "--users", "12", "--seed", "1", "--quick",
              "--cluster-radius", "1.2", "--schemes", "TSAJS-Shard",
              "--trace", str(out)]
         ) == 0

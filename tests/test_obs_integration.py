@@ -26,6 +26,7 @@ import pytest
 from repro.analysis.convergence import summarize_trace
 from repro.core.annealing import AnnealingSchedule
 from repro.core.degradation import degrade
+from repro.core.delta import DeltaEvaluator
 from repro.core.scheduler import TsajsScheduler
 from repro.faults import FaultConfig, FaultSet, apply_faults, draw_faults_for_seed
 from repro.obs.analyze import explain
@@ -248,9 +249,9 @@ class _AlwaysFails:
 
 
 class TestResilientPathEvents:
-    def test_seed_errors_and_failures_are_emitted(self):
+    def test_seed_errors_and_failures_are_emitted(self, no_backoff):
         recorder = TraceRecorder(clock=TickClock())
-        policy = RetryPolicy(max_attempts=2, backoff_s=0.0)
+        policy = RetryPolicy(max_attempts=2)
         with use_recorder(recorder):
             with pytest.raises(Exception):
                 run_schemes(CONFIG, [_AlwaysFails()], [1], retry=policy)
@@ -264,15 +265,17 @@ class TestResilientPathEvents:
         assert snap["counters"]["runner.seed_errors"] == 2.0
         assert snap["counters"]["runner.seeds_failed"] == 1.0
 
-    def test_backoff_event_between_waves(self):
+    def test_backoff_event_between_waves(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("repro.sim.runner.sleep", slept.append)
         recorder = TraceRecorder(clock=TickClock())
-        policy = RetryPolicy(max_attempts=2, backoff_s=0.001)
+        policy = RetryPolicy(max_attempts=3)
         with use_recorder(recorder):
             with pytest.raises(Exception):
                 run_schemes(CONFIG, [_AlwaysFails()], [1], retry=policy)
         backoffs = events_named(recorder.records, "runner.backoff")
-        assert len(backoffs) == 1
-        assert backoffs[0]["attrs"]["attempt"] == 2
+        assert [b["attrs"]["attempt"] for b in backoffs] == [2, 3]
+        assert [b["attrs"]["delay_s"] for b in backoffs] == slept == [0.5, 1.0]
 
     def test_journal_hits_are_emitted(self, tmp_path):
         from repro.experiments.cache import ResultCache
@@ -367,3 +370,56 @@ class TestFaultPathEvents:
         assert traced.n_fallback == bare.n_fallback
         assert traced.result.evaluations == bare.result.evaluations
         assert traced.result.accepted_moves == bare.result.accepted_moves
+
+
+class _OverflowingEvaluator(DeltaEvaluator):
+    """Raises ``FloatingPointError`` once it has scored 50 candidates."""
+
+    def evaluate_assignment(self, server_of_user, channel_of_user, touched=None):
+        if self.evaluations >= 50:
+            raise FloatingPointError("synthetic overflow")
+        return super().evaluate_assignment(server_of_user, channel_of_user, touched)
+
+
+class TestSpansCloseOnError:
+    """A solve that raises still closes its spans: the trace stays
+    balanced and the next span is not parented to a dead one."""
+
+    def _assert_closed(self, recorder, span_name):
+        with recorder.span("after"):
+            pass
+        records = recorder.records
+        assert span_pairs_balanced(records)
+        started = {r["name"]: r for r in records if r["kind"] == "span_start"}
+        assert span_name in started
+        assert "parent" not in started["after"]
+
+    def test_anneal_run_span_closes(self):
+        scheduler = _scheduler(evaluator_factory=_OverflowingEvaluator)
+        recorder = TraceRecorder(clock=TickClock())
+        with use_recorder(recorder), pytest.raises(FloatingPointError):
+            scheduler.schedule(_scenario(), child_rng(0, 100))
+        self._assert_closed(recorder, "anneal.run")
+
+    def test_degrade_run_span_closes(self, monkeypatch):
+        scenario = _scenario()
+        planned = _scheduler().schedule(scenario, child_rng(0, 100))
+        faults = FaultSet(
+            scenario.n_servers, scenario.n_subbands, failed_servers=frozenset({0})
+        )
+        faulted = apply_faults(scenario, faults)
+        # The repair's TsajsScheduler picks its evaluator class at build.
+        monkeypatch.setattr(
+            "repro.core.scheduler.DeltaEvaluator", _OverflowingEvaluator
+        )
+        recorder = TraceRecorder(clock=TickClock())
+        with use_recorder(recorder), pytest.raises(FloatingPointError):
+            degrade(
+                faulted,
+                planned,
+                faults,
+                "reschedule",
+                rng=child_rng(0, 200),
+                schedule=SCHEDULE,
+            )
+        self._assert_closed(recorder, "degrade.run")

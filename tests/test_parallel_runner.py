@@ -78,9 +78,7 @@ def test_oversubscribed_workers_bitwise_identical_to_serial():
     work units are spread over processes — every unit self-seeds, so the
     merged metrics must still equal the serial run bit for bit.
     """
-    config = SimulationConfig(
-        n_users=8, n_servers=3, n_subbands=2, use_delta=True
-    )
+    config = SimulationConfig(n_users=8, n_servers=3, n_subbands=2)
     seeds = [1, 2, 3]
     schedulers = fig4_schedulers()
     serial = run_schemes(config, schedulers, seeds)

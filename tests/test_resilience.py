@@ -40,6 +40,8 @@ from repro.sim.runner import (
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 
 def _touch_unique(directory: str, prefix: str) -> None:
     fd, _ = tempfile.mkstemp(prefix=prefix, dir=directory)
@@ -143,7 +145,7 @@ class TestRetryPolicy:
     def test_defaults_valid(self):
         policy = RetryPolicy()
         assert policy.max_attempts == 3
-        assert policy.serial_fallback
+        assert policy.seed_timeout_s is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,8 +153,6 @@ class TestRetryPolicy:
             {"max_attempts": 0},
             {"seed_timeout_s": 0.0},
             {"seed_timeout_s": -1.0},
-            {"backoff_s": -0.1},
-            {"backoff_factor": 0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -213,7 +213,7 @@ class TestResilientSerial:
         seeds = [0, 1, 2]
         legacy = run_schemes(CONFIG, schedulers, seeds)
         resilient = run_schemes(
-            CONFIG, schedulers, seeds, retry=RetryPolicy(backoff_s=0.0)
+            CONFIG, schedulers, seeds, retry=RetryPolicy()
         )
         assert resilient.failures == []
         assert_identical_metrics(legacy, resilient)
@@ -226,7 +226,7 @@ class TestResilientSerial:
             CONFIG,
             [poison],
             [0, 1, 2],
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+            retry=RetryPolicy(max_attempts=2),
         )
         assert [f.seed for f in result.failures] == [1]
         assert result.completed_seeds == [0, 2]
@@ -241,7 +241,7 @@ class TestResilientSerial:
                 CONFIG,
                 [AlwaysFailScheduler()],
                 [0, 1],
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+                retry=RetryPolicy(max_attempts=2),
             )
 
     def test_default_policy_fails_fast(self):
@@ -297,7 +297,7 @@ class TestResilientPool:
             [CrashOnceScheduler(marker_dir=str(crash_dir))],
             seeds,
             executor=ProcessPoolSweepExecutor(n_jobs=2),
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+            retry=RetryPolicy(max_attempts=3),
         )
         clean = run_schemes(
             CONFIG, [CrashOnceScheduler(marker_dir=str(clean_dir))], seeds
@@ -313,25 +313,10 @@ class TestResilientPool:
             [HangOnceScheduler(marker_dir=str(tmp_path))],
             seeds,
             executor=ProcessPoolSweepExecutor(n_jobs=2),
-            retry=RetryPolicy(
-                max_attempts=3, seed_timeout_s=0.5, backoff_s=0.0
-            ),
+            retry=RetryPolicy(max_attempts=3, seed_timeout_s=0.5),
         )
         assert result.failures == []
         assert result.completed_seeds == seeds
-
-    def test_pool_failure_without_fallback_uses_fresh_pool(self, tmp_path):
-        result = run_schemes(
-            CONFIG,
-            [CrashOnceScheduler(marker_dir=str(tmp_path))],
-            [0, 1],
-            executor=ProcessPoolSweepExecutor(n_jobs=2),
-            retry=RetryPolicy(
-                max_attempts=3, backoff_s=0.0, serial_fallback=False
-            ),
-        )
-        assert result.failures == []
-        assert result.completed_seeds == [0, 1]
 
 
 class TestJournalIntegration:
@@ -413,7 +398,7 @@ class TestJournalIntegration:
 
     def test_runner_object_passthrough(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        sweep = Sweep(retry=RetryPolicy(backoff_s=0.0), journal=cache)
+        sweep = Sweep(retry=RetryPolicy(), journal=cache)
         result = sweep.run(CONFIG, [GreedyScheduler()], [0, 1])
         assert result.failures == []
         assert len(cache) == 2
@@ -434,7 +419,7 @@ class TestJournalIntegration:
             CONFIG,
             [poison],
             [0, 1],
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+            retry=RetryPolicy(max_attempts=2),
             journal=cache,
         )
         assert [f.seed for f in result.failures] == [1]

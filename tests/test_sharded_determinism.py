@@ -32,20 +32,14 @@ from tests.test_resilience import assert_identical_metrics
 #: Small multi-cluster deployment: 9 stations at 1 km spacing under a
 #: 1.2 km tile split into 5 clusters, so every run exercises the
 #: cluster-seed protocol and the boundary reconciliation pass.
-CONFIG = SimulationConfig(
-    n_users=8,
-    n_servers=9,
-    use_sharding=True,
-    cluster_radius_km=1.2,
-)
+CONFIG = SimulationConfig(n_users=8, n_servers=9)
 
 SEEDS = [1, 2, 3]
 
 
 def _scheduler() -> ShardedScheduler:
     return ShardedScheduler(
-        cluster_radius_km=CONFIG.cluster_radius_km,
-        max_reconcile_rounds=CONFIG.max_reconcile_rounds,
+        cluster_radius_km=1.2,
         schedule=AnnealingSchedule(chain_length=10, min_temperature=1e-1),
     )
 
@@ -54,7 +48,7 @@ def _run(executor=None, journal=None):
     kwargs = {}
     if executor is not None:
         kwargs["executor"] = executor
-        kwargs["retry"] = RetryPolicy(backoff_s=0.0)
+        kwargs["retry"] = RetryPolicy()
     if journal is not None:
         kwargs["journal"] = journal
     return run_schemes(CONFIG, [_scheduler()], SEEDS, **kwargs)

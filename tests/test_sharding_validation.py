@@ -6,14 +6,13 @@ import warnings
 
 import pytest
 
+from repro.cli import main
+from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
 from repro.net.pathloss import UrbanMacroPathLoss
 from repro.net.topology import Topology
 from repro.sim.config import SimulationConfig
-from repro.sim.validation import (
-    validate_sharding_config,
-    validate_sharding_geometry,
-)
+from repro.sim.validation import validate_sharding_geometry
 
 CONFIG = SimulationConfig()
 PATHLOSS = UrbanMacroPathLoss()
@@ -42,13 +41,13 @@ def test_nonpositive_radii_rejected():
 
 
 def test_config_level_rejection():
-    # The dataclass itself refuses to construct invalid radii.
+    # The sharded scheduler, which owns the radii, refuses invalid ones.
     with pytest.raises(ConfigurationError):
-        SimulationConfig(cluster_radius_km=0.0)
+        ShardedScheduler(cluster_radius_km=0.0)
     with pytest.raises(ConfigurationError):
-        SimulationConfig(interference_radius_km=-1.0)
+        ShardedScheduler(interference_radius_km=-1.0)
     with pytest.raises(ConfigurationError):
-        SimulationConfig(max_reconcile_rounds=-1)
+        ShardedScheduler(max_reconcile_rounds=-1)
 
 
 def test_paper_defaults_are_clean():
@@ -81,25 +80,35 @@ def test_deployment_fits_inside_radius_warning():
     assert any("degenerates" in m for m in messages)
 
 
-def test_config_driver_resolves_none_to_inter_site_distance():
-    """``interference_radius_km=None`` must validate against the
-    inter-site distance, matching the scheduler's solve-time default."""
-    config = SimulationConfig(cluster_radius_km=2.0, interference_radius_km=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert validate_sharding_config(config) == []
-    tight = SimulationConfig(
-        inter_site_distance_km=0.1,
-        cluster_radius_km=2.0,
-        interference_radius_km=None,
+def _solve(capsys, *flags):
+    """Run ``tsajs solve`` on a small instance; the geometry warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--users", "4", "--seed", "1", "--quick", *flags]) == 0
+    capsys.readouterr()
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+def test_config_driver_resolves_none_to_inter_site_distance(capsys):
+    """The CLI drives the check from its flags.  Without
+    ``--interference-radius`` it validates against the inter-site
+    distance (1 km), matching the scheduler's solve-time default: clean
+    at the default 2 km tiles, a halo warning at 0.5 km."""
+    assert _solve(capsys, "--schemes", "TSAJS-Shard") == []
+    messages = _solve(capsys, "--schemes", "TSAJS-Shard", "--cluster-radius", "0.5")
+    assert any("interference_radius_km=1.0 exceeds" in m for m in messages)
+
+
+def test_config_driver_passes_topology_through(capsys):
+    messages = _solve(
+        capsys, "--schemes", "TSAJS-Shard", "--interference-radius", "5.0"
     )
-    with pytest.warns(UserWarning, match="far-field cutoff"):
-        validate_sharding_config(tight)
-
-
-def test_config_driver_passes_topology_through():
-    config = SimulationConfig(cluster_radius_km=2.0, interference_radius_km=5.0)
-    topology = Topology.hexagonal(config.n_servers)
-    with pytest.warns(UserWarning):
-        messages = validate_sharding_config(config, topology)
     assert any("extent" in m for m in messages)
+
+
+def test_cli_checks_geometry_only_for_tsajs_shard(capsys):
+    flags = ("--cluster-radius", "0.5", "--interference-radius", "0.1")
+    messages = _solve(capsys, "--schemes", "TSAJS-Shard,Greedy", *flags)
+    assert any("far-field cutoff" in m for m in messages)
+    assert _solve(capsys, "--schemes", "TSAJS,Greedy", *flags) == []
+
