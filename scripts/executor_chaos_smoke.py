@@ -3,14 +3,14 @@
 
 Runs small sweeps on both executor backends (serial, process pool)
 while injecting real failures — a scheduler that kills its own worker
-process once, a poison cell that kills every worker it touches, plus
-torn and bit-flipped cache entries — and gates on the robustness
-contract:
+process once, plus torn and bit-flipped cache entries — and gates on
+the robustness contract:
 
-* every backend's metrics are byte-identical to the serial run's
-  (modulo the measured ``wall_time_s``),
-* a poison cell is quarantined after ``QUARANTINE_AFTER`` isolated
-  deaths while the coordinator survives and every other seed completes,
+* the pool's metrics are byte-identical to the serial run's (modulo the
+  measured ``wall_time_s``),
+* a worker death fails the sweep fast with ``BrokenProcessPool``, and
+  re-running it with the same cache finishes it byte-identical to the
+  serial run,
 * corruption is quarantined (evidence kept) and recomputed, never
   trusted,
 * a fully warm cache calls no scheduler at all.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,12 +36,8 @@ from repro.baselines import GreedyScheduler  # noqa: E402
 from repro.experiments.cache import ResultCache, cell_key  # noqa: E402
 from repro.sim.config import SimulationConfig  # noqa: E402
 from repro.sim.executors import ProcessPoolSweepExecutor  # noqa: E402
-from repro.sim.runner import QUARANTINE_AFTER, RetryPolicy, run_schemes  # noqa: E402
-from repro.sim.scenario import Scenario  # noqa: E402
-from tests.test_executors import (  # noqa: E402
-    CrashOnceScheduler,
-    CrashOnSeedScheduler,
-)
+from repro.sim.runner import run_schemes  # noqa: E402
+from tests.test_executors import CrashOnceScheduler  # noqa: E402
 from tests.test_result_cache import CountingScheduler  # noqa: E402
 
 CONFIG = SimulationConfig(n_users=6, n_servers=2, n_subbands=2)
@@ -77,48 +74,37 @@ def main() -> int:
     baseline = run_schemes(CONFIG, [GreedyScheduler()], SEEDS)
     reference = canonical(baseline)
 
-    # --- pool backend survives a worker death (serial fallback) ---------
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run_schemes(
-            CONFIG,
-            [CrashOnceScheduler(tmp)],
-            SEEDS,
-            retry=RetryPolicy(),
-            executor=ProcessPoolSweepExecutor(n_jobs=2),
-        )
-        check(not result.failures, "pool: chaos sweep completed")
-        check((Path(tmp) / "crashed").exists(), "pool: a worker really died")
-        # CrashOnce delegates to Greedy after its one crash, so the
-        # recovered sweep must reproduce the Greedy baseline bitwise.
-        pool_text = canonical(result).replace("CrashOnce", "Greedy")
-        check(pool_text == reference, "pool: byte-identical to serial")
-
-    # --- pool pins a poison cell and quarantines it (default policy) ----
-    # A coordinator that ran the poison cell itself would die here with
-    # the scheduler's exit status instead of reaching the checks.
-    poison_seed = SEEDS[0]
-    poison = float(Scenario.build(CONFIG, seed=poison_seed).gains[0, 0, 0])
-    result = run_schemes(
+    pool = run_schemes(
         CONFIG,
-        [CrashOnSeedScheduler(poison)],
+        [GreedyScheduler()],
         SEEDS,
-        retry=RetryPolicy(),
         executor=ProcessPoolSweepExecutor(n_jobs=2),
     )
-    check(
-        [failure.seed for failure in result.failures] == [poison_seed],
-        "poison: only the poison seed failed",
-    )
-    check(
-        result.failures[0].attempts == QUARANTINE_AFTER,
-        "poison: quarantined after QUARANTINE_AFTER isolated deaths",
-    )
-    healthy = run_schemes(CONFIG, [GreedyScheduler()], SEEDS[1:])
-    poison_text = canonical(result).replace("CrashOnSeed", "Greedy")
-    check(
-        poison_text == canonical(healthy),
-        "poison: healthy seeds byte-identical to serial",
-    )
+    check(canonical(pool) == reference, "pool: byte-identical to serial")
+
+    # --- a worker death fails fast; the same cache resumes the sweep ----
+    with tempfile.TemporaryDirectory() as tmp:
+        markers = Path(tmp) / "markers"
+        markers.mkdir()
+        sweep = dict(
+            journal=ResultCache(Path(tmp) / "cache"),
+            executor=ProcessPoolSweepExecutor(n_jobs=2),
+        )
+        try:
+            run_schemes(CONFIG, [CrashOnceScheduler(str(markers))], SEEDS, **sweep)
+        except BrokenProcessPool:
+            failed = True
+        else:
+            failed = False
+        check(failed, "resume: the worker death stopped the sweep")
+        check((markers / "crashed").exists(), "resume: a worker really died")
+        result = run_schemes(
+            CONFIG, [CrashOnceScheduler(str(markers))], SEEDS, **sweep
+        )
+        # CrashOnce delegates to Greedy after its one crash, so the
+        # resumed sweep must reproduce the Greedy baseline bitwise.
+        resumed = canonical(result).replace("CrashOnce", "Greedy")
+        check(resumed == reference, "resume: byte-identical to serial")
 
     # --- cache chaos: torn entry + bit flip → quarantine + recompute ----
     with tempfile.TemporaryDirectory() as tmp:

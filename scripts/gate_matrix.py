@@ -319,7 +319,8 @@ def _memo_seed_work(ctx, config, schedulers, seed):
     *_telemetry_rows(
         "sim/runner.py",
         "    rec = get_recorder()\n"
-        "    results: Dict[int, List[SolutionMetrics]] = {}\n",
+        "\n"
+        "    result = ExperimentResult(config=config, seeds=seeds)\n",
         None,
     ),
     *_telemetry_rows(

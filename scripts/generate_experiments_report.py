@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from repro.atomicio import atomic_write_text
-from repro.errors import raise_float_errors
+from repro.errors import float_error_mode
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
 
@@ -33,8 +33,11 @@ def main(argv=None) -> int:
         "--out", default="results", help="output directory (default: results/)"
     )
     args = parser.parse_args(argv)
-    raise_float_errors()
+    with float_error_mode():
+        return _run(args)
 
+
+def _run(args: argparse.Namespace) -> int:
     wanted = args.only.split(",") if args.only else list_experiments()
     # Look every id up first: a typo fails before minutes of runs.
     specs = [get_experiment(experiment_id) for experiment_id in wanted]

@@ -7,10 +7,13 @@ Sub-commands
     List all registered experiments (paper figures + ablations).
 ``tsajs run <experiment-id> [--quick] [--workers N] [--out FILE]``
     Run one experiment and print (and optionally save) its table.
-    ``--workers N`` (N > 1) or ``--seed-timeout`` runs the seeds on a
-    process pool (same results); otherwise they run serially.
-    ``--cache DIR`` reuses previously computed (scheme, seed) cells
-    from a crash-safe content-addressed store (see ``docs/caching.md``).
+    ``--workers N`` (N > 1) runs the seeds on a process pool (same
+    results); otherwise they run serially.  ``--cache DIR`` reuses
+    previously computed (scheme, seed) cells from a crash-safe
+    content-addressed store (see ``docs/caching.md``).  The first
+    failed seed stops the run with its own exception and no table is
+    printed; re-running with the same ``--cache`` computes only the
+    cells still missing (see ``docs/robustness.md``).
 ``tsajs solve [--users U --servers S --subbands N --batch ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
@@ -54,14 +57,14 @@ from typing import List, Optional
 from repro import __version__
 from repro.core.scheduler import DEFAULT_BATCH_SIZE
 from repro.core.sharding import DEFAULT_CLUSTER_RADIUS_KM, DEFAULT_RECONCILE_ROUNDS
-from repro.errors import ConfigurationError, raise_float_errors
+from repro.errors import ConfigurationError, float_error_mode
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import render_text
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.rng import child_rng
-from repro.sim.runner import RetryPolicy, Sweep
+from repro.sim.runner import Sweep
 from repro.sim.scenario import Scenario
 
 
@@ -119,30 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "recompute every cell despite --cache hits (the fresh "
             "results still overwrite the entries)"
-        ),
-    )
-    run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "retry crashed or hung seeds up to N times (exponential "
-            "backoff; failed seeds are recorded, not fatal; 0 records "
-            "failures without retrying); without it the first failed "
-            "seed aborts the run"
-        ),
-    )
-    run_parser.add_argument(
-        "--seed-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "treat a seed exceeding this wall-clock budget as hung and "
-            "retry it; only a separate process can be pre-empted, so "
-            "this runs the seeds on a pool of --workers processes, even "
-            "with --workers 1"
         ),
     )
     run_parser.add_argument(
@@ -327,9 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_resume and args.cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
-    sweep = _build_sweep(
-        args.workers, args.retries, args.seed_timeout, args.cache, args.no_resume
-    )
+    sweep = _build_sweep(args.workers, args.cache, args.no_resume)
     if args.telemetry is not None:
         from pathlib import Path
 
@@ -357,33 +334,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _cmd_run_body(args, sweep)
 
 
-def _build_sweep(
-    workers: int,
-    retries: Optional[int],
-    seed_timeout: Optional[float],
-    cache: Optional[str],
-    no_resume: bool,
-) -> Sweep:
-    """The :class:`~repro.sim.runner.Sweep` the ``run`` flags describe.
-
-    More than one worker means the pool, and so does a seed timeout:
-    in-process work cannot be pre-empted.  Otherwise the sweep runs
-    serially.  ``--retries N`` allows ``N`` retries after the first
-    attempt; ``--seed-timeout`` alone keeps the policy's default
-    attempts.
-    """
-    retry: Optional[RetryPolicy] = None
-    if retries is not None:
-        retry = RetryPolicy(max_attempts=retries + 1, seed_timeout_s=seed_timeout)
-    elif seed_timeout is not None:
-        retry = RetryPolicy(seed_timeout_s=seed_timeout)
+def _build_sweep(workers: int, cache: Optional[str], no_resume: bool) -> Sweep:
+    """The :class:`~repro.sim.runner.Sweep` the ``run`` flags describe:
+    more than one worker means the pool, otherwise the sweep is serial."""
     return Sweep(
-        executor=(
-            ProcessPoolSweepExecutor(n_jobs=workers)
-            if workers != 1 or seed_timeout is not None
-            else None
-        ),
-        retry=retry,
+        executor=ProcessPoolSweepExecutor(n_jobs=workers) if workers != 1 else None,
         journal=(
             ResultCache(cache, resume=not no_resume) if cache is not None else None
         ),
@@ -618,12 +573,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``tsajs`` console script)."""
     args = _build_parser().parse_args(argv)
-    raise_float_errors()
-    try:
-        return _dispatch(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with float_error_mode():
+        try:
+            return _dispatch(args)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -30,12 +30,14 @@ class SolverError(ReproError):
     """A scheduling algorithm failed to produce a valid solution."""
 
 
-def raise_float_errors() -> None:
-    """Make numpy raise on overflow, division by zero and invalid results.
+def float_error_mode() -> np.errstate:
+    """Context in which numpy raises on overflow, division by zero and
+    invalid results; underflow stays silent.
 
-    Underflow stays silent.  Every entry point that runs experiments
-    (``tsajs`` and ``scripts/generate_experiments_report.py``) calls this
-    once, so a table is never written from a value that the other entry
-    point would reject.  Library code leaves the error mode alone.
+    Both entry points that run experiments (``tsajs`` and
+    ``scripts/generate_experiments_report.py``) run under it, so a table
+    is never written from a value that the other entry point would
+    reject.  Leaving the context restores the caller's error mode, and
+    library code leaves the mode alone.
     """
-    np.seterr(all="raise", under="ignore")
+    return np.errstate(all="raise", under="ignore")

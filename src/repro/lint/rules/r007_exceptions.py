@@ -1,12 +1,12 @@
 """R007 — no bare ``except:`` and no silently-swallowed exceptions.
 
-The resilient experiment harness deliberately catches broad exception
-classes — but it always *records* them (a failure entry, a retry, a log
-line).  Two patterns defeat that discipline and hide real failures:
+The sweep executors deliberately catch broad exception classes — but
+they always *record* them (a failure entry the runner re-raises).  Two
+patterns defeat that discipline and hide real failures:
 
 * ``except:`` — also traps ``KeyboardInterrupt`` / ``SystemExit``, so a
-  Ctrl-C mid-sweep can be eaten by a loop that was meant to survive a
-  flaky worker;
+  Ctrl-C mid-sweep can be eaten by a loop that only meant to record a
+  failing cell;
 * a handler for ``Exception`` / ``BaseException`` (or a bare handler)
   whose body is only ``pass`` / ``...`` — the crash evaporates without a
   failure record, and a sweep "succeeds" with silently-missing seeds.

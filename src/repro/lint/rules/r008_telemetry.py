@@ -5,10 +5,10 @@ clocks or write to stdout directly:
 
 * **Timing** belongs to the :mod:`repro.obs.clock` seam.  Ad-hoc
   ``time.perf_counter()`` pairs cannot be injected with a deterministic
-  :class:`~repro.obs.clock.TickClock` in tests, and scattered
-  ``time.sleep`` calls (retry backoff) dodge the same seam.  Use
-  :class:`~repro.obs.clock.Stopwatch` and
-  :func:`~repro.obs.clock.sleep`.
+  :class:`~repro.obs.clock.TickClock` in tests; use
+  :class:`~repro.obs.clock.Stopwatch` or
+  :func:`~repro.obs.clock.monotonic`.  A ``time.sleep`` has no seam at
+  all: nothing in a solve or a sweep has to wait.
 * **Output** belongs to the recorder.  A ``print()`` buried in
   algorithm or runner code interleaves with the CLI's rendering, is
   invisible to trace consumers, and breaks machine-readable output
@@ -56,7 +56,7 @@ class TelemetryDisciplineRule(Rule):
         "recorder (so traces and machine-readable output miss it), and "
         "direct open()-for-write publishes files other processes can "
         "observe half-written; use "
-        "repro.obs.clock.Stopwatch / sleep, recorder events, and "
+        "repro.obs.clock.Stopwatch, recorder events, and "
         "repro.atomicio writers instead."
     )
 
@@ -84,7 +84,7 @@ class TelemetryDisciplineRule(Rule):
                             node,
                             "direct 'import time' bypasses the repro.obs "
                             "clock seam; use repro.obs.clock (Stopwatch, "
-                            "sleep, monotonic) instead",
+                            "monotonic) instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "time" and node.level == 0:
@@ -93,7 +93,7 @@ class TelemetryDisciplineRule(Rule):
                         node,
                         "direct 'from time import ...' bypasses the "
                         "repro.obs clock seam; use repro.obs.clock "
-                        "(Stopwatch, sleep, monotonic) instead",
+                        "(Stopwatch, monotonic) instead",
                     )
 
     def _check_calls(self, ctx: FileContext) -> Iterator[Diagnostic]:

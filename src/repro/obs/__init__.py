@@ -33,7 +33,6 @@ from repro.obs.clock import (
     default_clock,
     monotonic,
     set_default_clock,
-    sleep,
 )
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
 from repro.obs.recorder import (
@@ -67,7 +66,6 @@ __all__ = [
     "default_clock",
     "set_default_clock",
     "monotonic",
-    "sleep",
     "MetricsRegistry",
     "HistogramStats",
     "metric_key",

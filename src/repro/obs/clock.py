@@ -16,7 +16,7 @@ lint rule R008).  Centralising the call sites buys three things:
   timestamps into trace payloads.
 
 ``time`` itself is imported only here and in :mod:`repro.obs` siblings;
-everything else uses :class:`Stopwatch` / :func:`monotonic` / :func:`sleep`.
+everything else uses :class:`Stopwatch` / :func:`monotonic`.
 """
 
 from __future__ import annotations
@@ -110,14 +110,3 @@ class Stopwatch:
     def restart(self) -> None:
         """Reset the origin to the current reading."""
         self._start = self._clock.now()
-
-
-def sleep(seconds: float) -> None:
-    """Block for ``seconds`` (the retry-backoff seam; 0 returns at once).
-
-    Kept here so ``repro.sim`` never imports ``time`` directly — the
-    backoff delay is telemetry-adjacent (it shapes wall time, never
-    results), and tests monkeypatch this one name to run instantly.
-    """
-    if seconds > 0:
-        time.sleep(seconds)

@@ -5,8 +5,6 @@ from repro.sim.episodes import EpisodeConfig, EpisodeResult, EpisodeRunner, run_
 from repro.sim.metrics import SolutionMetrics, solution_metrics
 from repro.sim.runner import (
     ExperimentResult,
-    RetryPolicy,
-    SeedFailure,
     SeedJournal,
     Sweep,
     run_schemes,
@@ -19,9 +17,7 @@ __all__ = [
     "EpisodeResult",
     "EpisodeRunner",
     "ExperimentResult",
-    "RetryPolicy",
     "Scenario",
-    "SeedFailure",
     "SeedJournal",
     "SimulationConfig",
     "SolutionMetrics",

@@ -5,10 +5,9 @@ pending cells through any object satisfying :class:`SweepExecutor`.
 Two backends ship with the library:
 
 * :class:`~repro.sim.executors.serial.SerialExecutor` — in-process, the
-  reference implementation and the graceful-degradation target;
+  reference implementation;
 * :class:`~repro.sim.executors.pool.ProcessPoolSweepExecutor` — a
-  ``ProcessPoolExecutor`` fan-out, the one parallel backend, which can
-  also pre-empt a hung seed and survive a dead worker.
+  ``ProcessPoolExecutor`` fan-out, the one parallel backend.
 
 The unit of work is one *cell*: ``(position in the seed list, seed)``.
 Each cell is fully self-seeding (scenario streams 0-1, scheduler streams
@@ -46,50 +45,31 @@ class CellResult:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """One failed cell attempt.
-
-    ``fatal`` marks failures that killed or lost the worker itself —
-    a dead process (``BrokenProcessPool``) or a tripped seed timeout —
-    as opposed to an ordinary exception raised *by* the cell's work.
-    The runner re-runs fatally failed cells in isolation and counts the
-    isolated fatal failures per cell to quarantine poison cells that
-    repeatedly take workers down.
-
-    ``exception`` is the original exception (for a timeout, the
-    ``TimeoutError`` the wait raised), which the runner's fail-fast
-    policy re-raises.
+    """One failed cell: ``exception`` is what its work raised (a dead
+    pool worker's is ``BrokenProcessPool``), which the runner re-raises.
     """
 
     position: int
     seed: int
-    error: str
-    exception: BaseException = field(compare=False, repr=False)
-    fatal: bool = False
+    exception: BaseException
 
 
 @dataclass
 class WaveOutcome:
-    """What one executor wave over a set of cells produced.
-
-    ``broken`` means the executor's machinery itself failed (worker
-    death, hung pool) — the caller should
-    degrade (e.g. to :class:`~repro.sim.executors.serial.SerialExecutor`)
-    or rebuild before the next wave.  Failed cells are still reported
-    individually so the retry loop can re-run exactly the missing work.
-    """
+    """What one executor wave over a set of cells produced."""
 
     done: List[CellResult] = field(default_factory=list)
     failed: List[CellFailure] = field(default_factory=list)
-    broken: bool = False
 
 
 class SweepExecutor(Protocol):
-    """Strategy object the runner hands each retry wave to.
+    """Strategy object the runner hands each wave of pending cells to.
 
-    Implementations must be safe to call repeatedly (one call per retry
-    wave) and must never raise on a *cell* failure — cell errors are data
-    (:class:`CellFailure`), not exceptions.  Raising is reserved for
-    invalid arguments.
+    Implementations must be safe to call repeatedly (one call per wave)
+    and must never raise on a *cell* failure — cell errors are data
+    (:class:`CellFailure`), not exceptions, so the cells completed
+    before the failure still reach the journal.  Raising is reserved
+    for invalid arguments.
     """
 
     #: Stable backend name (``"serial"`` / ``"pool"``).
@@ -100,13 +80,8 @@ class SweepExecutor(Protocol):
         config: SimulationConfig,
         schedulers: Sequence[Scheduler],
         cells: Sequence[Cell],
-        timeout_s: Optional[float],
     ) -> WaveOutcome:
         """Attempt every cell once; report per-cell outcomes."""
-        ...  # pragma: no cover - protocol definition
-
-    def close(self) -> None:
-        """Release any held resources (idempotent)."""
         ...  # pragma: no cover - protocol definition
 
 

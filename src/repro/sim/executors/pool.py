@@ -1,16 +1,12 @@
-"""Process-pool executor — the one parallel (and pre-emptible) backend.
+"""Process-pool executor — the one parallel backend.
 
-One wave = one fresh ``ProcessPoolExecutor``.  A worker crash surfaces as
-``BrokenProcessPool`` on its future (and on every sibling still pending);
-a hung worker trips the per-seed timeout.  Either way the wave reports
-``broken=True``: a broken pool's workers cannot be recovered, so it is
-abandoned (``shutdown(wait=False)``).  Both failure shapes are ``fatal``
-— they killed or lost the worker rather than raising from the cell's own
-work.  In a pool running several cells a fatal failure cannot be pinned
-on one cell (every pending sibling shares the ``BrokenProcessPool``), so
-the runner re-runs each fatally failed cell alone in a single-worker
-pool, where a death or timeout can only be that cell's, and counts only
-those toward poison-cell quarantine.
+One wave = one fresh ``ProcessPoolExecutor``.  A cell that raises comes
+back as its exception; a worker that dies mid-cell surfaces as
+``BrokenProcessPool`` on its future and on every sibling still pending.
+Either way the cell is a :class:`~repro.sim.executors.base.CellFailure`
+and the runner re-raises the first one in seed order: a failed sweep is
+resumed by re-running it with the same result cache, never retried
+inside the run (see ``docs/robustness.md``).
 
 When telemetry is on, each wave opens a ``pool.wave`` span and pickles
 the recorder's :class:`~repro.obs.trace.WorkerContext` into every task.
@@ -18,13 +14,13 @@ Each worker records its seed in memory on the coordinator's clock and
 returns the records and metrics with the cell's results; the
 coordinator takes them in, in cell order, under the wave span and
 labelled ``s<seed>``, so a pool sweep writes the same one trace file
-and metrics snapshot as a serial one.  A worker that dies or times out
-loses its records.
+and metrics snapshot as a serial one.  A worker that dies loses its
+records.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
@@ -54,11 +50,8 @@ class ProcessPoolSweepExecutor:
         config: SimulationConfig,
         schedulers: Sequence[Scheduler],
         cells: Sequence[Cell],
-        timeout_s: Optional[float],
     ) -> WaveOutcome:
         from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
-        from concurrent.futures.process import BrokenProcessPool
 
         outcome = WaveOutcome()
         rec = get_recorder()
@@ -79,57 +72,15 @@ class ProcessPoolSweepExecutor:
                 ]
                 for position, seed, future in futures:
                     try:
-                        metrics, capture = future.result(timeout=timeout_s)
+                        metrics, capture = future.result()
                         if capture is not None:
                             rec.take_in(capture, shard=f"s{seed}")
                         if isinstance(metrics, Exception):
                             raise metrics
-                    except FuturesTimeoutError as exc:
-                        outcome.broken = True
-                        outcome.failed.append(
-                            CellFailure(
-                                position=position,
-                                seed=seed,
-                                error=(
-                                    f"seed {seed} exceeded the {timeout_s}s budget"
-                                ),
-                                exception=exc,
-                                fatal=True,
-                            )
-                        )
-                    except BrokenProcessPool as exc:
-                        outcome.broken = True
-                        outcome.failed.append(
-                            CellFailure(
-                                position=position,
-                                seed=seed,
-                                error=(
-                                    f"worker process died while running seed {seed}"
-                                ),
-                                exception=exc,
-                                fatal=True,
-                            )
-                        )
                     except Exception as exc:
-                        outcome.failed.append(
-                            CellFailure(
-                                position=position,
-                                seed=seed,
-                                error=f"{type(exc).__name__}: {exc}",
-                                exception=exc,
-                            )
-                        )
+                        outcome.failed.append(CellFailure(position, seed, exc))
                     else:
-                        outcome.done.append(
-                            CellResult(
-                                position=position, seed=seed, metrics=metrics
-                            )
-                        )
+                        outcome.done.append(CellResult(position, seed, metrics))
             finally:
-                # A broken pool (dead or hung worker) cannot be drained;
-                # waiting on shutdown would block forever on the hung worker.
-                pool.shutdown(wait=not outcome.broken, cancel_futures=True)
+                pool.shutdown(cancel_futures=True)
         return outcome
-
-    def close(self) -> None:
-        """Pools are per-wave; nothing outlives :meth:`run_wave`."""

@@ -81,9 +81,3 @@ def small_random_scenario() -> Scenario:
 def paper_config() -> SimulationConfig:
     """The paper's default configuration with a small user count."""
     return SimulationConfig(n_users=10)
-
-
-@pytest.fixture
-def no_backoff(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Retry waves run back to back: the runner's backoff sleep returns at once."""
-    monkeypatch.setattr("repro.sim.runner.sleep", lambda seconds: None)

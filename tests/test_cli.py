@@ -1,10 +1,12 @@
 """Tests for the ``tsajs`` command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import _build_sweep, main
 from repro.errors import ConfigurationError
 from repro.sim.executors import ProcessPoolSweepExecutor
+from repro.sim.scenario import Scenario
 
 
 class TestList:
@@ -55,48 +57,56 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
 
+    def test_failing_seed_stops_the_run_without_a_table(self, capsys, monkeypatch):
+        """A seed that fails on every attempt is not dropped from the
+        table: its exception propagates and nothing reaches stdout."""
+        build = Scenario.build.__func__
+
+        def failing_build(cls, config, seed=0):
+            if seed == 2025:
+                raise RuntimeError("injected failure for seed 2025")
+            return build(cls, config, seed=seed)
+
+        monkeypatch.setattr(Scenario, "build", classmethod(failing_build))
+        with pytest.raises(RuntimeError, match="seed 2025"):
+            main(["run", "fig7", "--quick"])
+        assert capsys.readouterr().out == ""
+
+    def test_float_error_mode_does_not_leak(self, monkeypatch):
+        """Commands run with numpy raising on overflow; returning from
+        ``main`` restores the caller's error mode."""
+        import repro.cli
+
+        seen = []
+        monkeypatch.setattr(
+            repro.cli, "_dispatch", lambda args: seen.append(np.geterr()) or 0
+        )
+        before = np.geterr()
+        assert main(["list"]) == 0
+        assert seen[0]["over"] == "raise" and seen[0]["under"] == "ignore"
+        assert np.geterr() == before
+
 
 class TestBuildSweep:
     def test_one_worker_runs_serially(self):
-        sweep = _build_sweep(1, None, None, None, False)
-        assert sweep.executor is None and sweep.retry is None
+        sweep = _build_sweep(1, None, False)
+        assert sweep.executor is None and sweep.journal is None
 
     def test_several_workers_mean_the_pool(self):
-        sweep = _build_sweep(3, None, None, None, False)
+        sweep = _build_sweep(3, None, False)
         assert isinstance(sweep.executor, ProcessPoolSweepExecutor)
         assert sweep.executor.n_jobs == 3
 
-    def test_seed_timeout_selects_the_pool_even_with_one_worker(self):
-        """Only a separate process can be pre-empted: a serial sweep
-        would silently ignore the budget."""
-        sweep = _build_sweep(1, 1, 0.001, None, False)
-        assert isinstance(sweep.executor, ProcessPoolSweepExecutor)
-        assert sweep.executor.n_jobs == 1
-        assert sweep.retry.seed_timeout_s == 0.001
-        assert sweep.retry.max_attempts == 2
-
-    @pytest.mark.parametrize(
-        "retries, seed_timeout, attempts",
-        [(0, None, 1), (1, None, 2), (4, 2.0, 5), (None, 2.0, 3)],
-    )
-    def test_retries_count_after_the_first_attempt(
-        self, retries, seed_timeout, attempts
-    ):
-        """``--retries N`` allows N retries after the first attempt, so
-        0 records failures without retrying; ``--seed-timeout`` alone
-        keeps the default three attempts."""
-        sweep = _build_sweep(1, retries, seed_timeout, None, False)
-        assert sweep.retry.max_attempts == attempts
-        assert sweep.retry.seed_timeout_s == seed_timeout
-
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError, match="n_jobs"):
-            _build_sweep(0, None, None, None, False)
+            _build_sweep(0, None, False)
 
     def test_queue_flags_are_gone(self):
         for argv in (
             ["run", "fig7", "--backend", "pool"],
             ["run", "fig7", "--queue-dir", "q"],
+            ["run", "fig7", "--retries", "2"],
+            ["run", "fig7", "--seed-timeout", "1"],
             ["worker", "q"],
         ):
             with pytest.raises(SystemExit):
@@ -108,10 +118,10 @@ class TestInvalidSettings:
         "argv, message",
         [
             (["run", "fig3", "--quick", "--workers", "0"], "n_jobs must be >= 1"),
-            (["run", "fig3", "--quick", "--retries", "-1"], "max_attempts must be >= 1"),
+            (["solve", "--subbands", "0"], "n_subbands must be >= 1"),
             (
-                ["run", "fig3", "--quick", "--seed-timeout", "-1"],
-                "seed_timeout_s must be positive",
+                ["solve", "--schemes", "TSAJS-Shard", "--interference-radius", "-1"],
+                "interference_radius_km must be positive",
             ),
             (
                 ["solve", "--schemes", "TSAJS-Shard", "--cluster-radius", "-1"],

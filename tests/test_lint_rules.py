@@ -580,10 +580,9 @@ class TestR008TelemetryDiscipline:
     def test_obs_clock_idiom_passes(self, tmp_path):
         _write_tree(tmp_path, {
             "repro/core/x.py": (
-                "from repro.obs.clock import Stopwatch, sleep\n"
+                "from repro.obs.clock import Stopwatch\n"
                 "def run():\n"
                 "    watch = Stopwatch()\n"
-                "    sleep(0.0)\n"
                 "    return watch.elapsed()\n"
             ),
         })

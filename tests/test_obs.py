@@ -23,7 +23,6 @@ from repro.obs.clock import (
     default_clock,
     monotonic,
     set_default_clock,
-    sleep,
 )
 from repro.obs.metrics import HistogramStats, MetricsRegistry, metric_key
 from repro.obs.recorder import (
@@ -101,12 +100,6 @@ class TestClock:
         finally:
             set_default_clock(previous)
         assert isinstance(default_clock(), MonotonicClock)
-
-    def test_sleep_zero_and_negative_return_immediately(self):
-        watch = Stopwatch()
-        sleep(0.0)
-        sleep(-1.0)
-        assert watch.elapsed() < 0.5
 
 
 class TestRecorderState:

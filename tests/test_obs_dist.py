@@ -72,7 +72,6 @@ def _traced_sweep(telemetry_dir: Path, executor, clock=None):
             )
     finally:
         recorder.close()
-        executor.close()
     return result
 
 
@@ -203,11 +202,10 @@ class TestPoolBackendTracing:
         executor = ProcessPoolSweepExecutor(n_jobs=2)
         with use_recorder(recorder):
             outcome = executor.run_wave(
-                CONFIG, [RaisingScheduler()], [(0, 2025)], timeout_s=None
+                CONFIG, [RaisingScheduler()], [(0, 2025)]
             )
         (failure,) = outcome.failed
         assert isinstance(failure.exception, RuntimeError)
-        assert not failure.fatal
         records = recorder.records
         assert span_pairs_balanced(records)
         (task,) = [

@@ -19,8 +19,6 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.convergence import summarize_trace
@@ -36,7 +34,7 @@ from repro.obs.schema import span_pairs_balanced, validate_record
 from repro.obs.trace import TraceRecorder, events_named
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import child_rng
-from repro.sim.runner import RetryPolicy, run_schemes
+from repro.sim.runner import run_schemes
 from repro.sim.scenario import Scenario
 from tests.test_resilience import assert_identical_metrics
 
@@ -240,43 +238,7 @@ class TestRunnerTelemetry:
         assert len(events_named(recorder.records, "runner.run_schemes")) == 2
 
 
-@dataclasses.dataclass(frozen=True)
-class _AlwaysFails:
-    name: str = "Failing"
-
-    def schedule(self, scenario, rng):
-        raise RuntimeError("synthetic seed failure")
-
-
 class TestResilientPathEvents:
-    def test_seed_errors_and_failures_are_emitted(self, no_backoff):
-        recorder = TraceRecorder(clock=TickClock())
-        policy = RetryPolicy(max_attempts=2)
-        with use_recorder(recorder):
-            with pytest.raises(Exception):
-                run_schemes(CONFIG, [_AlwaysFails()], [1], retry=policy)
-        errors = events_named(recorder.records, "runner.seed_error")
-        assert len(errors) == 2  # one per attempt
-        assert all("synthetic" in e["attrs"]["error"] for e in errors)
-        failed = events_named(recorder.records, "runner.seed_failed")
-        assert len(failed) == 1
-        assert failed[0]["attrs"]["attempts"] == 2
-        snap = recorder.snapshot()
-        assert snap["counters"]["runner.seed_errors"] == 2.0
-        assert snap["counters"]["runner.seeds_failed"] == 1.0
-
-    def test_backoff_event_between_waves(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr("repro.sim.runner.sleep", slept.append)
-        recorder = TraceRecorder(clock=TickClock())
-        policy = RetryPolicy(max_attempts=3)
-        with use_recorder(recorder):
-            with pytest.raises(Exception):
-                run_schemes(CONFIG, [_AlwaysFails()], [1], retry=policy)
-        backoffs = events_named(recorder.records, "runner.backoff")
-        assert [b["attrs"]["attempt"] for b in backoffs] == [2, 3]
-        assert [b["attrs"]["delay_s"] for b in backoffs] == slept == [0.5, 1.0]
-
     def test_journal_hits_are_emitted(self, tmp_path):
         from repro.experiments.cache import ResultCache
 

@@ -1,16 +1,15 @@
-"""Tests for the crash-tolerant experiment harness.
+"""Tests for the sweep runner's failure policy: fail fast, resume from
+the journal.
 
-Exercises the failure handling of :func:`repro.sim.runner.run_schemes`:
-retry with backoff, per-seed timeouts, pool-to-serial graceful
-degradation after a worker death, structured :class:`SeedFailure`
-records, the fail-fast default, checkpointing into the result cache, and
-the acceptance property that an interrupted-then-resumed sweep
-reproduces an uninterrupted run's metrics exactly.
+Exercises :func:`repro.sim.runner.run_schemes`: the first failed seed
+re-raises its own exception on both backends, the seeds completed before
+it are checkpointed into the result cache, and an interrupted or failed
+sweep re-run with the same cache reproduces an uninterrupted run's
+metrics exactly.
 
 The fault-injecting schedulers below coordinate across processes through
 marker files (the only channel that survives a worker being killed), so
-every scenario — crash once, hang once, fail one seed forever — is
-deterministic and self-healing on retry.
+every scenario — crash once, fail one seed forever — is deterministic.
 """
 
 from __future__ import annotations
@@ -19,28 +18,20 @@ import dataclasses
 import math
 import os
 import tempfile
-import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.baselines import GreedyScheduler
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
-from repro.sim.runner import (
-    ExperimentResult,
-    RetryPolicy,
-    SeedFailure,
-    Sweep,
-    run_schemes,
-)
+from repro.sim.runner import ExperimentResult, Sweep, run_schemes
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
-
-pytestmark = pytest.mark.usefixtures("no_backoff")
 
 
 def _touch_unique(directory: str, prefix: str) -> None:
@@ -81,21 +72,6 @@ class CrashOnceScheduler:
         if not crashed.exists():
             crashed.touch()
             os._exit(13)
-        return GreedyScheduler().schedule(scenario, rng)
-
-
-@dataclass(frozen=True)
-class HangOnceScheduler:
-    """Sleeps far past the seed timeout on the first call ever."""
-
-    marker_dir: str
-    name: str = "HangOnce"
-
-    def schedule(self, scenario, rng):
-        hung = Path(self.marker_dir) / "hung"
-        if not hung.exists():
-            hung.touch()
-            time.sleep(4.0)
         return GreedyScheduler().schedule(scenario, rng)
 
 
@@ -141,25 +117,6 @@ def assert_identical_metrics(a: ExperimentResult, b: ExperimentResult) -> None:
                     assert u == v, (name, fieldname, u, v)
 
 
-class TestRetryPolicy:
-    def test_defaults_valid(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert policy.seed_timeout_s is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"seed_timeout_s": 0.0},
-            {"seed_timeout_s": -1.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(**kwargs)
-
-
 class TestResultAccessors:
     """Satellite: unknown schemes raise a descriptive error, not KeyError."""
 
@@ -201,49 +158,8 @@ class TestResultAccessors:
         with pytest.raises(ConfigurationError, match="none recorded"):
             result.utilities("Greedy")
 
-    def test_completed_seeds_excludes_failures(self):
-        result = ExperimentResult(config=CONFIG, seeds=[0, 1, 2])
-        result.failures = [SeedFailure(seed=1, attempts=3, error="boom")]
-        assert result.completed_seeds == [0, 2]
-
 
 class TestResilientSerial:
-    def test_resilient_path_matches_legacy(self):
-        schedulers = [GreedyScheduler()]
-        seeds = [0, 1, 2]
-        legacy = run_schemes(CONFIG, schedulers, seeds)
-        resilient = run_schemes(
-            CONFIG, schedulers, seeds, retry=RetryPolicy()
-        )
-        assert resilient.failures == []
-        assert_identical_metrics(legacy, resilient)
-
-    def test_permanent_failure_recorded_not_fatal(self):
-        # Serial execution would die with the worker on os._exit, so the
-        # serial case uses the exception-based poison scheduler instead.
-        poison = PoisonScheduler(poison=_poison_value(1))
-        result = run_schemes(
-            CONFIG,
-            [poison],
-            [0, 1, 2],
-            retry=RetryPolicy(max_attempts=2),
-        )
-        assert [f.seed for f in result.failures] == [1]
-        assert result.completed_seeds == [0, 2]
-        assert len(result.metrics["Poison"]) == 2
-        failure = result.failures[0]
-        assert failure.attempts == 2
-        assert "RuntimeError" in failure.error
-
-    def test_all_seeds_failing_raises_solver_error(self):
-        with pytest.raises(SolverError, match="all 2 seeds failed"):
-            run_schemes(
-                CONFIG,
-                [AlwaysFailScheduler()],
-                [0, 1],
-                retry=RetryPolicy(max_attempts=2),
-            )
-
     def test_default_policy_fails_fast(self):
         with pytest.raises(RuntimeError, match="never works"):
             run_schemes(CONFIG, [AlwaysFailScheduler()], [0, 1])
@@ -281,42 +197,31 @@ class TestResilientSerial:
 
 @pytest.mark.slow
 class TestResilientPool:
-    def test_worker_death_degrades_to_serial(self, tmp_path):
-        """A SIGKILL'd worker breaks the pool; the wave retries serially
-        and the final metrics match a crash-free run exactly."""
-        crash_dir = tmp_path / "crash"
-        clean_dir = tmp_path / "clean"
-        crash_dir.mkdir()
-        clean_dir.mkdir()
-        # Pre-crashed marker: this instance never actually crashes.
-        (clean_dir / "crashed").touch()
-
-        seeds = [0, 1]
-        crashed = run_schemes(
+    def test_worker_death_raises_and_the_cache_resumes(self, tmp_path):
+        """A worker killed mid-sweep fails the run with BrokenProcessPool;
+        re-running with the same cache finishes it, with every metric
+        equal to a serial run's."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        scheduler = CrashOnceScheduler(marker_dir=str(markers))
+        seeds = [0, 1, 2]
+        with pytest.raises(BrokenProcessPool):
+            run_schemes(
+                CONFIG,
+                [scheduler],
+                seeds,
+                journal=ResultCache(tmp_path / "cache"),
+                executor=ProcessPoolSweepExecutor(n_jobs=2),
+            )
+        assert (markers / "crashed").exists()
+        resumed = run_schemes(
             CONFIG,
-            [CrashOnceScheduler(marker_dir=str(crash_dir))],
+            [scheduler],
             seeds,
+            journal=ResultCache(tmp_path / "cache"),
             executor=ProcessPoolSweepExecutor(n_jobs=2),
-            retry=RetryPolicy(max_attempts=3),
         )
-        clean = run_schemes(
-            CONFIG, [CrashOnceScheduler(marker_dir=str(clean_dir))], seeds
-        )
-        assert crashed.failures == []
-        assert crashed.completed_seeds == seeds
-        assert_identical_metrics(clean, crashed)
-
-    def test_hung_worker_trips_timeout_and_recovers(self, tmp_path):
-        seeds = [0, 1]
-        result = run_schemes(
-            CONFIG,
-            [HangOnceScheduler(marker_dir=str(tmp_path))],
-            seeds,
-            executor=ProcessPoolSweepExecutor(n_jobs=2),
-            retry=RetryPolicy(max_attempts=3, seed_timeout_s=0.5),
-        )
-        assert result.failures == []
-        assert result.completed_seeds == seeds
+        assert_identical_metrics(run_schemes(CONFIG, [scheduler], seeds), resumed)
 
 
 class TestJournalIntegration:
@@ -398,9 +303,9 @@ class TestJournalIntegration:
 
     def test_runner_object_passthrough(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        sweep = Sweep(retry=RetryPolicy(), journal=cache)
+        sweep = Sweep(journal=cache)
         result = sweep.run(CONFIG, [GreedyScheduler()], [0, 1])
-        assert result.failures == []
+        assert result.seeds == [0, 1]
         assert len(cache) == 2
 
     def test_module_default_journal_installed_and_cleared(self, tmp_path):
@@ -415,12 +320,7 @@ class TestJournalIntegration:
     def test_failed_seed_never_journaled(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         poison = PoisonScheduler(poison=_poison_value(1))
-        result = run_schemes(
-            CONFIG,
-            [poison],
-            [0, 1],
-            retry=RetryPolicy(max_attempts=2),
-            journal=cache,
-        )
-        assert [f.seed for f in result.failures] == [1]
+        with pytest.raises(RuntimeError, match="poisoned seed"):
+            run_schemes(CONFIG, [poison], [0, 1], journal=cache)
+        assert cache.lookup_seed(CONFIG, [poison], 1) is None
         assert len(cache) == 1

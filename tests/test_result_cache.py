@@ -131,7 +131,7 @@ class TestWarmRuns:
                 CONFIG, [GreedyScheduler()], [1, 2], journal=cache
             )
         assert warm.snapshot() == {}
-        assert not result.failures
+        assert len(result.metrics["Greedy"]) == 2
 
     def test_partially_warm_run_draws_only_missing_seeds(self, tmp_path):
         marker = tmp_path / "markers"
@@ -286,19 +286,17 @@ class TestCliCache:
         assert len(ResultCache(cache_dir)) == n_entries
 
     def test_cli_flags_do_not_leak_into_later_runs(self, tmp_path, capsys):
-        """--cache/--retries apply to that run only: a later plain
-        run_schemes call in the same process fails fast on its first
-        attempt and writes nothing to the cache."""
+        """--cache applies to that run only: a later plain run_schemes
+        call in the same process writes nothing to the cache."""
         from repro.cli import main
 
         cache_dir = tmp_path / "cache"
         argv = ["run", "fig9", "--quick", "--cache", str(cache_dir)]
-        assert main([*argv, "--retries", "2"]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
         n_entries = len(ResultCache(cache_dir))
-        with pytest.raises(RuntimeError, match="never works") as raised:
+        with pytest.raises(RuntimeError, match="never works"):
             run_schemes(CONFIG, [AlwaysFailScheduler()], [0, 1])
-        assert type(raised.value) is RuntimeError  # not a retry summary
         assert len(ResultCache(cache_dir)) == n_entries
 
     def test_no_resume_requires_a_store(self, capsys):
