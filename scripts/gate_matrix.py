@@ -50,6 +50,7 @@ GROUPS: Dict[str, Tuple[str, ...]] = {
     "equivalence": (
         "tests/test_batch_equivalence.py::TestPaperScaleBitwiseIdentity::test_delta_matches_scalar",
         "tests/test_delta_objective.py::TestMoveSequences",
+        "tests/test_delta_objective.py::TestLambdaMemo",
         "tests/test_delta_objective.py::TestSchedulerTrajectoryEquality",
         "tests/test_default_delta_path.py::TestDefaultsMatchOracle::test_tsajs_scheduler",
         "tests/test_default_delta_path.py::TestDefaultsMatchOracle::test_standard_schedulers",
@@ -179,6 +180,14 @@ HAZARDS: Tuple[Hazard, ...] = (
         "core/objective.py",
         "        return float(net.sum()) - lambda_cost\n",
         "        return float(net[::-1].sum()) - lambda_cost\n",
+    ),
+    Hazard(
+        "a server's root sum added in descending-user order",
+        "core/delta.py",
+        "                for u in server_users[srv]:\n"
+        "                    total += sqrt_eta[u]\n",
+        "                for u in reversed(server_users[srv]):\n"
+        "                    total += sqrt_eta[u]\n",
     ),
     Hazard(
         "set of hashed strings orders the `+=` of Eq. 23",

@@ -158,7 +158,7 @@ class BatchEvaluator(DeltaEvaluator):
         band_users, rx_rows = self._band_users, self._rx_rows
         signal_list = self._signal
         dead = self._dead
-        p_list, gain_rows = self._p_list, self._gain_rows
+        rx_table = self._rx_table
         sqrt_eta_list = self._sqrt_eta_list
         noise = self._noise
 
@@ -213,8 +213,7 @@ class BatchEvaluator(DeltaEvaluator):
                 cand_server[u] = new_server
                 if new_server != LOCAL:
                     insort(occupants_of[new_band], u)
-                    p = p_list[u]
-                    local_rows[u] = [g * p for g in gain_rows[u][new_band]]
+                    local_rows[u] = rx_table[u][new_band]
 
             # Rebuild each touched bucket as the ascending-user sequential
             # sum of its occupants' rows (invariant 1 of the delta

@@ -7,10 +7,13 @@ whole ``O(U·S·N)`` link-stats computation from scratch.
 :class:`DeltaEvaluator` instead caches, for the last evaluated assignment,
 
 * the per-user received-power rows ``rx[u][s] = p_u · h[u, s, j_u]``,
+  drawn from a per-evaluator table of every user's row on every band,
 * the per-``(sub-band, server)`` total received power (Eq. 3's
   interference bookkeeping), with the occupant set of every sub-band,
 * the per-user spectral efficiency, net benefit (gain minus
   communication cost) and the masked ``Σ√η`` KKT inputs,
+* the offloaders of each server and that server's ``Σ√η`` root sum,
+  with a memo of ``Λ(X, F*)`` keyed on the root-sum vector,
 
 and on the next call recomputes only what a move can change: the SINR of
 users sharing a touched sub-band, the occupancy buckets of those bands,
@@ -40,15 +43,25 @@ baselines.  Three invariants make this work; keep them in lockstep with
    computation.  The one exception is ``log2``, whose numpy SIMD kernel
    differs from libm's — it therefore stays a (small, batched) numpy
    call;
-3. the final reductions run over the same fixed-length masked arrays
-   (``net``, ``√η`` weights, server indices) with the same pairwise
-   order as the full path (``np.add.reduce`` / ``np.bincount``).
+3. the ``net`` reduction runs over the same fixed-length masked array
+   with the same pairwise kernel as the full path (``np.add.reduce``).
+   Each server's root sum ``Σ√η`` is a *sequential, ascending-user*
+   sum of Python floats over that server's offloaders, starting at
+   ``0.0`` — the per-bin order of the full path's ``np.bincount``,
+   whose ``+0.0`` entries for local users change no bits.  ``Λ``
+   itself stays numpy's ``np.add.reduce(rs * rs / cpu_hz)`` over those
+   sums (Python adds do not reproduce numpy's reduce on short arrays),
+   memoised per evaluator on the exact tuple of root sums: the same
+   input bits always give the same numpy output, so a memo hit is
+   exact by construction.  The memo stops growing at
+   ``LAMBDA_MEMO_CAP`` entries.
 
 Most cache state is kept in plain Python lists rather than numpy arrays:
 the per-move working set is a handful of scalars, where list indexing
-beats numpy scalar indexing by an order of magnitude.  The price is an
-extra Python-native copy of the gain tensor (``U·N·S`` floats), paid
-once per scenario.
+beats numpy scalar indexing by an order of magnitude.  The price is a
+Python-native table of every user's received-power row on every band
+(``U·N·S`` floats, ``p_u · h[u, s, j]``: one IEEE product each, the
+full path's own), paid once per scenario.
 
 Touched-set protocol
 --------------------
@@ -72,7 +85,7 @@ vector diff.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -81,6 +94,10 @@ from repro.core.objective import ObjectiveEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.scenario import Scenario
+
+#: Entries after which an evaluator's ``Λ`` memo stops inserting.  A
+#: paper-scale solve sees well under a thousand distinct root-sum vectors.
+LAMBDA_MEMO_CAP = 4096
 
 
 class DeltaEvaluator(ObjectiveEvaluator):
@@ -115,15 +132,21 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # indexing returns ready-made floats, numpy scalar indexing
         # allocates a wrapper object each time.  float() is exact, so
         # scalar arithmetic on these matches numpy's kernels bitwise.
-        self._p_list = scenario.tx_power_watts.tolist()
         self._sqrt_eta_list = scenario.sqrt_eta.tolist()
         self._comm_list = scenario.comm_weight.tolist()
         self._gain_list = scenario.offload_gain.tolist()
         self._noise = float(scenario.noise_watts)
         self._n_servers = scenario.n_servers
         self._cpu_hz = scenario.server_cpu_hz
-        #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
-        self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
+        #: ``_rx_table[u][j][s]`` = ``p_u · h[u, s, j]``, band-major: user
+        #: ``u``'s received-power row when it transmits on sub-band ``j``.
+        #: Rows are shared, never mutated.
+        self._rx_table: List[List[List[float]]] = (
+            scenario.gains.transpose(0, 2, 1)
+            * scenario.tx_power_watts[:, None, None]
+        ).tolist()
+        #: ``Λ(X, F*)`` by the exact tuple of per-server root sums.
+        self._lambda_memo: Dict[Tuple[float, ...], float] = {}
         self.rebuild()
 
     # --- Cache lifecycle ---------------------------------------------------
@@ -142,8 +165,13 @@ class DeltaEvaluator(ObjectiveEvaluator):
         self._signal = [0.0] * n_users
         self._se = [0.0] * n_users
         self._net = np.zeros(n_users)
+        #: The full path's masked ``√η`` weights and server indices; only
+        #: the batch evaluator's per-candidate ``np.bincount`` reads them.
         self._w = np.zeros(n_users)
         self._idx = np.zeros(n_users, dtype=np.int64)
+        #: Offloaders of each server, kept sorted ascending (invariant 3).
+        self._server_users: List[List[int]] = [[] for _ in range(sc.n_servers)]
+        self._root_sums = [0.0] * sc.n_servers
         self._dead = [False] * n_users
         self._n_dead = 0
         self._n_offloaded = 0
@@ -194,8 +222,8 @@ class DeltaEvaluator(ObjectiveEvaluator):
             if u in seen:  # touched sets are tiny; a set() costs more
                 continue
             seen.append(u)
-            new_server = int(server[u])
-            new_channel = int(channel[u])
+            new_server = server.item(u)
+            new_channel = channel.item(u)
             if server_list[u] != new_server or channel_list[u] != new_channel:
                 changed.append((u, new_server, new_channel))
         return changed
@@ -205,13 +233,16 @@ class DeltaEvaluator(ObjectiveEvaluator):
     def _apply(self, changed: List[Tuple[int, int, int]]) -> None:
         server_list, channel_list = self._server_list, self._channel_list
         rx_rows = self._rx_rows
-        bands = set()
+        server_users = self._server_users
+        bands: List[int] = []
+        servers: List[int] = []
         # Detach every changed user from its old slot first, so the band
         # occupant lists never hold a stale entry while new ones insert.
         for u, _, _ in changed:
             if server_list[u] != LOCAL:
                 old_band = channel_list[u]
-                bands.add(old_band)
+                if old_band not in bands:
+                    bands.append(old_band)
                 self._band_users[old_band].remove(u)
                 self._n_offloaded -= 1
                 if self._dead[u]:
@@ -225,41 +256,58 @@ class DeltaEvaluator(ObjectiveEvaluator):
                 # The masked KKT inputs change only on offload-state or
                 # server changes; pure channel moves keep Lambda intact.
                 self._kkt_dirty = True
+                if old_server != LOCAL:
+                    server_users[old_server].remove(u)
+                    if old_server not in servers:
+                        servers.append(old_server)
                 if new_server == LOCAL:
                     self._w[u] = 0.0
                     self._idx[u] = 0
                 else:
                     self._w[u] = self._sqrt_eta_list[u]
                     self._idx[u] = new_server
+                    insort(server_users[new_server], u)
+                    if new_server not in servers:
+                        servers.append(new_server)
             if new_server == LOCAL:
                 self._signal[u] = 0.0
                 self._se[u] = 0.0
                 self._net[u] = 0.0
             else:
-                bands.add(new_band)
+                if new_band not in bands:
+                    bands.append(new_band)
                 insort(self._band_users[new_band], u)
                 self._n_offloaded += 1
-                p = self._p_list[u]
-                row = [g * p for g in self._gain_rows[u][new_band]]
+                row = self._rx_table[u][new_band]
                 rx_rows[u] = row
                 self._signal[u] = row[new_server]
+        if servers:
+            # Sequential ascending-user sums from 0.0: np.bincount's
+            # per-bin order on the full path (invariant 3).
+            root_sums = self._root_sums
+            sqrt_eta = self._sqrt_eta_list
+            for srv in servers:
+                total = 0.0
+                for u in server_users[srv]:
+                    total += sqrt_eta[u]
+                root_sums[srv] = total
         # Rebuild the received-power buckets of every touched band by
         # summing occupant rows in ascending-user order — the order
         # np.add.at accumulates in on the full path (invariant 1).  Bands
-        # are visited in sorted order: each bucket is rebuilt independently,
-        # so the order cannot change values, only make it deterministic.
+        # are visited in first-touched order: each bucket is rebuilt
+        # independently, so the order cannot change values.
         total_rx = self._total_rx
         external = self._external_rows
         affected: List[int] = []
-        for band in sorted(bands):
+        for band in bands:
             occupants = self._band_users[band]
             if occupants:
                 first = iter(occupants)
-                bucket = list(rx_rows[next(first)])
+                # Buckets, like rx rows, are replaced and never mutated,
+                # so a lone occupant's row can serve as its band's bucket.
+                bucket = rx_rows[next(first)]
                 for u in first:
-                    row = rx_rows[u]
-                    for s, value in enumerate(row):
-                        bucket[s] += value
+                    bucket = [b + r for b, r in zip(bucket, rx_rows[u])]
                 if external is not None:
                     # After the occupant sum, as compute_link_stats adds
                     # external_rx to the summed buckets (invariant 1).
@@ -288,21 +336,20 @@ class DeltaEvaluator(ObjectiveEvaluator):
         signal_list = self._signal
         total_rx = self._total_rx
         noise = self._noise
-        sinr = [0.0] * len(affected)
-        for i, u in enumerate(affected):
+        one_plus_sinr: List[float] = []
+        for u in affected:
             sig = signal_list[u]
             interference = total_rx[channel_list[u]][server_list[u]] - sig
             if interference <= 0.0:  # matches np.maximum(x, 0.0)
                 interference = 0.0
-            sinr[i] = sig / (interference + noise)
-        # 1 + SINR is one IEEE add, the same in Python as in numpy.
-        se = np.log2([1.0 + value for value in sinr]).tolist()
+            # 1 + SINR is one IEEE add, the same in Python as in numpy.
+            one_plus_sinr.append(1.0 + sig / (interference + noise))
+        se = np.log2(one_plus_sinr).tolist()
         se_list = self._se
         net = self._net
         dead = self._dead
         gain_list, comm_list = self._gain_list, self._comm_list
-        for i, u in enumerate(affected):
-            se_u = se[i]
+        for u, se_u in zip(affected, se):
             se_list[u] = se_u
             if se_u > 0.0:
                 if dead[u]:
@@ -321,19 +368,22 @@ class DeltaEvaluator(ObjectiveEvaluator):
     def _settle_kkt(self) -> None:
         """Recompute the cached ``Lambda(X, F*)`` cost if it is stale.
 
-        The recomputation runs over the same fixed-length masked arrays
-        as the full path, so settling at any time is exact; the batch
-        evaluator calls this before staging so clean candidates can reuse
-        ``_lambda_cost`` even when ``_value`` early-returned (all-local or
-        dead-user incumbents skip the lazy settle below).
+        The root sums are kept current by :meth:`_apply`, so settling at
+        any time is exact (invariant 3); the batch evaluator calls this
+        before staging so clean candidates can reuse ``_lambda_cost``
+        even when ``_value`` early-returned (all-local or dead-user
+        incumbents skip the lazy settle below).
         """
         if self._kkt_dirty:
-            root_sums = np.bincount(
-                self._idx, weights=self._w, minlength=self._n_servers
-            )
-            self._lambda_cost = float(
-                np.add.reduce(root_sums * root_sums / self._cpu_hz)
-            )
+            key = tuple(self._root_sums)
+            memo = self._lambda_memo
+            cost = memo.get(key)
+            if cost is None:
+                root_sums = np.array(key)
+                cost = float(np.add.reduce(root_sums * root_sums / self._cpu_hz))
+                if len(memo) < LAMBDA_MEMO_CAP:
+                    memo[key] = cost
+            self._lambda_cost = cost
             self._kkt_dirty = False
 
     def _value(self) -> float:
@@ -343,7 +393,7 @@ class DeltaEvaluator(ObjectiveEvaluator):
             return float("-inf")
         # Identical reductions to the full path (invariant 3):
         # np.add.reduce is exactly ndarray.sum's pairwise kernel.  The
-        # KKT cost is recomputed from the same masked arrays whenever
-        # they changed, so caching it across channel-only moves is exact.
+        # KKT cost is re-settled from the root sums whenever they
+        # changed, so caching it across channel-only moves is exact.
         self._settle_kkt()
         return float(np.add.reduce(self._net)) - self._lambda_cost

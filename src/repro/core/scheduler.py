@@ -94,6 +94,12 @@ def resolve_use_delta(use_delta: Optional[bool], use_batch: bool) -> bool:
     return not use_batch if use_delta is None else use_delta
 
 
+def check_batch_size(batch_size: int) -> None:
+    """Reject a batch width below one (``ConfigurationError``)."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+
+
 @runtime_checkable
 class Scheduler(Protocol):
     """Common interface implemented by TSAJS and every baseline."""
@@ -158,8 +164,7 @@ class TsajsScheduler:
         ] = None,
     ) -> None:
         use_delta = resolve_use_delta(use_delta, use_batch)
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        check_batch_size(batch_size)
         self.schedule_params = schedule if schedule is not None else AnnealingSchedule()
         self.neighborhood = (
             neighborhood if neighborhood is not None else NeighborhoodSampler()

@@ -61,6 +61,7 @@ from repro.core.scheduler import (
     DEFAULT_BATCH_SIZE,
     ScheduleResult,
     TsajsScheduler,
+    check_batch_size,
     resolve_use_delta,
 )
 from repro.errors import ConfigurationError
@@ -121,6 +122,7 @@ class ShardedScheduler:
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         validate_radii(cluster_radius_km, interference_radius_km)
+        check_batch_size(batch_size)
         if max_reconcile_rounds < 0:
             raise ConfigurationError(
                 "max_reconcile_rounds must be non-negative, got "

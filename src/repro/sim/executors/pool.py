@@ -20,7 +20,7 @@ records.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
@@ -50,7 +50,14 @@ class ProcessPoolSweepExecutor:
         config: SimulationConfig,
         schedulers: Sequence[Scheduler],
         cells: Sequence[Cell],
+        on_done: Optional[Callable[[CellResult], None]] = None,
     ) -> WaveOutcome:
+        """Attempt every cell once; report per-cell outcomes.
+
+        ``on_done`` receives each completed cell as its future resolves,
+        in cell order and before the next future is awaited, so the
+        runner can journal it while later cells are still running.
+        """
         from concurrent.futures import ProcessPoolExecutor
 
         outcome = WaveOutcome()
@@ -80,7 +87,10 @@ class ProcessPoolSweepExecutor:
                     except Exception as exc:
                         outcome.failed.append(CellFailure(position, seed, exc))
                     else:
-                        outcome.done.append(CellResult(position, seed, metrics))
+                        done = CellResult(position, seed, metrics)
+                        outcome.done.append(done)
+                        if on_done is not None:
+                            on_done(done)
             finally:
                 pool.shutdown(cancel_futures=True)
         return outcome

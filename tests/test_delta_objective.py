@@ -12,13 +12,15 @@ so the next evaluation carries the rejected touched set), plus unhinted
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.annealing import AnnealingSchedule
 from repro.core.batch import BatchEvaluator
 from repro.core.decision import LOCAL, OffloadingDecision
-from repro.core.delta import DeltaEvaluator
+from repro.core.delta import LAMBDA_MEMO_CAP, DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
@@ -303,6 +305,90 @@ class TestExternalInterference:
         scenario = random_scenario(4, 2, 3, 1)
         with pytest.raises(ConfigurationError):
             BatchEvaluator(scenario, external_rx=np.zeros((3, 2)))
+
+
+def full_path_lambda(scenario, decision):
+    """``Λ(X, F*)`` by the full path's own expression (``_score_assignment``)."""
+    mask = decision.server != LOCAL
+    root_sums = np.bincount(
+        np.where(mask, decision.server, 0),
+        weights=np.where(mask, scenario.sqrt_eta, 0.0),
+        minlength=scenario.n_servers,
+    )
+    return float((root_sums * root_sums / scenario.server_cpu_hz).sum())
+
+
+def heterogeneous_scenario(n_users, n_servers, n_subbands, seed):
+    """A random instance whose users differ in CPU speed, so their ``√η``
+    differ and the order of a server's root sum shows in its bits (the
+    paper's identical tasks give every user the same ``√η``)."""
+    base = random_scenario(n_users, n_servers, n_subbands, seed)
+    scale = np.random.default_rng(seed).uniform(0.5, 2.0, size=n_users)
+    users = [replace(u, cpu_hz=u.cpu_hz * f) for u, f in zip(base.users, scale.tolist())]
+    return Scenario.from_parts(
+        users, base.servers, base.gains, base.ofdma.total_bandwidth_hz, base.noise_watts
+    )
+
+
+def settled_lambda(delta):
+    delta._settle_kkt()
+    return delta._lambda_cost
+
+
+class TestLambdaMemo:
+    """Per-server root sums and the exact ``Λ`` memo (invariant 3)."""
+
+    @pytest.mark.parametrize("with_external", [False, True], ids=["plain", "external"])
+    @pytest.mark.parametrize("cap_reached", [False, True], ids=["memo", "capped"])
+    def test_memo_hit_equals_miss(self, with_external, cap_reached):
+        scenario = heterogeneous_scenario(12, 4, 3, 17)
+        rng = np.random.default_rng(17)
+        external_rx = random_external_rx(scenario, rng) if with_external else None
+        sampler = NeighborhoodSampler()
+        full = ObjectiveEvaluator(scenario, external_rx=external_rx)
+        delta = DeltaEvaluator(scenario, external_rx=external_rx)
+        memo = delta._lambda_memo
+        if cap_reached:
+            # Keys no walk can produce (root sums are never negative).
+            memo.update(
+                ((-1.0 - i,) * scenario.n_servers, 0.0) for i in range(LAMBDA_MEMO_CAP)
+            )
+        current = OffloadingDecision.random_feasible(12, 4, 3, rng)
+        delta.evaluate(current)
+        delta_server = current.server
+        carry = ()
+        kinds = {"server": 0, "channel": 0}
+        hits = 0
+        for step in range(300):
+            candidate, touched = sampler.propose_move(current, rng)
+            # The cache sits on the last evaluated candidate, not on
+            # ``current``, after a rejection.
+            server_move = not np.array_equal(candidate.server, delta_server)
+            kinds["server" if server_move else "channel"] += 1
+            size_before = len(memo)
+            got = delta.evaluate_move(candidate, touched + carry)
+            assert got == full.evaluate(candidate), f"step {step}"
+            np.testing.assert_array_equal(
+                np.asarray(delta._root_sums),
+                np.bincount(delta._idx, weights=delta._w, minlength=scenario.n_servers),
+            )
+            fresh = DeltaEvaluator(scenario, external_rx=external_rx)
+            fresh.evaluate(candidate)
+            cost = settled_lambda(delta)
+            assert cost == settled_lambda(fresh) == full_path_lambda(scenario, candidate)
+            if server_move and tuple(delta._root_sums) in memo:
+                hits += len(memo) == size_before
+            delta_server = candidate.server
+            if rng.random() < 0.5:
+                current, carry = candidate, ()
+            else:
+                carry = touched
+        assert kinds["server"] and kinds["channel"]
+        if cap_reached:
+            # Full: every server move is a miss, computed and not kept.
+            assert len(memo) == LAMBDA_MEMO_CAP and not hits
+        else:
+            assert hits and 0 < len(memo) < LAMBDA_MEMO_CAP
 
 
 class TestSchedulerTrajectoryEquality:

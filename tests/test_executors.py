@@ -13,17 +13,21 @@ bit-flipped entry is quarantined and recomputed.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines import GreedyScheduler
 from repro.errors import ConfigurationError
+from repro.experiments.cache import ResultCache
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor, SerialExecutor
 from repro.sim.runner import run_schemes
+from repro.sim.scenario import Scenario
 from tests.test_resilience import assert_identical_metrics
 
 CONFIG = SimulationConfig(n_users=4, n_servers=2, n_subbands=2)
@@ -42,6 +46,40 @@ class CrashOnceScheduler:
             crashed.touch()
             os._exit(13)
         return GreedyScheduler().schedule(scenario, rng)
+
+
+@dataclass(frozen=True)
+class AwaitJournalScheduler:
+    """Greedy, except that any seed but ``first_seed`` waits (up to
+    ``timeout_s``) until the journal has recorded ``first_seed``."""
+
+    marker_dir: str
+    first_seed: int
+    timeout_s: float = 10.0
+    name: str = "AwaitJournal"
+
+    def schedule(self, scenario, rng):
+        first = Scenario.build(CONFIG, seed=self.first_seed)
+        if not np.array_equal(scenario.gains, first.gains):
+            marker = Path(self.marker_dir) / f"recorded-{self.first_seed}"
+            deadline = time.monotonic() + self.timeout_s
+            while not marker.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"seed {self.first_seed} was never journaled")
+                time.sleep(0.01)
+        return GreedyScheduler().schedule(scenario, rng)
+
+
+class MarkingCache(ResultCache):
+    """A result cache that also drops a marker file per recorded seed."""
+
+    def __init__(self, root, marker_dir):
+        super().__init__(root)
+        self.marker_dir = Path(marker_dir)
+
+    def record_seed(self, config, schedulers, seed, metrics):
+        super().record_seed(config, schedulers, seed, metrics)
+        (self.marker_dir / f"recorded-{seed}").touch()
 
 
 @dataclass(frozen=True)
@@ -135,3 +173,20 @@ class TestExecutorViaRunSchemes:
             executor=ProcessPoolSweepExecutor(n_jobs=2),
         )
         assert_identical_metrics(baseline, result)
+
+    def test_pool_journals_each_cell_as_it_completes(self, tmp_path):
+        """Seed 2's cell runs only once seed 1 is in the journal, so a
+        pool that journals at the end of its wave times the cell out."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        cache = MarkingCache(tmp_path / "c", markers)
+        schedulers = [AwaitJournalScheduler(str(markers), first_seed=1)]
+        result = run_schemes(
+            CONFIG,
+            schedulers,
+            [1, 2],
+            journal=cache,
+            executor=ProcessPoolSweepExecutor(n_jobs=2),
+        )
+        assert len(result.metrics["AwaitJournal"]) == 2
+        assert cache.lookup_seed(CONFIG, schedulers, 2) is not None

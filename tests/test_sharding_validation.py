@@ -50,6 +50,13 @@ def test_config_level_rejection():
         ShardedScheduler(max_reconcile_rounds=-1)
 
 
+def test_batch_size_rejected_at_construction():
+    # Same check and message as TsajsScheduler, before any schedule().
+    for batch_size in (0, -3):
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            ShardedScheduler(use_batch=True, batch_size=batch_size)
+
+
 def test_paper_defaults_are_clean():
     """U=30/S=9/1 km spacing: received power at the 1 km cutoff sits
     ~30 dB below the noise floor, so no hazard fires."""
