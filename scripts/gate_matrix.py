@@ -56,6 +56,10 @@ GROUPS: Dict[str, Tuple[str, ...]] = {
         "tests/test_default_delta_path.py::TestDefaultsMatchOracle::test_standard_schedulers",
         "tests/test_sharded_equivalence.py::test_single_cluster_bitwise_identical",
     ),
+    "rng": (
+        "tests/test_rng.py::TestDirectDraws",
+        "tests/test_annealing.py::TestMetropolisScreen",
+    ),
     "golden": ("tests/test_golden_trajectories.py",),
     "pool-vs-serial": (
         "tests/test_parallel_runner.py::test_parallel_bitwise_identical_to_serial",
@@ -188,6 +192,18 @@ HAZARDS: Tuple[Hazard, ...] = (
         "                    total += sqrt_eta[u]\n",
         "                for u in reversed(server_users[srv]):\n"
         "                    total += sqrt_eta[u]\n",
+    ),
+    Hazard(
+        "`DirectDraws` rewinds one word too few on close",
+        "sim/rng.py",
+        "            bit_generator.advance(_TWO_128 - unused)\n",
+        "            bit_generator.advance(_TWO_128 - unused + 1)\n",
+    ),
+    Hazard(
+        "Metropolis decided by `math.exp` inside the band",
+        "core/annealing.py",
+        "    return bool(np.exp(x) > u)\n",
+        "    return e > u\n",
     ),
     Hazard(
         "set of hashed strings orders the `+=` of Eq. 23",

@@ -110,22 +110,22 @@ class LocalSearchScheduler:
         )
         current_value = evaluator.evaluate(current)
         stale = 0
-        draws = DirectDraws(rng)
         # The annealer's carry protocol: a rejected candidate stays in the
         # evaluator's cache, so the next move also touches its users.
         rejected: Move = []
-        for _ in range(self.max_iterations):
-            move = self.neighborhood.move(current, draws)
-            candidate_value = score_move(evaluator, current, move, rejected)
-            if candidate_value > current_value:
-                current, current_value = current.with_move(move), candidate_value
-                stale = 0
-                rejected = []
-            else:
-                rejected = move
-                stale += 1
-                if stale >= self.patience:
-                    break
+        with DirectDraws(rng) as draws:
+            for _ in range(self.max_iterations):
+                move = self.neighborhood.move(current, draws)
+                candidate_value = score_move(evaluator, current, move, rejected)
+                if candidate_value > current_value:
+                    current, current_value = current.with_move(move), candidate_value
+                    stale = 0
+                    rejected = []
+                else:
+                    rejected = move
+                    stale += 1
+                    if stale >= self.patience:
+                        break
 
         # Prefer all-local over a negative-utility plan (Sec. III-A-4).
         if current_value < 0.0:

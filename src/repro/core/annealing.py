@@ -25,13 +25,16 @@ from the incumbent (Algorithm 2, :mod:`repro.core.neighborhood`) rather
 than a new state: the move is scored against the incumbent in place, and
 a new state is built only when the move is accepted.  The Metropolis
 uniform and the moves' draws go through one
-:class:`~repro.sim.rng.DirectDraws` bound per run, which returns what
+:class:`~repro.sim.rng.DirectDraws` scope per run, which returns what
 ``rng.random()`` and ``rng.integers(n)`` would, on the same stream, so
-the trajectory is the one those calls walk.
+the trajectory is the one those calls walk.  The Metropolis test itself
+is :func:`metropolis_accepts`, which gives ``np.exp``'s verdict at a
+fraction of its cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -55,6 +58,29 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.rng import DirectDraws
 
 State = TypeVar("State")
+
+_NEG_INF = -math.inf
+#: Half-width of the band around ``u``, relative to ``math.exp(x)``,
+#: inside which :func:`metropolis_accepts` asks ``np.exp``: about 4500
+#: ULP, against the 1 ULP by which libm's ``exp`` and numpy's differ.
+_SCREEN_REL = 1e-12
+#: The band's absolute floor, above every subnormal ULP.
+_SCREEN_ABS = 1e-300
+
+
+def metropolis_accepts(x: float, u: float) -> bool:
+    """``np.exp(x) > u``, Algorithm 1's acceptance of a worsened move.
+
+    ``math.exp`` costs a third of ``np.exp`` on a Python float, but the
+    two round differently in about 5 % of cases (by 1 ULP at most), so
+    ``math.exp`` only decides where ``u`` lies outside a band around its
+    result far wider than that ULP: there both exps fall on the same
+    side of ``u``.  Inside the band ``np.exp`` decides.
+    """
+    e = math.exp(x)
+    if abs(e - u) > _SCREEN_REL * e + _SCREEN_ABS:
+        return e > u
+    return bool(np.exp(x) > u)
 
 
 @dataclass(frozen=True)
@@ -258,8 +284,6 @@ class ThresholdTriggeredAnnealer:
         # time, so a top-level import would be circular.
         from repro.sim.rng import DirectDraws
 
-        draws = DirectDraws(rng)
-        uniform = draws.random
         rec = recorder if recorder is not None else get_recorder()
         tracing = rec.enabled
         step_events = tracing and rec.iteration_detail
@@ -286,7 +310,10 @@ class ThresholdTriggeredAnnealer:
             fast_coolings=0,
         )
 
-        with rec.span(
+        # Only move mode draws through the scope; the other modes draw
+        # from ``rng`` itself, and a scope that drew nothing leaves it as
+        # it was.
+        with DirectDraws(rng) as draws, rec.span(
             "anneal.run",
             initial_temperature=temperature,
             min_temperature=sched.min_temperature,
@@ -298,10 +325,18 @@ class ThresholdTriggeredAnnealer:
             batch_mode=batch_mode,
             batch_size=batch_size,
         ):
+            if batch_mode:
+                assert propose_move is not None  # validated above
+                assert batch_objective is not None and batch_commit is not None
+            uniform: Callable[[], float]
+            if delta_mode:
+                assert draw_move is not None and move_objective is not None
+                assert apply_move is not None
+                uniform = draws.random
+            else:
+                uniform = rng.random
             while temperature > sched.min_temperature:
                 if batch_mode:
-                    assert propose_move is not None  # validated above
-                    assert batch_objective is not None and batch_commit is not None
                     steps_left = sched.chain_length
                     while steps_left > 0:
                         count = min(batch_size, steps_left)
@@ -334,8 +369,8 @@ class ThresholdTriggeredAnnealer:
                                 rng.bit_generator.state = pre_uniform_states[i]
                                 accepted = True
                                 stop = True
-                            elif delta > -np.inf:
-                                if np.exp(delta / temperature) > uniforms[i]:
+                            elif delta > _NEG_INF:
+                                if metropolis_accepts(delta / temperature, uniforms[i]):
                                     # The uniform was legitimately consumed,
                                     # but the tail proposals were drawn from
                                     # the pre-acceptance incumbent: rewind to
@@ -379,7 +414,6 @@ class ThresholdTriggeredAnnealer:
                             prev_worse = accepted_worse
                         iterations += 1
                         if delta_mode:
-                            assert draw_move is not None and move_objective is not None
                             move = draw_move(current, draws)
                             candidate_value = move_objective(current, move, rejected)
                         else:
@@ -391,15 +425,13 @@ class ThresholdTriggeredAnnealer:
                         else:
                             # Accept a worsened solution with probability
                             # exp(delta / T); count it toward the trigger.
-                            accepted = (
-                                delta > -np.inf
-                                and np.exp(delta / temperature) > uniform()
+                            accepted = delta > _NEG_INF and metropolis_accepts(
+                                delta / temperature, uniform()
                             )
                             if accepted:
                                 accepted_worse += 1
                         if accepted:
                             if delta_mode:
-                                assert apply_move is not None
                                 candidate = apply_move(current, move)
                                 rejected = []
                             current, current_value = candidate, candidate_value

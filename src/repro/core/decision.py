@@ -152,11 +152,13 @@ class OffloadingDecision:
     # --- Queries ------------------------------------------------------------
 
     def is_offloaded(self, user: int) -> bool:
-        return self.server[user] != LOCAL
+        server: int = self.server.item(user)
+        return server != LOCAL
 
     def occupant_of(self, server: int, channel: int) -> int:
         """User occupying slot ``(server, channel)``, or ``LOCAL`` if free."""
-        return int(self._slots[server, channel])
+        occupant: int = self._slots.item(server, channel)
+        return occupant
 
     def offloaded_users(self) -> np.ndarray:
         """Indices of users currently offloading."""

@@ -173,7 +173,7 @@ class SlotRestrictedSampler(NeighborhoodSampler):
     def _move_server(
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
-        current = int(decision.server[user])
+        current = decision.server.item(user)
         candidates = [s for s in self._alive_servers() if s != current]
         if not candidates:
             return []
@@ -184,7 +184,7 @@ class SlotRestrictedSampler(NeighborhoodSampler):
     def _move_channel(
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
-        current_server = int(decision.server[user])
+        current_server = decision.server.item(user)
         if current_server == LOCAL:
             candidates = self._alive_servers()
             if not candidates:
@@ -192,7 +192,7 @@ class SlotRestrictedSampler(NeighborhoodSampler):
             server = candidates[draws.integers(len(candidates))]
             channel = self._random_slot_on(decision, server, draws)
             return displacing_move(decision, user, server, channel)
-        current_channel = int(decision.channel[user])
+        current_channel = decision.channel.item(user)
         alive = self.alive_channels[current_server]
         free = [
             band
@@ -225,7 +225,7 @@ class SlotRestrictedSampler(NeighborhoodSampler):
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
         if decision.is_offloaded(user):
-            old = (int(decision.server[user]), int(decision.channel[user]))
+            old = (decision.server.item(user), decision.channel.item(user))
             return [(user, LOCAL, LOCAL, *old)]
         candidates = self._alive_servers()
         if not candidates:

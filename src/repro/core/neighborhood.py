@@ -75,12 +75,14 @@ def score_move(
     (:mod:`repro.core.delta`).
     """
     server, channel = decision.server, decision.channel
+    touched = []
     for user, new_server, new_channel, _, _ in move:
         server[user] = new_server
         channel[user] = new_channel
+        touched.append(user)
     try:
         return evaluator.evaluate_move(
-            decision, [entry[0] for entry in move] + [entry[0] for entry in rejected]
+            decision, touched + [entry[0] for entry in rejected]
         )
     finally:
         for user, _, _, old_server, old_channel in move:
@@ -97,8 +99,9 @@ def displacing_move(
     realises Algorithm 2's "allocate one randomly if none are free" while
     keeping constraint (12d).
     """
-    old = (int(decision.server[user]), int(decision.channel[user]))
-    move = [(user, server, channel, *old)]
+    move = [
+        (user, server, channel, decision.server.item(user), decision.channel.item(user))
+    ]
     occupant = decision.occupant_of(server, channel)
     if occupant != LOCAL and occupant != user:
         move.append((occupant, LOCAL, LOCAL, server, channel))
@@ -111,8 +114,9 @@ def swap_move(decision: OffloadingDecision, user: int, other: int) -> Move:
     Either user may be local; then one assignment moves across and the
     other user becomes local.
     """
-    sa, ja = int(decision.server[user]), int(decision.channel[user])
-    sb, jb = int(decision.server[other]), int(decision.channel[other])
+    server, channel = decision.server, decision.channel
+    sa, ja = server.item(user), channel.item(user)
+    sb, jb = server.item(other), channel.item(other)
     return [(user, sb, jb, sa, ja), (other, sa, ja, sb, jb)]
 
 
@@ -162,15 +166,16 @@ class NeighborhoodSampler:
         # time, so a top-level import would be circular.
         from repro.sim.rng import DirectDraws
 
-        move = self.move(decision, DirectDraws(rng))
+        with DirectDraws(rng) as draws:
+            move = self.move(decision, draws)
         return decision.with_move(move), touched_users(move)
 
     def move(self, decision: OffloadingDecision, draws: "DirectDraws") -> Move:
         """Algorithm 2's move from ``decision``, which is only read.
 
         Draws the target user and the branch uniform, then the branch's
-        own draws, all from ``draws`` (bind one
-        :class:`~repro.sim.rng.DirectDraws` per run).
+        own draws, all from ``draws`` (open one
+        :class:`~repro.sim.rng.DirectDraws` scope per run).
         """
         user = draws.integers(decision.n_users)
         return self._dispatch(decision, user, draws.random(), draws)
@@ -212,7 +217,7 @@ class NeighborhoodSampler:
     def _move_server(
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
-        current = int(decision.server[user])
+        current = decision.server.item(user)
         if decision.n_servers == 1 and current != LOCAL:
             return []  # no "other" server exists
         while True:
@@ -225,13 +230,13 @@ class NeighborhoodSampler:
     def _move_channel(
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
-        current_server = int(decision.server[user])
+        current_server = decision.server.item(user)
         if current_server == LOCAL:
             # Local target user: give it a slot on a random server instead.
             server = draws.integers(decision.n_servers)
             channel = self._random_slot_on(decision, server, draws)
             return displacing_move(decision, user, server, channel)
-        current_channel = int(decision.channel[user])
+        current_channel = decision.channel.item(user)
         # The user holds its own channel, so that one is never free.
         free = decision.free_channels(current_server)
         if free:
@@ -258,7 +263,7 @@ class NeighborhoodSampler:
         self, decision: OffloadingDecision, user: int, draws: "DirectDraws"
     ) -> Move:
         if decision.is_offloaded(user):
-            old = (int(decision.server[user]), int(decision.channel[user]))
+            old = (decision.server.item(user), decision.channel.item(user))
             return [(user, LOCAL, LOCAL, *old)]
         server = draws.integers(decision.n_servers)
         channel = self._random_slot_on(decision, server, draws)

@@ -1,9 +1,16 @@
 """Tests for the threshold-triggered annealing engine (Algorithm 1)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.annealing import AnnealingSchedule, ThresholdTriggeredAnnealer
+from repro.core import annealing
+from repro.core.annealing import (
+    AnnealingSchedule,
+    ThresholdTriggeredAnnealer,
+    metropolis_accepts,
+)
 from repro.errors import ConfigurationError
 
 
@@ -319,3 +326,45 @@ class TestMaxCountBoundary:
         )
         assert improving.accepted_moves == 7
         assert improving.fast_coolings == 0
+
+
+class TestMetropolisScreen:
+    def test_equals_the_numpy_test_and_defers_inside_the_band(self, monkeypatch):
+        """``metropolis_accepts(x, u) == (np.exp(x) > u)`` for ``x`` over
+        the whole range where ``exp`` is not zero, with ``u`` on and next
+        to ``np.exp(x)``, at zero and uniform; the ``np.exp`` fallback
+        must run, so a band too narrow to hold the 1-ULP disagreements
+        between libm and numpy fails here."""
+        real_exp = np.exp
+        rng = np.random.default_rng(2025)
+        xs = np.concatenate(
+            [
+                np.linspace(-745.2, 0.0, 20_001),
+                rng.uniform(-745.2, 0.0, 20_000),
+                -rng.exponential(0.5, 20_000),
+            ]
+        ).tolist()
+        # The two exps disagree on some of these inputs, so a test that
+        # lets math.exp decide inside the band must fail.
+        assert any(math.exp(x) != float(real_exp(x)) for x in xs)
+        fallbacks = []
+
+        def counting_exp(x):
+            fallbacks.append(x)
+            return real_exp(x)
+
+        cases = []
+        for x in xs:
+            e = float(real_exp(x))
+            for u in (
+                e,
+                float(np.nextafter(e, -np.inf)),
+                float(np.nextafter(e, np.inf)),
+                0.0,
+                rng.random(),
+            ):
+                cases.append((x, u, bool(real_exp(x) > u)))
+        monkeypatch.setattr(annealing.np, "exp", counting_exp)
+        for x, u, want in cases:
+            assert metropolis_accepts(x, u) is want, (x, u)
+        assert 0 < len(fallbacks) < len(cases)

@@ -212,6 +212,15 @@ class TestQueries:
         assignments = set(decision.iter_assignments())
         assert assignments == {(0, 1, 0), (2, 0, 1)}
 
+    def test_is_offloaded_and_occupant_of_return_python_scalars(self):
+        decision = fresh()
+        decision.assign(1, 0, 0)
+        assert decision.is_offloaded(1) is True
+        assert decision.is_offloaded(0) is False
+        assert decision.is_offloaded(np.int64(1)) is True
+        assert type(decision.occupant_of(0, 0)) is int
+        assert type(decision.occupant_of(1, 1)) is int
+
 
 class TestDenseConversion:
     def test_roundtrip(self):

@@ -398,25 +398,25 @@ class TestRestrictedSampler:
         sampler = restricted_sampler_for(faults)
         rng = np.random.default_rng(2025)
         mirrored = np.random.default_rng(2025)
-        draws = DirectDraws(mirrored)
         decision = OffloadingDecision.all_local(8, 3, 3)
         digest = hashlib.sha256()
         sizes = set()
-        for step in range(3000):
-            proposal, touched = sampler.propose_move(decision, rng)
-            before = (decision.server.tobytes(), decision.channel.tobytes())
-            move = sampler.move(decision, draws)
-            assert (decision.server.tobytes(), decision.channel.tobytes()) == before
-            rebuilt = decision.with_move(move)
-            assert rebuilt == proposal and touched_users(move) == touched
-            assert np.array_equal(rebuilt.free_slot_mask(), proposal.free_slot_mask())
-            assert proposal.is_feasible()
-            digest.update(
-                proposal.server.tobytes() + proposal.channel.tobytes() + bytes(touched)
-            )
-            sizes.add(len(touched))
-            if step % 3 != 2:
-                decision = proposal
+        with DirectDraws(mirrored) as draws:
+            for step in range(3000):
+                proposal, touched = sampler.propose_move(decision, rng)
+                before = (decision.server.tobytes(), decision.channel.tobytes())
+                move = sampler.move(decision, draws)
+                assert (decision.server.tobytes(), decision.channel.tobytes()) == before
+                rebuilt = decision.with_move(move)
+                assert rebuilt == proposal and touched_users(move) == touched
+                assert np.array_equal(rebuilt.free_slot_mask(), proposal.free_slot_mask())
+                assert proposal.is_feasible()
+                digest.update(
+                    proposal.server.tobytes() + proposal.channel.tobytes() + bytes(touched)
+                )
+                sizes.add(len(touched))
+                if step % 3 != 2:
+                    decision = proposal
         assert digest.hexdigest() == (
             "e7d9b0a3c916c9e0ad4a9318af642e4e0255ff22e5bb9586ab935cd687c14e76"
         )

@@ -77,18 +77,18 @@ class TestDirectDraws:
         bit-generator state as ``integers(n)`` and ``random()``."""
         reference = np.random.Generator(bit_generator(20251018))
         mirrored = np.random.Generator(bit_generator(20251018))
-        draws = DirectDraws(mirrored)
         schedule = np.random.default_rng(7)
         kinds = schedule.integers(len(self.BOUNDS) + 1, size=100_000)
-        for kind in kinds.tolist():
-            if kind == len(self.BOUNDS):
-                want, got = reference.random(), draws.random()
-                assert type(got) is float
-            else:
-                n = self.BOUNDS[kind]
-                want, got = int(reference.integers(n)), draws.integers(n)
-                assert type(got) is int
-            assert got == want
+        with DirectDraws(mirrored) as draws:
+            for kind in kinds.tolist():
+                if kind == len(self.BOUNDS):
+                    want, got = reference.random(), draws.random()
+                    assert type(got) is float
+                else:
+                    n = self.BOUNDS[kind]
+                    want, got = int(reference.integers(n)), draws.integers(n)
+                    assert type(got) is int
+                assert got == want
         assert _state_key(mirrored) == _state_key(reference)
 
     def test_bound_one_draws_nothing(self):
@@ -102,12 +102,67 @@ class TestDirectDraws:
             DirectDraws(make_rng(3)).integers(0)
 
     def test_shares_the_stream_with_the_generator(self):
-        """Draws through the wrapper advance the generator itself."""
+        """Draws through the wrapper advance the generator itself, once
+        its scope is closed."""
         a, b = make_rng(11), make_rng(11)
         draws = DirectDraws(b)
-        assert [draws.integers(20), b.random(), draws.random()] == [
+        first = draws.integers(20)
+        draws.close()
+        second = b.random()
+        with draws:
+            third = draws.random()
+        assert [first, second, third] == [
             int(a.integers(20)),
             a.random(),
             a.random(),
         ]
         assert int(b.integers(160)) == int(a.integers(160))
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_scope_that_draws_nothing_leaves_the_state_alone(self, buffered):
+        """Byte for byte, with and without a buffered 32-bit half."""
+        generator = make_rng(5)
+        if buffered:
+            generator.integers(7)
+        assert generator.bit_generator.state["has_uint32"] == int(buffered)
+        before = _state_key(generator)
+        with DirectDraws(generator) as draws:
+            assert draws.integers(1) == 0
+        assert _state_key(generator) == before
+
+    def test_serving_only_the_buffered_half_moves_the_state(self):
+        reference, mirrored = make_rng(5), make_rng(5)
+        reference.integers(7)
+        mirrored.integers(7)
+        with DirectDraws(mirrored) as draws:
+            got = draws.integers(40)
+        assert got == int(reference.integers(40))
+        assert _state_key(mirrored) == _state_key(reference)
+
+    def test_an_exception_inside_the_scope_still_syncs_the_state(self):
+        reference, mirrored = make_rng(13), make_rng(13)
+        with pytest.raises(KeyError):
+            with DirectDraws(mirrored) as draws:
+                draws.random()
+                draws.integers(40)
+                raise KeyError("inside the scope")
+        reference.random()
+        reference.integers(40)
+        assert _state_key(mirrored) == _state_key(reference)
+        assert mirrored.random() == reference.random()
+
+    def test_draws_after_close_match_a_reference_generator(self):
+        """A closed scope draws again, after direct draws in between."""
+        reference, mirrored = make_rng(17), make_rng(17)
+        draws = DirectDraws(mirrored)
+        for round_ in range(50):
+            with draws:
+                for n in (3, 20, 40, 2**31):
+                    assert draws.integers(n) == int(reference.integers(n))
+                    assert draws.random() == reference.random()
+            assert _state_key(mirrored) == _state_key(reference)
+            if round_ % 2:
+                assert int(mirrored.integers(160)) == int(reference.integers(160))
+            else:
+                assert mirrored.random() == reference.random()
+        assert _state_key(mirrored) == _state_key(reference)
