@@ -72,8 +72,19 @@ def cell_key(
     ``code`` defaults to the current build's
     :func:`~repro.experiments.persistence.code_fingerprint`.
     """
+    return _cell_key(_fingerprint(config), scheduler, seed, code)
+
+
+def _cell_key(
+    config_fingerprint: Any,
+    scheduler: Scheduler,
+    seed: int,
+    code: Optional[str] = None,
+) -> str:
+    """:func:`cell_key` for a config already fingerprinted, so a seed's
+    schemes share one config fingerprint."""
     payload = {
-        "config": _fingerprint(config),
+        "config": config_fingerprint,
         "scheduler": _fingerprint(scheduler),
         "seed": seed,
         "code": code if code is not None else code_fingerprint(),
@@ -155,11 +166,13 @@ class ResultCache:
         if not self.resume:
             return None
         path = self._entry_path(key)
-        if not path.exists():
-            return None
         rec = get_recorder()
         try:
             metrics = self._read_entry(path, key)
+        except (FileNotFoundError, NotADirectoryError):
+            # Never written, or quarantined by another process sharing
+            # the directory: either way a plain miss.
+            return None
         except ConfigurationError as exc:
             self._quarantine(path)
             if rec.enabled:
@@ -187,6 +200,8 @@ class ResultCache:
     def _read_entry(self, path: Path, key: str) -> SolutionMetrics:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, NotADirectoryError):
+            raise
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
                 f"unreadable cache entry {path.name}: {exc}"
@@ -253,9 +268,10 @@ class ResultCache:
         scheme's cell is missing (partial hits stay misses so the seed's
         work unit recomputes as a whole)."""
         rec = get_recorder()
+        config_fingerprint = _fingerprint(config)
         out: List[SolutionMetrics] = []
         for scheduler in schedulers:
-            metrics = self.get(cell_key(config, scheduler, seed))
+            metrics = self.get(_cell_key(config_fingerprint, scheduler, seed))
             if metrics is None:
                 if rec.enabled:
                     rec.count("cache.misses")
@@ -273,8 +289,14 @@ class ResultCache:
         metrics: Sequence[SolutionMetrics],
     ) -> None:
         """Store every scheme's metrics for one completed seed."""
+        if len(schedulers) != len(metrics):
+            raise ConfigurationError(
+                f"record_seed got {len(metrics)} metrics for "
+                f"{len(schedulers)} schedulers (seed {seed})"
+            )
+        config_fingerprint = _fingerprint(config)
         for scheduler, entry in zip(schedulers, metrics):
-            self.put(cell_key(config, scheduler, seed), entry)
+            self.put(_cell_key(config_fingerprint, scheduler, seed), entry)
 
     # --- maintenance --------------------------------------------------------
 

@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.atomicio import atomic_write_text
 from repro.core.scheduler import Scheduler
@@ -87,10 +87,13 @@ def _decode(value: Any) -> Any:
     return value
 
 
+#: Every SolutionMetrics field name, for the payload check on each read.
+_METRICS_FIELDS = frozenset(f.name for f in dataclasses.fields(SolutionMetrics))
+
+
 def _metrics_from_dict(fields: Dict[str, Any]) -> SolutionMetrics:
-    known = {f.name for f in dataclasses.fields(SolutionMetrics)}
-    unknown = sorted(set(fields) - known)
-    if unknown:
+    if not _METRICS_FIELDS.issuperset(fields):
+        unknown = sorted(set(fields) - _METRICS_FIELDS)
         raise ConfigurationError(
             f"unknown SolutionMetrics fields in payload: {', '.join(unknown)}"
         )
@@ -165,6 +168,14 @@ def load_output(path: Union[str, Path]) -> ExperimentOutput:
 # --- Sweep fingerprints -----------------------------------------------------
 
 
+#: Types that fingerprint as themselves, matched exactly (subclasses such
+#: as ``np.float64`` take the general ``isinstance`` path below).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Init-field names of every dataclass type fingerprinted so far.
+_INIT_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def _fingerprint(value: Any) -> Any:
     """JSON-stable structural fingerprint of configs and schedulers.
 
@@ -174,28 +185,41 @@ def _fingerprint(value: Any) -> Any:
     share a digest only when their configs *and* scheme
     construction parameters match, so e.g. two ``fig4`` points differing
     only in chain length never collide.
+
+    Every cache key is built from this output, so it must not change:
+    the exact-type scalar check and the per-class field names are
+    shortcuts to what the ``isinstance`` chain would return.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _fingerprint(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.init
-        }
-        return {"__type__": type(value).__qualname__, **fields}
+    cls = type(value)
+    if cls in _JSON_SCALARS:
+        return value
+    names = _INIT_FIELDS.get(cls)
+    if names is None and dataclasses.is_dataclass(value) and not isinstance(
+        value, type
+    ):
+        names = _INIT_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(value) if f.init
+        )
+    if names is not None:
+        out: Dict[str, Any] = {"__type__": cls.__qualname__}
+        for name in names:
+            item = getattr(value, name)
+            out[name] = item if type(item) in _JSON_SCALARS else _fingerprint(item)
+        return out
     if isinstance(value, dict):
         return {str(key): _fingerprint(item) for key, item in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_fingerprint(item) for item in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int, float, bool)):
         return value
     if isinstance(value, type) or callable(value):
         module = getattr(value, "__module__", "")
-        qualname = getattr(value, "__qualname__", type(value).__qualname__)
+        qualname = getattr(value, "__qualname__", cls.__qualname__)
         return f"{module}.{qualname}"
     state = getattr(value, "__dict__", None)
     if state is not None:
         return {
-            "__type__": type(value).__qualname__,
+            "__type__": cls.__qualname__,
             **{
                 str(key): _fingerprint(item)
                 for key, item in sorted(state.items())

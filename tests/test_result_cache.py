@@ -21,7 +21,10 @@ import pytest
 import repro
 from repro.baselines import GreedyScheduler
 from repro.experiments.cache import ResultCache, cell_key
+from repro.errors import ConfigurationError
 from repro.experiments.persistence import code_fingerprint
+from repro.obs import TraceRecorder
+from repro.obs.recorder import use_recorder
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_schemes
 from tests.streams import recorded_streams
@@ -225,6 +228,49 @@ class TestCorruption:
         cache._entry_path(key1).write_bytes(cache._entry_path(key2).read_bytes())
         assert cache.get(key1) is None
         assert len(cache.corrupt_entries()) == 1
+
+
+    def test_entry_vanishing_before_the_read_is_a_plain_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # Another process sharing the directory quarantines the entry
+        # just before this one reads it.
+        cache, _ = self._seed_cache(tmp_path)
+        key = cell_key(CONFIG, GreedyScheduler(), 1)
+        path = cache._entry_path(key)
+        read_text = Path.read_text
+
+        def vanishing_read(self, *args, **kwargs):
+            if self == path:
+                os.unlink(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", vanishing_read)
+        recorder = TraceRecorder(None)
+        with use_recorder(recorder):
+            assert cache.get(key) is None
+        assert not path.exists()
+        assert not (cache.root / "corrupt").exists()
+        assert [r["name"] for r in recorder.records if r["kind"] == "event"] == []
+
+
+class TestRecordSeed:
+    def test_length_mismatch_records_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        result = run_schemes(CONFIG, [GreedyScheduler()], [3])
+        metrics = result.metrics["Greedy"][0]
+        schedulers = [GreedyScheduler(), GreedyScheduler()]
+        with pytest.raises(ConfigurationError, match="1 metrics for 2 schedulers"):
+            cache.record_seed(CONFIG, schedulers, 3, [metrics])
+        assert len(cache) == 0
+
+    def test_records_one_entry_per_scheduler(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        result = run_schemes(CONFIG, [GreedyScheduler()], [3])
+        metrics = result.metrics["Greedy"][0]
+        cache.record_seed(CONFIG, [GreedyScheduler()], 3, [metrics])
+        assert cache.lookup_seed(CONFIG, [GreedyScheduler()], 3) == [metrics]
+        assert cache.get(cell_key(CONFIG, GreedyScheduler(), 3)) == metrics
 
 
 class TestCodeFingerprintIsolation:
