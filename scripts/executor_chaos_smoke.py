@@ -11,6 +11,8 @@ the robustness contract:
 * a worker death fails the sweep fast with ``BrokenProcessPool``, and
   re-running it with the same cache finishes it byte-identical to the
   serial run,
+* a seed that raises fails a pool sweep with that seed's own exception,
+  and every other seed is in the cache afterwards,
 * corruption is quarantined (evidence kept) and recomputed, never
   trusted,
 * a fully warm cache calls no scheduler at all.
@@ -37,7 +39,10 @@ from repro.experiments.cache import ResultCache, cell_key  # noqa: E402
 from repro.sim.config import SimulationConfig  # noqa: E402
 from repro.sim.executors import ProcessPoolSweepExecutor  # noqa: E402
 from repro.sim.runner import run_schemes  # noqa: E402
-from tests.test_executors import CrashOnceScheduler  # noqa: E402
+from tests.test_executors import (  # noqa: E402
+    CrashOnceScheduler,
+    FailingSeedsScheduler,
+)
 from tests.test_result_cache import CountingScheduler  # noqa: E402
 
 CONFIG = SimulationConfig(n_users=6, n_servers=2, n_subbands=2)
@@ -105,6 +110,35 @@ def main() -> int:
         # resumed sweep must reproduce the Greedy baseline bitwise.
         resumed = canonical(result).replace("CrashOnce", "Greedy")
         check(resumed == reference, "resume: byte-identical to serial")
+
+    # --- a raising seed fails the pool sweep; the others are cached ----
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(Path(tmp) / "cache")
+        failing = [FailingSeedsScheduler(CONFIG, (SEEDS[1],))]
+        try:
+            run_schemes(
+                CONFIG,
+                failing,
+                SEEDS,
+                journal=cache,
+                executor=ProcessPoolSweepExecutor(n_jobs=2),
+            )
+        except RuntimeError as exc:
+            error = str(exc)
+        else:
+            error = None
+        check(
+            error == f"seed {SEEDS[1]} failed",
+            "raise: the pool sweep fails with the raising seed's own error",
+        )
+        check(
+            all(
+                (cache.lookup_seed(CONFIG, failing, seed) is None)
+                == (seed == SEEDS[1])
+                for seed in SEEDS
+            ),
+            "raise: every other seed is in the cache",
+        )
 
     # --- cache chaos: torn entry + bit flip → quarantine + recompute ----
     with tempfile.TemporaryDirectory() as tmp:

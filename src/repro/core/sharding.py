@@ -31,9 +31,9 @@ global scalar/delta/batch paths — the gate pinned by
 :class:`~repro.core.scheduler.Scheduler` protocol, so it composes with
 the :mod:`repro.sim.runner` sweep machinery and every
 :class:`~repro.sim.executors.base.SweepExecutor` backend exactly like
-any other scheme: the executors fan (position, seed) cells out across
-processes while each cell's sharded solve handles the spatial
-decomposition within the cell.
+any other scheme: an executor runs each (position, seed) cell whole —
+the pool backend in a worker process — while the cell's sharded solve
+handles the spatial decomposition within it.
 """
 
 from __future__ import annotations

@@ -297,13 +297,3 @@ class ResultCache:
         config_fingerprint = _fingerprint(config)
         for scheduler, entry in zip(schedulers, metrics):
             self.put(_cell_key(config_fingerprint, scheduler, seed), entry)
-
-    # --- maintenance --------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Cheap occupancy summary (entry and quarantine counts)."""
-        return {
-            "root": str(self.root),
-            "entries": len(self),
-            "corrupt": len(self.corrupt_entries()),
-        }

@@ -1,15 +1,17 @@
 """R007 — no bare ``except:`` and no silently-swallowed exceptions.
 
-The sweep executors deliberately catch broad exception classes — but
-they always *record* them (a failure entry the runner re-raises).  Two
-patterns defeat that discipline and hide real failures:
+The pool executor deliberately catches broad exception classes — but
+only to hold the first failed cell's exception and raise it once the
+other cells are journaled.  Two patterns defeat that discipline and
+hide real failures:
 
 * ``except:`` — also traps ``KeyboardInterrupt`` / ``SystemExit``, so a
-  Ctrl-C mid-sweep can be eaten by a loop that only meant to record a
-  failing cell;
+  Ctrl-C mid-sweep can be eaten by a loop that only meant to hold a
+  failing cell's error;
 * a handler for ``Exception`` / ``BaseException`` (or a bare handler)
-  whose body is only ``pass`` / ``...`` — the crash evaporates without a
-  failure record, and a sweep "succeeds" with silently-missing seeds.
+  whose body is only ``pass`` / ``...`` — the crash evaporates without
+  being raised or recorded, and a sweep "succeeds" with
+  silently-missing seeds.
 
 Narrow handlers (``except KeyError: pass``) stay legal: ignoring one
 specific, anticipated condition is a decision, not a hole.
@@ -66,7 +68,8 @@ class ExceptionHygieneRule(Rule):
     title = "no bare except and no silently-swallowed broad exceptions"
     rationale = (
         "A bare except traps KeyboardInterrupt/SystemExit, and a broad "
-        "handler that only passes erases failures without a record — "
+        "handler that only passes erases the failure instead of raising "
+        "or recording it — "
         "both turn crashed seeds into silently-missing data in a sweep."
     )
 

@@ -210,48 +210,6 @@ class Topology:
                     break
         return positions
 
-    def place_users_in_cells(
-        self,
-        cell_of_user: Sequence[int],
-        rng: np.random.Generator,
-        min_bs_distance_km: float = DEFAULT_MIN_BS_DISTANCE_KM,
-    ) -> np.ndarray:
-        """Place users in prescribed cells (cluster-aware generation).
-
-        ``cell_of_user[i]`` names the cell user ``i`` is dropped into;
-        each user is sampled uniformly inside that cell's hexagon with
-        the same per-user rejection loop as :meth:`place_users`.  This
-        is the metro-scale entry point: a caller building a sharded
-        scenario can lay out users cluster by cluster (e.g. a fixed
-        per-cell density at 10^3-10^5 users) with one deterministic
-        sequential draw stream, instead of relying on uniform global
-        placement.
-        """
-        cells = np.asarray(cell_of_user, dtype=np.int64)
-        if cells.ndim != 1:
-            raise ConfigurationError(
-                f"cell_of_user must be one-dimensional, got shape {cells.shape}"
-            )
-        if cells.size and (cells.min() < 0 or cells.max() >= self.n_cells):
-            raise ConfigurationError(
-                f"cell indices must lie in [0, {self.n_cells}), got "
-                f"[{cells.min()}, {cells.max()}]"
-            )
-        if min_bs_distance_km < 0:
-            raise ConfigurationError(
-                f"min_bs_distance_km must be non-negative, got {min_bs_distance_km}"
-            )
-        positions = np.empty((cells.size, 2), dtype=float)
-        for i, cell_index in enumerate(cells):
-            cell = self.cells[int(cell_index)]
-            while True:
-                candidate = cell.sample(rng)
-                dists = np.linalg.norm(self.bs_positions - candidate, axis=1)
-                if dists.min() >= min_bs_distance_km:
-                    positions[i] = candidate
-                    break
-        return positions
-
     def distances_km(self, user_positions: np.ndarray) -> np.ndarray:
         """Pairwise user-to-BS distances, shape ``(U, S)``, in km."""
         users = np.asarray(user_positions, dtype=float)
@@ -261,33 +219,6 @@ class Topology:
             )
         deltas = users[:, None, :] - self.bs_positions[None, :, :]
         return np.linalg.norm(deltas, axis=2)
-
-    def nearest_station(
-        self, user_positions: np.ndarray, chunk_size: int = 4096
-    ) -> np.ndarray:
-        """Index of each user's nearest base station, shape ``(U,)``.
-
-        Ties break toward the lowest station index (``np.argmin``).
-        Computed in user chunks so peak memory is ``O(chunk * S)``
-        rather than ``O(U * S)`` — usable on metro-scale topologies.
-        """
-        users = np.asarray(user_positions, dtype=float)
-        if users.ndim != 2 or users.shape[1] != 2:
-            raise ConfigurationError(
-                f"user_positions must have shape (U, 2), got {users.shape}"
-            )
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        nearest = np.zeros(users.shape[0], dtype=np.int64)
-        for start in range(0, users.shape[0], chunk_size):
-            stop = min(start + chunk_size, users.shape[0])
-            deltas = users[start:stop, None, :] - self.bs_positions[None, :, :]
-            nearest[start:stop] = np.argmin(
-                np.sqrt(np.add.reduce(deltas * deltas, axis=2)), axis=1
-            )
-        return nearest
 
     def extent_km(self) -> float:
         """Diagonal of the station bounding box (deployment diameter).

@@ -1,18 +1,15 @@
 """Sweep-execution backends for :mod:`repro.sim.runner`.
 
 See :mod:`repro.sim.executors.base` for the :class:`SweepExecutor`
-protocol and the cell/wave value types, and ``docs/robustness.md`` for
-the failure model each backend hardens against.
+protocol and the shared work unit, and ``docs/robustness.md`` for the
+failure model each backend hardens against.
 """
 
 from __future__ import annotations
 
 from repro.sim.executors.base import (
     Cell,
-    CellFailure,
-    CellResult,
     SweepExecutor,
-    WaveOutcome,
     run_one_seed,
     seed_work,
 )
@@ -21,10 +18,7 @@ from repro.sim.executors.serial import SerialExecutor
 
 __all__ = [
     "Cell",
-    "CellFailure",
-    "CellResult",
     "SweepExecutor",
-    "WaveOutcome",
     "run_one_seed",
     "seed_work",
     "SerialExecutor",

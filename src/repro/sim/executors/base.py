@@ -1,8 +1,8 @@
-"""Executor protocol and shared cell/wave types for the sweep runner.
+"""Executor protocol and the shared work unit for the sweep runner.
 
-The multi-seed runner (:mod:`repro.sim.runner`) drives *waves* of
-pending cells through any object satisfying :class:`SweepExecutor`.
-Two backends ship with the library:
+The multi-seed runner (:mod:`repro.sim.runner`) hands its pending cells
+to any object satisfying :class:`SweepExecutor`.  Two backends ship with
+the library:
 
 * :class:`~repro.sim.executors.serial.SerialExecutor` — in-process, the
   reference implementation;
@@ -19,8 +19,7 @@ byte-identical results on every backend, which the chaos tests in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.core.scheduler import Scheduler
 from repro.obs.recorder import get_recorder, use_recorder
@@ -34,45 +33,11 @@ from repro.sim.scenario import Scenario
 Cell = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """One completed cell: per-scheme metrics for one seed."""
-
-    position: int
-    seed: int
-    metrics: List[SolutionMetrics]
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """One failed cell: ``exception`` is what its work raised (a dead
-    pool worker's is ``BrokenProcessPool``), which the runner re-raises.
-    """
-
-    position: int
-    seed: int
-    exception: BaseException
-
-
-@dataclass
-class WaveOutcome:
-    """What one executor wave over a set of cells produced."""
-
-    done: List[CellResult] = field(default_factory=list)
-    failed: List[CellFailure] = field(default_factory=list)
-
-
 class SweepExecutor(Protocol):
-    """Strategy object the runner hands each wave of pending cells to.
+    """Strategy object the runner hands a sweep's pending cells to."""
 
-    Implementations must be safe to call repeatedly (one call per wave)
-    and must never raise on a *cell* failure — cell errors are data
-    (:class:`CellFailure`), not exceptions, so the cells completed
-    before the failure still reach the journal.  Raising is reserved
-    for invalid arguments.
-    """
-
-    #: Stable backend name (``"serial"`` / ``"pool"``).
+    #: Stable backend name (``"serial"`` / ``"pool"``), reported as the
+    #: ``backend`` of the ``runner.run_schemes`` span.
     name: str
 
     def run_wave(
@@ -80,8 +45,16 @@ class SweepExecutor(Protocol):
         config: SimulationConfig,
         schedulers: Sequence[Scheduler],
         cells: Sequence[Cell],
-    ) -> WaveOutcome:
-        """Attempt every cell once; report per-cell outcomes."""
+        on_done: Callable[[int, int, List[SolutionMetrics]], None],
+    ) -> None:
+        """Run every cell; hand each completed one to ``on_done``.
+
+        ``on_done(position, seed, metrics)`` is called in cell order as
+        each cell completes, so the runner journals it while later
+        cells may still be running.  A failed cell raises its own
+        exception (a dead pool worker's is ``BrokenProcessPool``); when
+        several fail, the first in cell order is raised.
+        """
         ...  # pragma: no cover - protocol definition
 
 

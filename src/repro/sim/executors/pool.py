@@ -1,14 +1,15 @@
 """Process-pool executor — the one parallel backend.
 
-One wave = one fresh ``ProcessPoolExecutor``.  A cell that raises comes
+One call = one fresh ``ProcessPoolExecutor``.  A cell that raises comes
 back as its exception; a worker that dies mid-cell surfaces as
 ``BrokenProcessPool`` on its future and on every sibling still pending.
-Either way the cell is a :class:`~repro.sim.executors.base.CellFailure`
-and the runner re-raises the first one in seed order: a failed sweep is
+The futures are drained in cell order: every completed cell reaches the
+runner's journal, including those after a failed one, and the first
+failure in cell order is raised once the loop ends.  A failed sweep is
 resumed by re-running it with the same result cache, never retried
 inside the run (see ``docs/robustness.md``).
 
-When telemetry is on, each wave opens a ``pool.wave`` span and pickles
+When telemetry is on, each call opens a ``pool.wave`` span and pickles
 the recorder's :class:`~repro.obs.trace.WorkerContext` into every task.
 Each worker records its seed in memory on the coordinator's clock and
 returns the records and metrics with the cell's results; the
@@ -20,23 +21,18 @@ records.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.obs.recorder import get_recorder
 from repro.sim.config import SimulationConfig
-from repro.sim.executors.base import (
-    Cell,
-    CellFailure,
-    CellResult,
-    WaveOutcome,
-    run_one_seed_remote,
-)
+from repro.sim.executors.base import Cell, run_one_seed_remote
+from repro.sim.metrics import SolutionMetrics
 
 
 class ProcessPoolSweepExecutor:
-    """Fans cells out over ``n_jobs`` worker processes per wave."""
+    """Fans cells out over ``n_jobs`` worker processes."""
 
     name = "pool"
 
@@ -50,17 +46,11 @@ class ProcessPoolSweepExecutor:
         config: SimulationConfig,
         schedulers: Sequence[Scheduler],
         cells: Sequence[Cell],
-        on_done: Optional[Callable[[CellResult], None]] = None,
-    ) -> WaveOutcome:
-        """Attempt every cell once; report per-cell outcomes.
-
-        ``on_done`` receives each completed cell as its future resolves,
-        in cell order and before the next future is awaited, so the
-        runner can journal it while later cells are still running.
-        """
+        on_done: Callable[[int, int, List[SolutionMetrics]], None],
+    ) -> None:
         from concurrent.futures import ProcessPoolExecutor
 
-        outcome = WaveOutcome()
+        failure: Optional[Exception] = None
         rec = get_recorder()
         with rec.span("pool.wave", n_cells=len(cells), n_jobs=self.n_jobs):
             # Taken inside the wave span so worker records nest under it.
@@ -85,12 +75,11 @@ class ProcessPoolSweepExecutor:
                         if isinstance(metrics, Exception):
                             raise metrics
                     except Exception as exc:
-                        outcome.failed.append(CellFailure(position, seed, exc))
+                        if failure is None:
+                            failure = exc
                     else:
-                        done = CellResult(position, seed, metrics)
-                        outcome.done.append(done)
-                        if on_done is not None:
-                            on_done(done)
+                        on_done(position, seed, metrics)
             finally:
                 pool.shutdown(cancel_futures=True)
-        return outcome
+        if failure is not None:
+            raise failure

@@ -36,8 +36,7 @@ from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.obs.recorder import get_recorder
 from repro.sim.config import SimulationConfig
-from repro.sim.executors.base import Cell, CellResult, SweepExecutor
-from repro.sim.executors.pool import ProcessPoolSweepExecutor
+from repro.sim.executors.base import Cell, SweepExecutor
 from repro.sim.executors.serial import SerialExecutor
 from repro.sim.metrics import SolutionMetrics
 from repro.sim.stats import SummaryStats, summarize
@@ -155,13 +154,11 @@ def run_schemes(
     must be picklable for the pool backend (all built-in ones are).
 
     ``journal`` seeds that are already checkpointed are not re-run, and
-    every newly completed seed is recorded.  The run fails fast: the
-    first failed seed (in seed order) re-raises its original exception
-    once the seeds completed before it are journaled.  The serial
-    backend is handed one cell per wave, so no seed after a failed one
-    runs; the pool runs all pending cells in one wave and journals each
-    one as its future resolves, in seed order.  Resumes and backend
-    choice never change a completed seed's metrics.
+    every newly completed seed is recorded as the executor hands it
+    back.  The run fails fast: the executor raises the original
+    exception of the first failed seed in seed order, after the seeds
+    completed before it are journaled.  Resumes and backend choice never
+    change a completed seed's metrics.
     """
     seeds = list(seeds)
     if not seeds:
@@ -202,26 +199,15 @@ def run_schemes(
             else:
                 pending.append((position, seed))
 
-        def finish(done: CellResult) -> None:
-            by_position[done.position] = done.metrics
+        def finish(
+            position: int, seed: int, metrics: List[SolutionMetrics]
+        ) -> None:
+            by_position[position] = metrics
             if journal is not None:
-                journal.record_seed(config, schedulers, done.seed, done.metrics)
+                journal.record_seed(config, schedulers, seed, metrics)
 
-        if executor.name == "serial":
-            waves = [[cell] for cell in pending]
-        else:
-            waves = [pending] if pending else []
-        for wave in waves:
-            if isinstance(executor, ProcessPoolSweepExecutor):
-                # The pool hands each cell to ``finish`` as its future
-                # resolves, in cell order, while later cells still run.
-                outcome = executor.run_wave(config, schedulers, wave, on_done=finish)
-            else:
-                outcome = executor.run_wave(config, schedulers, wave)
-                for done in outcome.done:
-                    finish(done)
-            if outcome.failed:
-                raise min(outcome.failed, key=lambda f: f.position).exception
+        if pending:
+            executor.run_wave(config, schedulers, pending, finish)
 
         for position in sorted(by_position):
             for name, entry in zip(names, by_position[position]):

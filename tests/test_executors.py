@@ -2,8 +2,9 @@
 
 The contract under test: both backends (serial, process pool) compute
 byte-identical metrics for every cell, no matter which process ran it,
-and report a failed cell as data (its exception) instead of raising, so
-the runner can journal the cells that completed before re-raising.
+hand each completed cell to the caller's ``on_done`` in cell order, so
+the runner journals it at once, and raise the first failed cell's own
+exception.
 
 A corrupt result entry is the result cache's concern, not an executor's:
 ``tests/test_result_cache.py::TestCorruption`` pins that a torn or
@@ -17,6 +18,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -90,23 +92,44 @@ class RaisingScheduler:
         raise RuntimeError("scheduler bug")
 
 
+@dataclass(frozen=True)
+class FailingSeedsScheduler:
+    """Greedy, except on the instances of ``config`` drawn for ``seeds``:
+    there it raises ``RuntimeError("seed <seed> failed")``."""
+
+    config: SimulationConfig
+    seeds: Tuple[int, ...]
+    name: str = "FailingSeeds"
+
+    def schedule(self, scenario, rng):
+        for seed in self.seeds:
+            drawn = Scenario.build(self.config, seed=seed)
+            if np.array_equal(scenario.gains, drawn.gains):
+                raise RuntimeError(f"seed {seed} failed")
+        return GreedyScheduler().schedule(scenario, rng)
+
+
 class TestSerialExecutor:
     def test_runs_cells_in_order(self):
-        outcome = SerialExecutor().run_wave(
-            CONFIG, [GreedyScheduler()], [(0, 1), (1, 2)]
+        done = []
+        SerialExecutor().run_wave(
+            CONFIG,
+            [GreedyScheduler()],
+            [(0, 1), (1, 2)],
+            lambda *cell: done.append(cell),
         )
-        assert [r.position for r in outcome.done] == [0, 1]
-        assert not outcome.failed
+        assert [(position, seed) for position, seed, _ in done] == [(0, 1), (1, 2)]
 
-    def test_cell_exception_is_data_not_raise(self):
-        outcome = SerialExecutor().run_wave(
-            CONFIG, [RaisingScheduler()], [(0, 1)]
-        )
-        assert not outcome.done
-        [failure] = outcome.failed
-        assert failure.position == 0 and failure.seed == 1
-        assert isinstance(failure.exception, RuntimeError)
-        assert "scheduler bug" in str(failure.exception)
+    def test_cell_exception_raises_before_next_cell(self):
+        done = []
+        with pytest.raises(RuntimeError, match="^seed 2 failed$"):
+            SerialExecutor().run_wave(
+                CONFIG,
+                [FailingSeedsScheduler(CONFIG, (2,))],
+                [(0, 1), (1, 2), (2, 3)],
+                lambda *cell: done.append(cell),
+            )
+        assert [(position, seed) for position, seed, _ in done] == [(0, 1)]
 
 
 class TestPoolExecutor:
@@ -115,28 +138,32 @@ class TestPoolExecutor:
             ProcessPoolSweepExecutor(n_jobs=0)
 
     def test_worker_death_is_fatal_and_breaks_wave(self, tmp_path):
-        """A dead worker fails its cell with BrokenProcessPool; a cell
-        that completed before the death is still reported done."""
+        """A dead worker fails the call with BrokenProcessPool; a cell
+        that completed before the death is still handed back."""
         executor = ProcessPoolSweepExecutor(n_jobs=2)
-        outcome = executor.run_wave(
-            CONFIG, [CrashOnceScheduler(str(tmp_path))], [(0, 1), (1, 2)]
-        )
-        assert outcome.failed
-        for failure in outcome.failed:
-            assert isinstance(failure.exception, BrokenProcessPool)
-        done = {r.position for r in outcome.done}
-        assert done | {f.position for f in outcome.failed} == {0, 1}
+        done = []
+        with pytest.raises(BrokenProcessPool):
+            executor.run_wave(
+                CONFIG,
+                [CrashOnceScheduler(str(tmp_path))],
+                [(0, 1), (1, 2)],
+                lambda *cell: done.append(cell),
+            )
+        assert {position for position, _, _ in done} < {0, 1}
 
     def test_matches_serial(self):
-        serial = SerialExecutor().run_wave(
-            CONFIG, [GreedyScheduler()], [(0, 1), (1, 2), (2, 3)]
+        cells = [(0, 1), (1, 2), (2, 3)]
+        serial, pooled = [], []
+        SerialExecutor().run_wave(
+            CONFIG, [GreedyScheduler()], cells, lambda *cell: serial.append(cell)
         )
-        pooled = ProcessPoolSweepExecutor(n_jobs=2).run_wave(
-            CONFIG, [GreedyScheduler()], [(0, 1), (1, 2), (2, 3)]
+        ProcessPoolSweepExecutor(n_jobs=2).run_wave(
+            CONFIG, [GreedyScheduler()], cells, lambda *cell: pooled.append(cell)
         )
-        for a, b in zip(serial.done, pooled.done):
-            assert a.position == b.position and a.seed == b.seed
-            for x, y in zip(a.metrics, b.metrics):
+        assert len(serial) == len(pooled) == len(cells)
+        for (p, s, a), (q, t, b) in zip(serial, pooled):
+            assert p == q and s == t
+            for x, y in zip(a, b):
                 assert x.system_utility == y.system_utility
                 assert x.n_offloaded == y.n_offloaded
 
@@ -150,8 +177,8 @@ class TestExecutorViaRunSchemes:
         assert_identical_metrics(baseline, result)
 
     def test_default_executor_is_used(self, monkeypatch):
-        """Without an executor every sweep runs on a SerialExecutor
-        (fail-fast hands it one cell per wave)."""
+        """Without an executor every sweep runs on a SerialExecutor, in
+        one call holding every pending cell."""
         waves = []
         run_wave = SerialExecutor.run_wave
 
@@ -161,7 +188,7 @@ class TestExecutorViaRunSchemes:
 
         monkeypatch.setattr(SerialExecutor, "run_wave", counting_wave)
         result = run_schemes(CONFIG, [GreedyScheduler()], [1, 2])
-        assert waves == [[(0, 1)], [(1, 2)]]
+        assert waves == [[(0, 1), (1, 2)]]
         assert len(result.metrics["Greedy"]) == 2
 
     def test_pool_backend_matches_serial(self):
@@ -190,3 +217,21 @@ class TestExecutorViaRunSchemes:
         )
         assert len(result.metrics["AwaitJournal"]) == 2
         assert cache.lookup_seed(CONFIG, schedulers, 2) is not None
+
+    def test_pool_raises_the_first_failure_and_journals_the_rest(self, tmp_path):
+        """Seeds 0 and 2 fail with different errors: the sweep raises
+        seed 0's, and seed 1, which completed between them, is in the
+        journal afterwards."""
+        cache = ResultCache(tmp_path / "c")
+        schedulers = [FailingSeedsScheduler(CONFIG, (0, 2))]
+        with pytest.raises(RuntimeError, match="^seed 0 failed$"):
+            run_schemes(
+                CONFIG,
+                schedulers,
+                [0, 1, 2],
+                journal=cache,
+                executor=ProcessPoolSweepExecutor(n_jobs=2),
+            )
+        assert cache.lookup_seed(CONFIG, schedulers, 1) is not None
+        assert cache.lookup_seed(CONFIG, schedulers, 0) is None
+        assert cache.lookup_seed(CONFIG, schedulers, 2) is None

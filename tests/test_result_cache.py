@@ -284,12 +284,11 @@ class TestCodeFingerprintIsolation:
         # key, so the stale entry is simply never consulted.
         assert cache.lookup_seed(CONFIG, [GreedyScheduler()], 1) is None
 
-    def test_stats_reports_occupancy(self, tmp_path):
+    def test_len_and_corrupt_entries_report_occupancy(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         run_schemes(CONFIG, [GreedyScheduler()], [1, 2], journal=cache)
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["corrupt"] == 0
+        assert len(cache) == 2
+        assert cache.corrupt_entries() == []
 
 
 class TestCliCache:
