@@ -33,6 +33,8 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
+    "canonical_json",
+    "read_bytes",
     "sha256_hex",
     "payload_checksum",
 ]
@@ -173,6 +175,19 @@ class AtomicLineWriter:
             self.close()
 
 
+def read_bytes(path: Union[str, Path]) -> bytes:
+    """The whole content of ``path``: one unbuffered open and one read."""
+    with open(path, "rb", buffering=0) as handle:
+        return handle.readall()
+
+
+#: Canonical JSON text of a payload: sorted keys and no whitespace, so
+#: equal values always encode to equal bytes.  One shared encoder serves
+#: every checksum and content address (``json.dumps`` with these options
+#: builds a new encoder per call); the text is the same.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def sha256_hex(data: bytes) -> str:
     """Full hex SHA-256 of ``data``."""
     return hashlib.sha256(data).hexdigest()
@@ -185,5 +200,4 @@ def payload_checksum(payload: Any) -> str:
     pure function of the payload's *values*, so a round-tripped entry
     verifies regardless of how its file was formatted.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return sha256_hex(canonical.encode("utf-8"))
+    return sha256_hex(canonical_json(payload).encode("utf-8"))

@@ -13,7 +13,9 @@ Sub-commands
     content-addressed store (see ``docs/caching.md``).  The first
     failed seed stops the run with its own exception and no table is
     printed; re-running with the same ``--cache`` computes only the
-    cells still missing (see ``docs/robustness.md``).
+    cells still missing (see ``docs/robustness.md``).  An experiment
+    whose driver would ignore ``--workers``, ``--cache`` or
+    ``--no-resume`` rejects them (one ``error:`` line, exit status 2).
 ``tsajs solve [--users U --servers S --subbands N --batch ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
@@ -59,7 +61,11 @@ from repro.core.scheduler import DEFAULT_BATCH_SIZE
 from repro.core.sharding import DEFAULT_CLUSTER_RADIUS_KM, DEFAULT_RECONCILE_ROUNDS
 from repro.errors import ConfigurationError, float_error_mode
 from repro.experiments.cache import ResultCache
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.registry import (
+    ExperimentSpec,
+    get_experiment,
+    list_experiments,
+)
 from repro.experiments.report import render_text
 from repro.sim.config import SimulationConfig
 from repro.sim.executors import ProcessPoolSweepExecutor
@@ -306,6 +312,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_resume and args.cache is None:
         print("error: --no-resume requires --cache DIR", file=sys.stderr)
         return 2
+    spec = get_experiment(args.experiment)
+    ignored = _ignored_sweep_flags(spec, args)
+    if ignored:
+        print(
+            f"error: {spec.experiment_id} does not use {' or '.join(ignored)}",
+            file=sys.stderr,
+        )
+        return 2
     sweep = _build_sweep(args.workers, args.cache, args.no_resume)
     if args.telemetry is not None:
         from pathlib import Path
@@ -317,7 +331,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         recorder = TraceRecorder(telemetry_dir / "trace.jsonl")
         set_recorder(recorder)
         try:
-            status = _cmd_run_body(args, sweep)
+            status = _cmd_run_body(args, spec, sweep)
         finally:
             set_recorder(None)
             recorder.close()
@@ -331,7 +345,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"snapshot written to {telemetry_dir}]"
         )
         return status
-    return _cmd_run_body(args, sweep)
+    return _cmd_run_body(args, spec, sweep)
+
+
+def _ignored_sweep_flags(spec: ExperimentSpec, args: argparse.Namespace) -> List[str]:
+    """The ``run`` sweep flags given that ``spec``'s driver would ignore."""
+    flags = []
+    if args.workers != 1 and not spec.honours_workers:
+        flags.append("--workers")
+    if not spec.honours_cache:
+        if args.cache is not None:
+            flags.append("--cache")
+        if args.no_resume:
+            flags.append("--no-resume")
+    return flags
 
 
 def _build_sweep(workers: int, cache: Optional[str], no_resume: bool) -> Sweep:
@@ -345,8 +372,9 @@ def _build_sweep(workers: int, cache: Optional[str], no_resume: bool) -> Sweep:
     )
 
 
-def _cmd_run_body(args: argparse.Namespace, sweep: Sweep) -> int:
-    spec = get_experiment(args.experiment)
+def _cmd_run_body(
+    args: argparse.Namespace, spec: ExperimentSpec, sweep: Sweep
+) -> int:
     settings = spec.settings.quick() if args.quick else spec.settings()
     output = spec.run(settings, sweep)
     text = render_text(output)

@@ -36,11 +36,13 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.atomicio import (
     atomic_write_json,
+    canonical_json,
     payload_checksum,
+    read_bytes,
     sha256_hex,
 )
 from repro.core.scheduler import Scheduler
@@ -72,24 +74,34 @@ def cell_key(
     ``code`` defaults to the current build's
     :func:`~repro.experiments.persistence.code_fingerprint`.
     """
-    return _cell_key(_fingerprint(config), scheduler, seed, code)
+    return next(_cell_keys(config, (scheduler,), seed, code))
 
 
-def _cell_key(
-    config_fingerprint: Any,
-    scheduler: Scheduler,
+def _cell_keys(
+    config: SimulationConfig,
+    schedulers: Sequence[Scheduler],
     seed: int,
     code: Optional[str] = None,
-) -> str:
-    """:func:`cell_key` for a config already fingerprinted, so a seed's
-    schemes share one config fingerprint."""
-    payload = {
-        "config": config_fingerprint,
-        "scheduler": _fingerprint(scheduler),
-        "seed": seed,
-        "code": code if code is not None else code_fingerprint(),
-    }
-    return _address(payload)
+) -> Iterator[str]:
+    """:func:`cell_key` of each scheduler's cell of one seed, in order.
+
+    The canonical JSON of a cell payload sorts its keys ``code`` <
+    ``config`` < ``scheduler`` < ``seed``, so the text around the
+    scheduler is encoded once per seed and each key splices one
+    scheduler's canonical JSON into it: the bytes :func:`_address` would
+    hash for the whole payload.  Keys are derived lazily, so a lookup
+    that misses early derives no more.
+    """
+    if code is None:
+        code = code_fingerprint()
+    head = (
+        f'{{"code":{canonical_json(code)},'
+        f'"config":{canonical_json(_fingerprint(config))},"scheduler":'
+    )
+    tail = f',"seed":{canonical_json(seed)}}}'
+    for scheduler in schedulers:
+        text = head + canonical_json(_fingerprint(scheduler)) + tail
+        yield sha256_hex(text.encode("utf-8"))
 
 
 def digest_key(digest: str, scheme: str, seed: int) -> str:
@@ -112,8 +124,7 @@ def digest_key(digest: str, scheme: str, seed: int) -> str:
 
 def _address(payload: Dict[str, Any]) -> str:
     """Full SHA-256 hex of a payload's canonical JSON."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return sha256_hex(canonical.encode("utf-8"))
+    return sha256_hex(canonical_json(payload).encode("utf-8"))
 
 
 class ResultCache:
@@ -134,11 +145,16 @@ class ResultCache:
         self.root = Path(root)
         self.resume = resume
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
 
     # --- key/path plumbing --------------------------------------------------
 
+    def _entry_file(self, key: str) -> str:
+        """The entry's path as a string: a read builds no ``Path``."""
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}.json"
+
     def _entry_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_file(key))
 
     def _corrupt_dir(self) -> Path:
         return self.root / "corrupt"
@@ -165,7 +181,7 @@ class ResultCache:
         """
         if not self.resume:
             return None
-        path = self._entry_path(key)
+        path = self._entry_file(key)
         rec = get_recorder()
         try:
             metrics = self._read_entry(path, key)
@@ -174,7 +190,7 @@ class ResultCache:
             # the directory: either way a plain miss.
             return None
         except ConfigurationError as exc:
-            self._quarantine(path)
+            self._quarantine(Path(path))
             if rec.enabled:
                 rec.event("cache.entry_quarantined", key=key, error=str(exc))
                 rec.count("cache.quarantined")
@@ -197,39 +213,39 @@ class ResultCache:
         if rec.enabled:
             rec.count("cache.writes")
 
-    def _read_entry(self, path: Path, key: str) -> SolutionMetrics:
+    def _read_entry(self, path: str, key: str) -> SolutionMetrics:
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(read_bytes(path))
         except (FileNotFoundError, NotADirectoryError):
             raise
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
-                f"unreadable cache entry {path.name}: {exc}"
+                f"unreadable cache entry {key}.json: {exc}"
             )
         if not isinstance(payload, dict):
             raise ConfigurationError(
-                f"cache entry {path.name} must hold a JSON object, "
+                f"cache entry {key}.json must hold a JSON object, "
                 f"got {type(payload).__name__}"
             )
         version = payload.get("format_version")
         if version != CACHE_FORMAT_VERSION:
             raise ConfigurationError(
-                f"cache entry {path.name} has format_version {version!r}, "
+                f"cache entry {key}.json has format_version {version!r}, "
                 f"expected {CACHE_FORMAT_VERSION}"
             )
         if payload.get("key") != key:
             raise ConfigurationError(
-                f"cache entry {path.name} claims key {payload.get('key')!r}"
+                f"cache entry {key}.json claims key {payload.get('key')!r}"
             )
         metrics_field = payload.get("metrics")
         if payload.get("checksum") != payload_checksum(metrics_field):
             raise ConfigurationError(
-                f"cache entry {path.name} failed its integrity check "
+                f"cache entry {key}.json failed its integrity check "
                 "(torn write or corrupted storage)"
             )
         if not isinstance(metrics_field, dict):
             raise ConfigurationError(
-                f"cache entry {path.name} metrics must be an object"
+                f"cache entry {key}.json metrics must be an object"
             )
         return _metrics_from_dict(metrics_field)
 
@@ -268,10 +284,9 @@ class ResultCache:
         scheme's cell is missing (partial hits stay misses so the seed's
         work unit recomputes as a whole)."""
         rec = get_recorder()
-        config_fingerprint = _fingerprint(config)
         out: List[SolutionMetrics] = []
-        for scheduler in schedulers:
-            metrics = self.get(_cell_key(config_fingerprint, scheduler, seed))
+        for key in _cell_keys(config, schedulers, seed):
+            metrics = self.get(key)
             if metrics is None:
                 if rec.enabled:
                     rec.count("cache.misses")
@@ -294,6 +309,5 @@ class ResultCache:
                 f"record_seed got {len(metrics)} metrics for "
                 f"{len(schedulers)} schedulers (seed {seed})"
             )
-        config_fingerprint = _fingerprint(config)
-        for scheduler, entry in zip(schedulers, metrics):
-            self.put(_cell_key(config_fingerprint, scheduler, seed), entry)
+        for key, entry in zip(_cell_keys(config, schedulers, seed), metrics):
+            self.put(key, entry)

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from repro.atomicio import atomic_write_text
+from repro.atomicio import atomic_write_text, canonical_json
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentOutput
@@ -244,8 +244,7 @@ def sweep_digest(
         "schedulers": [_fingerprint(s) for s in schedulers],
         "extra": _fingerprint(extra) if extra else None,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
 
 
 #: Memoized :func:`code_fingerprint` value (stable for a process's lifetime).
@@ -286,8 +285,7 @@ def code_fingerprint() -> str:
                 for module, functions in sorted(REQUIRED_CITATIONS.items())
             },
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         _CODE_FINGERPRINT = hashlib.sha256(
-            canonical.encode("utf-8")
+            canonical_json(payload).encode("utf-8")
         ).hexdigest()[:16]
     return _CODE_FINGERPRINT

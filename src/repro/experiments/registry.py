@@ -53,6 +53,12 @@ class ExperimentSpec:
     run: Callable[..., ExperimentOutput]
     #: The ``*Settings`` dataclass: ``quick()``, ``reference()`` or ``()``.
     settings: Any
+    #: Whether the driver runs its points through ``sweep.run`` and so
+    #: honours ``tsajs run --workers``.
+    honours_workers: bool = True
+    #: Whether the driver reads and writes ``sweep.journal`` and so
+    #: honours ``tsajs run --cache`` and ``--no-resume``.
+    honours_cache: bool = True
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
@@ -129,12 +135,16 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "Extension: utility gain from uplink power control",
             ext_power_control.run,
             ext_power_control.ExtPowerControlSettings,
+            honours_workers=False,
+            honours_cache=False,
         ),
         ExperimentSpec(
             "ext_downlink",
             "Extension: downlink-aware scheduling vs output size",
             ext_downlink.run,
             ext_downlink.ExtDownlinkSettings,
+            honours_workers=False,
+            honours_cache=False,
         ),
         ExperimentSpec(
             "ext_metaheuristics",
@@ -147,30 +157,38 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "Extension: atomic vs bit-level partial offloading",
             ext_partial.run,
             ext_partial.ExtPartialSettings,
+            honours_workers=False,
+            honours_cache=False,
         ),
         ExperimentSpec(
             "ext_fading",
             "Extension: robustness of mean-channel plans to fast fading",
             ext_fading.run,
             ext_fading.ExtFadingSettings,
+            honours_workers=False,
+            honours_cache=False,
         ),
         ExperimentSpec(
             "ext_episodes",
             "Extension: episodic operation under server outages",
             ext_episodes.run,
             ext_episodes.ExtEpisodesSettings,
+            honours_workers=False,
+            honours_cache=False,
         ),
         ExperimentSpec(
             "ext_faults",
             "Extension: graceful degradation under injected faults",
             ext_faults.run,
             ext_faults.ExtFaultsSettings,
+            honours_workers=False,
         ),
         ExperimentSpec(
             "ext_sharding",
             "Extension: sharded-vs-global utility gap vs cluster radius",
             ext_sharding.run,
             ext_sharding.ExtShardingSettings,
+            honours_workers=False,
         ),
     )
 }

@@ -14,15 +14,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import hashlib
+import json
+import math
 from collections import OrderedDict, namedtuple
-from typing import Any
+from typing import Any, List
 
 import numpy as np
 import pytest
 
 from repro.baselines import GreedyScheduler
+from repro.atomicio import payload_checksum
 from repro.core.annealing import AnnealingSchedule
-from repro.experiments.cache import cell_key, digest_key
+from repro.experiments.cache import ResultCache, cell_key, digest_key
 from repro.experiments.common import standard_schedulers
 from repro.experiments.persistence import (
     _fingerprint,
@@ -32,6 +36,7 @@ from repro.experiments.persistence import (
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.schemes import available_schemes, build_schemes
 from repro.sim.config import SimulationConfig
+from repro.sim.metrics import SolutionMetrics
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
 
@@ -201,3 +206,113 @@ class TestFingerprintEquivalence:
     )
     def test_values(self, value):
         _assert_same_fingerprint(value)
+
+
+def _reference_checksum(payload: Any) -> str:
+    """Canonical-JSON SHA-256 as first written, one ``json.dumps`` per
+    call.  Frozen here as the oracle."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _reference_cell_key(config: SimulationConfig, scheduler: Any, seed: int) -> str:
+    """The cell address as first written: the whole payload dumped at
+    once.  Frozen here as the oracle."""
+    payload = {
+        "config": _reference_fingerprint(config),
+        "scheduler": _reference_fingerprint(scheduler),
+        "seed": seed,
+        "code": code_fingerprint(),
+    }
+    return _reference_checksum(payload)
+
+
+class _SpyCache(ResultCache):
+    """Records every key the seed-level calls address."""
+
+    def __init__(self, root: Any) -> None:
+        super().__init__(root)
+        self.got: List[str] = []
+        self.put_keys: List[str] = []
+
+    def get(self, key: str):
+        self.got.append(key)
+        return super().get(key)
+
+    def put(self, key: str, metrics: SolutionMetrics) -> None:
+        self.put_keys.append(key)
+        super().put(key, metrics)
+
+
+_CONFIGS = {
+    "default": SimulationConfig(),
+    "custom": SimulationConfig(
+        n_users=13, n_subbands=5, input_kb=0.1 + 0.2, kappa=1e-28, beta_time=0.3
+    ),
+}
+
+
+def _metrics(index: int) -> SolutionMetrics:
+    return SolutionMetrics(
+        system_utility=0.5 + index,
+        mean_time_s=1.0 / 3.0,
+        mean_energy_j=2.0,
+        mean_offloaded_time_s=float("nan"),
+        mean_offloaded_energy_j=float("nan"),
+        n_offloaded=index,
+        evaluations=10 * index,
+        wall_time_s=0.25,
+    )
+
+
+class TestSeedKeysAgree:
+    """``lookup_seed`` and ``record_seed`` derive a seed's keys once, with
+    the config encoded once; each must still be exactly ``cell_key`` (and
+    the whole-payload form it replaced), or a warm run silently
+    recomputes."""
+
+    @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
+    @pytest.mark.parametrize("seed", [0, 2025, 2**32 - 1])
+    def test_lookup_and_record_address_cell_key(self, tmp_path, config_name, seed):
+        config = _CONFIGS[config_name]
+        schedulers = build_schemes(available_schemes())
+        want = [cell_key(config, s, seed) for s in schedulers]
+        assert want == [_reference_cell_key(config, s, seed) for s in schedulers]
+        assert len(set(want)) == len(want)
+
+        cache = _SpyCache(tmp_path / "c")
+        metrics = [_metrics(i) for i in range(len(schedulers))]
+        cache.record_seed(config, schedulers, seed, metrics)
+        assert cache.put_keys == want
+        assert cache.got == []
+
+        assert repr(cache.lookup_seed(config, schedulers, seed)) == repr(metrics)
+        assert cache.got == want
+
+    def test_a_miss_stops_at_the_first_missing_scheme(self, tmp_path):
+        config = _CONFIGS["custom"]
+        schedulers = build_schemes(available_schemes())
+        cache = _SpyCache(tmp_path / "c")
+        assert cache.lookup_seed(config, schedulers, 7) is None
+        assert cache.got == [cell_key(config, schedulers[0], 7)]
+
+
+class TestPayloadChecksum:
+    """The shared encoder gives the bytes ``json.dumps`` gave."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            float("nan"),
+            math.inf,
+            -math.inf,
+            {"value": float("nan"), "up": math.inf, "down": -math.inf},
+            "h\u00e9llo \u2603 \U0001d11e",
+            {"\u00fcber": ["\u00e9", {"\u2603": "\U0001d11e"}]},
+            {"b": [1, {"z": 0.1 + 0.2, "a": [None, True, -0.0]}], "a": {"y": 1e-300}},
+            [[[]], {}, {"k": [{"j": {"i": 2**64}}]}],
+            dataclasses.asdict(_metrics(3)),
+        ],
+    )
+    def test_equals_the_json_dumps_form(self, payload):
+        assert payload_checksum(payload) == _reference_checksum(payload)

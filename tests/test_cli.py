@@ -1,10 +1,16 @@
 """Tests for the ``tsajs`` command-line interface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import _build_sweep, main
 from repro.errors import ConfigurationError
+from repro.experiments.cache import ResultCache
+from repro.experiments.registry import get_experiment
+from repro.experiments.report import ExperimentOutput
 from repro.sim.executors import ProcessPoolSweepExecutor
 from repro.sim.scenario import Scenario
 
@@ -111,6 +117,63 @@ class TestBuildSweep:
         ):
             with pytest.raises(SystemExit):
                 main(argv)
+
+
+class TestSweepFlags:
+    """``run`` rejects a sweep flag the experiment's driver would ignore,
+    before it builds the pool or creates the cache directory."""
+
+    @pytest.mark.parametrize(
+        "experiment, flags, message",
+        [
+            (
+                "ext_partial",
+                ["--cache", "c", "--workers", "2"],
+                "ext_partial does not use --workers or --cache",
+            ),
+            (
+                "ext_downlink",
+                ["--cache", "c", "--no-resume"],
+                "ext_downlink does not use --cache or --no-resume",
+            ),
+            ("ext_faults", ["--workers", "2"], "ext_faults does not use --workers"),
+        ],
+    )
+    def test_ignored_flags_are_an_error(
+        self, capsys, tmp_path, monkeypatch, experiment, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", experiment, "--quick", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, flags, pooled",
+        [
+            ("ext_sharding", ["--cache", "c", "--no-resume"], False),
+            ("fig7", ["--cache", "c", "--workers", "2"], True),
+        ],
+    )
+    def test_honoured_flags_reach_the_driver(
+        self, capsys, tmp_path, monkeypatch, experiment, flags, pooled
+    ):
+        monkeypatch.chdir(tmp_path)
+        sweeps = []
+
+        def run(settings, sweep):
+            sweeps.append(sweep)
+            return ExperimentOutput(experiment, "stub", ["h"], [["1"]], {})
+
+        spec = dataclasses.replace(get_experiment(experiment), run=run)
+        monkeypatch.setattr(repro.cli, "get_experiment", lambda name: spec)
+        assert main(["run", experiment, "--quick", *flags]) == 0
+        assert capsys.readouterr().err == ""
+        (sweep,) = sweeps
+        assert isinstance(sweep.journal, ResultCache)
+        assert (tmp_path / "c").is_dir()
+        assert isinstance(sweep.executor, ProcessPoolSweepExecutor) == pooled
 
 
 class TestInvalidSettings:

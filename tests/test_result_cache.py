@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.experiments.cache
+from repro.atomicio import read_bytes
 from repro.baselines import GreedyScheduler
 from repro.experiments.cache import ResultCache, cell_key
 from repro.errors import ConfigurationError
@@ -238,20 +240,22 @@ class TestCorruption:
         cache, _ = self._seed_cache(tmp_path)
         key = cell_key(CONFIG, GreedyScheduler(), 1)
         path = cache._entry_path(key)
-        read_text = Path.read_text
+        reads = []
 
-        def vanishing_read(self, *args, **kwargs):
-            if self == path:
-                os.unlink(self)
-            return read_text(self, *args, **kwargs)
+        def vanishing_read(entry):
+            reads.append(entry)
+            if Path(entry) == path:
+                os.unlink(entry)
+            return read_bytes(entry)
 
-        monkeypatch.setattr(Path, "read_text", vanishing_read)
+        monkeypatch.setattr(repro.experiments.cache, "read_bytes", vanishing_read)
         recorder = TraceRecorder(None)
         with use_recorder(recorder):
             assert cache.get(key) is None
         assert not path.exists()
         assert not (cache.root / "corrupt").exists()
         assert [r["name"] for r in recorder.records if r["kind"] == "event"] == []
+        assert [Path(entry) for entry in reads] == [path]
 
 
 class TestRecordSeed:
